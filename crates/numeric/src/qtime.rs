@@ -87,14 +87,18 @@ impl QScale {
     /// divides the scale and the tick count fits `i64`. Never rounds.
     #[must_use]
     pub fn from_rat(self, t: Rat) -> Option<QTime> {
-        let scale = i128::from(self.ticks_per_quantum);
-        let den = t.den();
-        if scale % den != 0 {
+        // Machine words only: i128 division is a library call, and the
+        // online event queue converts every instant it queues. A
+        // denominator wider than i64 exceeds the scale, so cannot divide
+        // it; a numerator wider than i64 gives a tick count wider still.
+        let den = i64::try_from(t.den()).ok()?;
+        if self.ticks_per_quantum % den != 0 {
             // `t` is reduced, so `num·scale/den` is integral iff den | scale.
             return None;
         }
-        let ticks = t.num().checked_mul(scale / den)?;
-        i64::try_from(ticks).ok().map(|ticks| QTime { ticks })
+        let num = i64::try_from(t.num()).ok()?;
+        num.checked_mul(self.ticks_per_quantum / den)
+            .map(|ticks| QTime { ticks })
     }
 
     /// The exact rational value of `t` at this scale (always succeeds: a

@@ -7,17 +7,22 @@
 //! "what runs now" in sub-linear time, and nothing about the future is
 //! known. This crate provides that embedding:
 //!
-//! * [`key::Pd2Key`] — PD² priority as a *static, totally ordered key*
+//! * [`Pd2Key`] — PD² priority as a *static, totally ordered key*
 //!   (deadline, b-bit, conditional group deadline, weight, identity),
-//!   proven equivalent to the comparator in `pfair-core` by test, so the
-//!   ready queue can be a binary heap with `O(log n)` dispatch instead of
-//!   an `O(n)` scan;
+//!   re-exported from `pfair-core`, where it is proven equivalent to the
+//!   comparator, so a ready queue can be a binary heap with `O(log n)`
+//!   dispatch instead of an `O(n)` scan;
 //! * [`tick::OnlineSfq`] — the SFQ counterpart as a kernel would host
 //!   it: a `tick()` per slot boundary returns the ≤ M subtasks to run;
-//! * [`scheduler::OnlineDvq`] — the event loop of the DVQ model
-//!   ("a new quantum begins immediately" when a subtask yields), driven by
-//!   sporadic job submissions and a caller-supplied cost source, emitting
-//!   the resulting quantum assignments.
+//! * [`kernel::DvqKernel`] — the one online PD²-DVQ event loop ("a new
+//!   quantum begins immediately" when a subtask yields): per-task chains,
+//!   the tick/exact event queue, the PD² ready heap and the processors,
+//!   advanced by step functions (open a batch, apply an event, free a
+//!   processor, dispatch). It has two drivers:
+//!   * [`scheduler::OnlineDvq`] — sporadic job submissions and a
+//!     caller-supplied cost source, run to a horizon or until idle;
+//!   * `pfair_runtime::DispatchCore` — the same steps behind a delegation
+//!     lock, gated on real worker threads' completion reports.
 //!
 //! Both schedulers also come in `*_observed` variants that stream
 //! [`pfair_obs::SchedEvent`]s to a [`pfair_obs::Observer`] — see
@@ -34,10 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod key;
+pub mod kernel;
 pub mod scheduler;
 pub mod tick;
 
-pub use key::Pd2Key;
+pub use kernel::DvqKernel;
+pub use pfair_core::key::Pd2Key;
 pub use scheduler::{OnlineAssignment, OnlineDvq, OnlineError};
 pub use tick::{OnlineSfq, TickAssignment};

@@ -1,4 +1,5 @@
-//! The online DVQ event loop.
+//! The online DVQ scheduler: the single-threaded driver of the
+//! [`DvqKernel`] event loop.
 //!
 //! [`OnlineDvq`] accepts **sporadic job arrivals** at runtime and plays
 //! the DVQ model forward: at every instant a processor frees (a quantum
@@ -26,15 +27,12 @@
 //! assert!(log.iter().all(|a| a.start + a.cost <= Rat::int(a.deadline)));
 //! ```
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use pfair_numeric::{Rat, Time};
+use pfair_obs::{NoopObserver, Observer};
+use pfair_taskmodel::{TaskId, Weight};
 
-use pfair_numeric::{QScale, QTime, Rat, Time};
-use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
-use pfair_taskmodel::window;
-use pfair_taskmodel::{SubtaskId, TaskId, Weight};
-
-use crate::key::Pd2Key;
+use crate::kernel::{DvqKernel, DEFAULT_TICKS_PER_QUANTUM};
+use crate::Pd2Key;
 
 /// A dispatched quantum, as reported by the scheduler.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,169 +94,12 @@ impl core::fmt::Display for OnlineError {
 
 impl std::error::Error for OnlineError {}
 
-/// One not-yet-dispatched subtask of a task's chain.
-#[derive(Clone, Debug)]
-struct SubSpec {
-    index: u64,
-    eligible: i64,
-    deadline: i64,
-    key: Pd2Key,
-}
-
-#[derive(Clone, Debug)]
-struct TaskState {
-    weight: Weight,
-    /// Jobs submitted so far.
-    jobs: u64,
-    /// Release time of the most recent job.
-    last_release: Option<i64>,
-    /// Subtasks awaiting dispatch, in chain order.
-    queue: VecDeque<SubSpec>,
-    /// Completion time of the task's most recently completed subtask.
-    pred_completion: Time,
-    /// `true` while a subtask of this task is ready or running (the chain
-    /// head must not be armed twice).
-    chain_busy: bool,
-    /// `true` while the chain head's activation event is pending.
-    head_armed: bool,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    /// A processor completed its quantum (task whose subtask finished).
-    ProcFree(u32, TaskId),
-    /// A task's chain head becomes ready.
-    Activate(TaskId),
-}
-
-/// The quantum currently occupying a processor, kept so its end can be
-/// announced to an observer: `(subtask, completion, deadline)`.
-type RunningQuantum = (SubtaskId, Time, i64);
-
-/// Default tick resolution of the event queue's fast mode:
-/// `lcm(1..13)`, the workload generators' cost grid.
-const DEFAULT_RESOLUTION: i64 = 720_720;
-
-/// A peeked event instant: the exact time plus, when the queue is in tick
-/// mode, its native tick count (so batch-equality checks stay integral).
-#[derive(Clone, Copy, Debug)]
-struct Instant {
-    ticks: Option<QTime>,
-    at: Time,
-}
-
-/// The scheduler's event heap, in one of two arithmetic modes — the
-/// online analogue of `pfair-sim`'s two-tier time domains.
-///
-/// `Ticks` keys the heap by [`QTime`] counts at a fixed [`QScale`]: every
-/// heap comparison is a single `i64` compare. The first time (any cost,
-/// eligibility, or completion the scale cannot represent) pushes the queue
-/// permanently into `Exact` mode, converting every queued event losslessly
-/// — a tick count *is* a rational — so schedules never depend on the mode.
-#[derive(Debug)]
-enum EventQueue {
-    Ticks {
-        scale: QScale,
-        heap: BinaryHeap<Reverse<(QTime, Ev)>>,
-    },
-    Exact(BinaryHeap<Reverse<(Time, Ev)>>),
-}
-
-impl EventQueue {
-    fn ticks(scale: QScale) -> EventQueue {
-        EventQueue::Ticks {
-            scale,
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    fn peek_instant(&self) -> Option<Instant> {
-        match self {
-            EventQueue::Ticks { scale, heap } => heap.peek().map(|&Reverse((t, _))| Instant {
-                ticks: Some(t),
-                at: scale.to_rat(t),
-            }),
-            EventQueue::Exact(heap) => heap
-                .peek()
-                .map(|&Reverse((t, _))| Instant { ticks: None, at: t }),
-        }
-    }
-
-    /// Pops the next event if it is scheduled exactly at `at`. Correct
-    /// across a mid-batch migration: tick and exact representations of one
-    /// instant are equal as rationals.
-    fn pop_at(&mut self, at: Instant) -> Option<Ev> {
-        match self {
-            EventQueue::Ticks { scale, heap } => {
-                let &Reverse((t, ev)) = heap.peek()?;
-                let same = match at.ticks {
-                    Some(qt) => t == qt,
-                    None => scale.to_rat(t) == at.at,
-                };
-                if same {
-                    heap.pop();
-                    Some(ev)
-                } else {
-                    None
-                }
-            }
-            EventQueue::Exact(heap) => {
-                let &Reverse((t, ev)) = heap.peek()?;
-                if t == at.at {
-                    heap.pop();
-                    Some(ev)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn push(&mut self, at: Time, ev: Ev) {
-        if let EventQueue::Ticks { scale, heap } = self {
-            match scale.from_rat(at) {
-                Some(qt) => {
-                    heap.push(Reverse((qt, ev)));
-                    return;
-                }
-                None => self.migrate(),
-            }
-        }
-        let EventQueue::Exact(heap) = self else {
-            unreachable!("migrate leaves the queue in exact mode")
-        };
-        heap.push(Reverse((at, ev)));
-    }
-
-    /// Converts the queue to exact mode, losslessly.
-    fn migrate(&mut self) {
-        if let EventQueue::Ticks { scale, heap } =
-            std::mem::replace(self, EventQueue::Exact(BinaryHeap::new()))
-        {
-            let exact = heap
-                .into_iter()
-                .map(|Reverse((t, ev))| Reverse((scale.to_rat(t), ev)))
-                .collect();
-            *self = EventQueue::Exact(exact);
-        }
-    }
-}
-
-/// An online, heap-based PD² scheduler for the DVQ model.
+/// An online, heap-based PD² scheduler for the DVQ model: a driver of
+/// the [`DvqKernel`] that keys subtasks from the window formulas and costs
+/// quanta from a caller-supplied source.
 #[derive(Debug)]
 pub struct OnlineDvq {
-    m: u32,
-    now: Time,
-    tasks: Vec<TaskState>,
-    /// Ready subtasks, min-keyed by PD² priority.
-    ready: BinaryHeap<Reverse<(Pd2Key, u32)>>, // (key, task id)
-    /// Pending ready specs per task (the spec the key refers to).
-    ready_spec: Vec<Option<SubSpec>>,
-    events: EventQueue,
-    free: Vec<u32>,
-    /// Per-processor in-flight quantum. Maintained unconditionally so
-    /// observed and unobserved `run_until` calls can be interleaved.
-    running: Vec<Option<RunningQuantum>>,
+    kernel: DvqKernel,
     log: Vec<OnlineAssignment>,
 }
 
@@ -274,7 +115,7 @@ impl OnlineDvq {
     /// Panics if `m == 0`.
     #[must_use]
     pub fn new(m: u32) -> OnlineDvq {
-        OnlineDvq::with_resolution(m, DEFAULT_RESOLUTION)
+        OnlineDvq::with_resolution(m, DEFAULT_TICKS_PER_QUANTUM)
     }
 
     /// [`Self::new`] with an explicit tick resolution for the event
@@ -289,46 +130,27 @@ impl OnlineDvq {
     /// Panics if `m == 0` or `ticks_per_quantum < 1`.
     #[must_use]
     pub fn with_resolution(m: u32, ticks_per_quantum: i64) -> OnlineDvq {
-        assert!(m >= 1, "need at least one processor");
         OnlineDvq {
-            m,
-            now: Rat::ZERO,
-            tasks: Vec::new(),
-            ready: BinaryHeap::new(),
-            ready_spec: Vec::new(),
-            events: EventQueue::ticks(QScale::new(ticks_per_quantum)),
-            free: (0..m).collect(),
-            running: vec![None; m as usize],
+            kernel: DvqKernel::new(m, ticks_per_quantum, true),
             log: Vec::new(),
         }
     }
 
     /// Registers a task; returns its id. Tasks may be added at any time.
     pub fn add_task(&mut self, weight: Weight) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(TaskState {
-            weight,
-            jobs: 0,
-            last_release: None,
-            queue: VecDeque::new(),
-            pred_completion: Rat::ZERO,
-            chain_busy: false,
-            head_armed: false,
-        });
-        self.ready_spec.push(None);
-        id
+        self.kernel.add_task(weight)
     }
 
     /// Current scheduler time.
     #[must_use]
     pub fn now(&self) -> Time {
-        self.now
+        self.kernel.now()
     }
 
     /// Processor count.
     #[must_use]
     pub fn num_processors(&self) -> u32 {
-        self.m
+        self.kernel.num_processors()
     }
 
     /// Submits the next job of `task`, released at integral time `at`.
@@ -343,7 +165,7 @@ impl OnlineDvq {
     }
 
     /// [`Self::submit_job`] with a streaming [`Observer`] attached: emits a
-    /// [`SchedEvent::Released`] for every subtask the job contributes
+    /// [`pfair_obs::SchedEvent::Released`] for every subtask the job contributes
     /// (release events are input-side and exempt from the stream's time
     /// ordering).
     ///
@@ -355,82 +177,32 @@ impl OnlineDvq {
         at: i64,
         obs: &mut O,
     ) -> Result<(), OnlineError> {
-        let state = self
-            .tasks
-            .get_mut(task.idx())
-            .ok_or(OnlineError::UnknownTask)?;
-        if let Some(prev) = state.last_release {
-            let earliest = prev + state.weight.p();
-            if at < earliest {
-                return Err(OnlineError::TooEarly {
-                    earliest,
-                    requested: at,
-                });
-            }
-        }
-        if Rat::int(at) < self.now {
-            return Err(OnlineError::InThePast {
-                now: self.now,
-                requested: at,
-            });
-        }
-        let w = state.weight;
-        let j = state.jobs; // 0-based job counter
-        let theta = at - i64::try_from(j).expect("job count") * w.p();
-        let first = j * w.e() as u64 + 1;
-        for index in first..first + w.e() as u64 {
-            let r = theta + window::release(w, index);
-            let spec = SubSpec {
-                index,
-                eligible: r,
-                deadline: theta + window::deadline(w, index),
-                key: Pd2Key::of(w, SubtaskId { task, index }, index, theta),
-            };
-            if O::ENABLED {
-                obs.on_event(&SchedEvent::Released {
-                    id: SubtaskId { task, index },
-                    at: r,
-                });
-            }
-            state.queue.push_back(spec);
-        }
-        state.jobs += 1;
-        state.last_release = Some(at);
-        self.arm_head(task);
-        Ok(())
-    }
-
-    /// Arms the chain head's activation event if the task has pending work
-    /// and nothing of it is ready/running.
-    fn arm_head(&mut self, task: TaskId) {
-        let state = &mut self.tasks[task.idx()];
-        if state.chain_busy || state.head_armed {
-            return;
-        }
-        let Some(head) = state.queue.front() else {
-            return;
-        };
-        let act = Rat::int(head.eligible).max(state.pred_completion);
-        state.head_armed = true;
-        self.events.push(act, Ev::Activate(task));
+        self.kernel.submit_job(
+            task,
+            at,
+            |w, id, theta| Pd2Key::of(w, id, id.index, theta),
+            obs,
+        )
     }
 
     /// Processes events up to (and including) `horizon`, dispatching with
     /// costs from `cost` (each must lie in `(0, 1]`). Returns the
-    /// assignments made during this call, in dispatch order.
+    /// assignments made during this call, in dispatch order; afterwards
+    /// [`Self::now`] is `horizon` (or later, if an earlier call ran past
+    /// it).
     pub fn run_until(
         &mut self,
         horizon: Time,
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
     ) -> Vec<OnlineAssignment> {
-        self.run_until_impl(horizon, cost, &mut NoopObserver)
+        self.run_until_impl(Some(horizon), cost, &mut NoopObserver)
     }
 
     /// [`Self::run_until`] with a streaming [`Observer`] attached. With
     /// [`NoopObserver`] this monomorphizes to exactly [`Self::run_until`]'s
     /// code (every emission site is gated by the compile-time
     /// `O::ENABLED`). Quanta still in flight at `horizon` announce their
-    /// [`SchedEvent::QuantumEnd`] in whichever later call processes their
+    /// [`pfair_obs::SchedEvent::QuantumEnd`] in whichever later call processes their
     /// completion.
     pub fn run_until_observed<O: Observer>(
         &mut self,
@@ -438,173 +210,54 @@ impl OnlineDvq {
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
         obs: &mut O,
     ) -> Vec<OnlineAssignment> {
-        self.run_until_impl(horizon, cost, obs)
+        self.run_until_impl(Some(horizon), cost, obs)
     }
 
+    /// The event loop: drains every instant up to `horizon` (all of them
+    /// when `None`) and runs the dispatch pass after each.
     fn run_until_impl<O: Observer>(
         &mut self,
-        horizon: Time,
+        horizon: Option<Time>,
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
         obs: &mut O,
     ) -> Vec<OnlineAssignment> {
         let log_start = self.log.len();
-        while let Some(instant) = self.events.peek_instant() {
-            let t = instant.at;
-            if t > horizon {
+        while let Some((at, _)) = self.kernel.peek() {
+            if horizon.is_some_and(|h| at > h) {
                 break;
             }
-            self.now = t;
-            if O::ENABLED {
-                obs.on_event(&SchedEvent::Tick { at: t });
-            }
-            // Drain the batch at time t (`pop_at` matches the instant even
-            // if an arm within the batch migrates the queue to exact mode).
-            while let Some(ev) = self.events.pop_at(instant) {
-                match ev {
-                    Ev::ProcFree(proc, task) => {
-                        let finished = self.running[proc as usize].take();
-                        if O::ENABLED {
-                            let (id, completion, deadline) =
-                                finished.expect("a freed processor was running a quantum");
-                            obs.on_event(&SchedEvent::QuantumEnd {
-                                id,
-                                proc,
-                                completion,
-                                deadline,
-                                waste: Rat::ZERO,
-                            });
-                            let d = Rat::int(deadline);
-                            if completion > d {
-                                obs.on_event(&SchedEvent::DeadlineMiss {
-                                    id,
-                                    completion,
-                                    deadline,
-                                    tardiness: completion - d,
-                                });
-                            } else {
-                                obs.on_event(&SchedEvent::DeadlineHit {
-                                    id,
-                                    completion,
-                                    deadline,
-                                });
-                            }
-                        }
-                        self.free.push(proc);
-                        let state = &mut self.tasks[task.idx()];
-                        state.chain_busy = false;
-                        self.arm_head(task);
-                    }
-                    Ev::Activate(task) => {
-                        let state = &mut self.tasks[task.idx()];
-                        state.head_armed = false;
-                        if state.chain_busy {
-                            continue; // stale arm (job submitted while running)
-                        }
-                        if let Some(spec) = state.queue.pop_front() {
-                            state.chain_busy = true;
-                            if O::ENABLED {
-                                let cause = if t == Rat::int(spec.eligible) {
-                                    ReadyCause::Eligibility
-                                } else {
-                                    ReadyCause::Predecessor
-                                };
-                                obs.on_event(&SchedEvent::Ready {
-                                    id: SubtaskId {
-                                        task,
-                                        index: spec.index,
-                                    },
-                                    at: t,
-                                    cause,
-                                });
-                            }
-                            self.ready.push(Reverse((spec.key, task.0)));
-                            self.ready_spec[task.idx()] = Some(spec);
-                        }
-                    }
-                }
-            }
-            // Descending, so `pop()` hands out the lowest index first.
-            self.free.sort_unstable_by(|a, b| b.cmp(a));
-            // Assign free processors to ready subtasks in priority order.
-            while !self.free.is_empty() && !self.ready.is_empty() {
-                let Reverse((_, task_raw)) = self.ready.pop().expect("nonempty");
-                let task = TaskId(task_raw);
-                let spec = self.ready_spec[task.idx()]
-                    .take()
-                    .expect("ready entry has a spec");
-                let proc = self.free.pop().expect("free nonempty");
-                let c = cost(task, spec.index);
-                assert!(
-                    c.is_positive() && c <= Rat::ONE,
-                    "cost source produced {c} for T{}_{}; must be in (0, 1]",
-                    task.0,
-                    spec.index
-                );
-                let completion = self.now + c;
-                let id = SubtaskId {
-                    task,
-                    index: spec.index,
-                };
-                if O::ENABLED {
-                    obs.on_event(&SchedEvent::QuantumStart {
-                        id,
-                        proc,
-                        start: self.now,
-                        cost: c,
-                        holds_until: completion,
-                        deadline: spec.deadline,
-                        bbit: spec.key.bbit,
-                        group_deadline: spec.key.group_deadline,
-                    });
-                }
-                self.running[proc as usize] = Some((id, completion, spec.deadline));
-                self.log.push(OnlineAssignment {
-                    task,
-                    index: spec.index,
-                    proc,
-                    start: self.now,
-                    cost: c,
-                    deadline: spec.deadline,
-                });
-                self.tasks[task.idx()].pred_completion = completion;
-                self.events.push(completion, Ev::ProcFree(proc, task));
-            }
-            if O::ENABLED && !self.free.is_empty() {
-                obs.on_event(&SchedEvent::Idle {
-                    at: t,
-                    procs: self.free.len() as u32,
-                });
-            }
+            self.kernel.open(at, obs);
+            // Drain the batch (`apply_at` matches the instant even if an
+            // arm within the batch migrates the queue to exact mode).
+            while self.kernel.apply_at(at, obs) {}
+            self.kernel.dispatch(&mut *cost, &mut self.log, obs);
         }
-        if self.now < horizon {
-            self.now = horizon;
+        if let Some(h) = horizon {
+            self.kernel.wait_until(h);
         }
         self.log[log_start..].to_vec()
     }
 
     /// Runs until every submitted job has completed; returns the
-    /// assignments made during this call.
+    /// assignments made during this call. Afterwards [`Self::now`] is the
+    /// last instant processed, so later jobs may still be submitted.
     pub fn run_until_idle(
         &mut self,
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
     ) -> Vec<OnlineAssignment> {
-        // Events only exist while work is pending, so an unbounded horizon
-        // terminates exactly when the system drains.
-        let far = Rat::int(i64::MAX / 2);
-        self.run_until(far, cost)
+        self.run_until_impl(None, cost, &mut NoopObserver)
     }
 
     /// [`Self::run_until_idle`] with a streaming [`Observer`] attached.
     /// Because the system drains completely, every dispatched quantum's
-    /// [`SchedEvent::QuantumEnd`] (and deadline verdict) is emitted before
+    /// [`pfair_obs::SchedEvent::QuantumEnd`] (and deadline verdict) is emitted before
     /// this returns.
     pub fn run_until_idle_observed<O: Observer>(
         &mut self,
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
         obs: &mut O,
     ) -> Vec<OnlineAssignment> {
-        let far = Rat::int(i64::MAX / 2);
-        self.run_until_impl(far, cost, obs)
+        self.run_until_impl(None, cost, obs)
     }
 
     /// Every assignment made since construction.
@@ -690,6 +343,22 @@ mod tests {
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].start, Rat::int(2));
         assert_eq!(s.full_log().len(), 2);
+    }
+
+    #[test]
+    fn submit_after_run_until_idle_is_accepted() {
+        let mut s = OnlineDvq::new(1);
+        let t = s.add_task(Weight::new(1, 2));
+        s.submit_job(t, 0).unwrap();
+        let first = s.run_until_idle(&mut unit_cost());
+        assert_eq!(first.len(), 1);
+        // Time rests at the last instant processed (the completion at 1),
+        // not at an unbounded horizon.
+        assert_eq!(s.now(), Rat::ONE);
+        s.submit_job(t, 4).unwrap();
+        let second = s.run_until_idle(&mut unit_cost());
+        assert_eq!(second.len(), 1);
+        assert_eq!(second[0].start, Rat::int(4));
     }
 
     #[test]

@@ -22,15 +22,14 @@
 //! instead of the previous `O(n)` rescan of every registered task.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use pfair_numeric::Rat;
 use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
-use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, TaskId, Weight};
 
-use crate::key::Pd2Key;
-use crate::scheduler::OnlineError;
+use crate::kernel::Jobs;
+use crate::{OnlineError, Pd2Key};
 
 /// A subtask handed out by [`OnlineSfq::tick`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,19 +45,8 @@ pub struct TickAssignment {
 }
 
 #[derive(Clone, Debug)]
-struct SubSpec {
-    index: u64,
-    eligible: i64,
-    deadline: i64,
-    key: Pd2Key,
-}
-
-#[derive(Clone, Debug)]
 struct TaskState {
-    weight: Weight,
-    jobs: u64,
-    last_release: Option<i64>,
-    queue: VecDeque<SubSpec>,
+    jobs: Jobs,
     /// Slot in which the task's most recent subtask ran (`None` if idle);
     /// the successor is ready from the *next* slot on.
     running_slot: Option<i64>,
@@ -99,10 +87,7 @@ impl OnlineSfq {
     pub fn add_task(&mut self, weight: Weight) -> TaskId {
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(TaskState {
-            weight,
-            jobs: 0,
-            last_release: None,
-            queue: VecDeque::new(),
+            jobs: Jobs::new(weight),
             running_slot: None,
         });
         id
@@ -138,49 +123,21 @@ impl OnlineSfq {
             .tasks
             .get_mut(task.idx())
             .ok_or(OnlineError::UnknownTask)?;
-        if let Some(prev) = state.last_release {
-            let earliest = prev + state.weight.p();
-            if at < earliest {
-                return Err(OnlineError::TooEarly {
-                    earliest,
-                    requested: at,
-                });
-            }
-        }
-        if at < self.next_slot {
-            return Err(OnlineError::InThePast {
-                now: pfair_numeric::Rat::int(self.next_slot),
-                requested: at,
-            });
-        }
-        let w = state.weight;
-        let theta = at - i64::try_from(state.jobs).expect("job count") * w.p();
-        let first = state.jobs * w.e() as u64 + 1;
-        let was_empty = state.queue.is_empty();
-        for index in first..first + w.e() as u64 {
-            let r = theta + window::release(w, index);
-            if O::ENABLED {
-                obs.on_event(&SchedEvent::Released {
-                    id: SubtaskId { task, index },
-                    at: r,
-                });
-            }
-            state.queue.push_back(SubSpec {
-                index,
-                eligible: r,
-                deadline: theta + window::deadline(w, index),
-                key: Pd2Key::of(w, SubtaskId { task, index }, index, theta),
-            });
-        }
-        state.jobs += 1;
-        state.last_release = Some(at);
+        let was_empty = state.jobs.queue.is_empty();
+        state.jobs.submit(
+            task,
+            at,
+            Rat::int(self.next_slot),
+            |w, id, theta| Pd2Key::of(w, id, id.index, theta),
+            obs,
+        )?;
         if was_empty {
             // The task rejoins the ready graph: arm its new head at the
             // first slot where both gates open. (The predecessor gate is
             // vacuous here — submission can't predate `next_slot`, which
             // is already past any prior `running_slot` — but keeping it
             // makes the invariant locally checkable.)
-            let head = state.queue.front().expect("job contributes subtasks");
+            let head = state.jobs.queue.front().expect("job contributes subtasks");
             let open = head
                 .eligible
                 .max(state.running_slot.map_or(i64::MIN, |s| s + 1));
@@ -218,6 +175,7 @@ impl OnlineSfq {
             }
             self.pending.pop();
             let head = self.tasks[task_raw as usize]
+                .jobs
                 .queue
                 .front()
                 .expect("pending task has a queued head");
@@ -243,11 +201,15 @@ impl OnlineSfq {
                 break;
             };
             let state = &mut self.tasks[task_raw as usize];
-            let spec = state.queue.pop_front().expect("head present");
+            let spec = state.jobs.queue.pop_front().expect("head present");
             state.running_slot = Some(t);
             // Re-arm the successor (if any): eligible and past this
             // quantum's boundary.
-            let rearm = state.queue.front().map(|next| next.eligible.max(t + 1));
+            let rearm = state
+                .jobs
+                .queue
+                .front()
+                .map(|next| next.eligible.max(t + 1));
             if let Some(open) = rearm {
                 self.pending.push(Reverse((open, task_raw)));
             }
@@ -314,7 +276,7 @@ impl OnlineSfq {
     /// `true` iff no submitted work remains.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.tasks.iter().all(|t| t.queue.is_empty())
+        self.tasks.iter().all(|t| t.jobs.queue.is_empty())
     }
 }
 

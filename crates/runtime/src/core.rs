@@ -2,22 +2,30 @@
 //!
 //! [`DispatchCore`] is the single-threaded heart of the runtime: whichever
 //! worker currently holds the combiner role drains the request slots and
-//! drives this state machine. Its scheduling semantics are *exactly* those
-//! of [`pfair_online::OnlineDvq`] — same event heap ordering, same
-//! KeyCache-backed PD² ready queue, same ascending-processor dispatch pass
-//! — with one addition: a quantum's logical completion may only be
-//! *processed* once the worker that executed it has physically reported
-//! done.
+//! drives this state machine. It is the second driver of
+//! [`pfair_online::DvqKernel`], the online PD²-DVQ event loop that
+//! [`pfair_online::OnlineDvq`] also drives: chain arming, the tick/exact
+//! event queue, the PD² ready heap, deadline verdicts and the
+//! ascending-processor dispatch pass all live there. What stays here is
+//! what belongs to the runtime:
 //!
-//! That gate is what makes the two execution modes of the tentpole work:
+//! * every submission is checked against the core's own [`TaskSystem`],
+//!   and each subtask's key is served from its `KeyCache`;
+//! * a quantum's logical completion may only be *processed* once the
+//!   worker that executed it has physically reported done;
+//! * the two in-core mutants: [`FaultPlan::StaleKeyCacheRead`] is the key
+//!   this driver hands the kernel, [`FaultPlan::TornDispatchBatch`] wraps
+//!   the recording observer around a dispatch pass.
 //!
-//! * **[`Mode::Deterministic`]** keeps the eager `ProcFree` events of the
-//!   online scheduler in the heap and simply *stalls* ([`Status::Stalled`])
-//!   when the next logical event is a completion whose worker has not
-//!   reported yet. Events are therefore processed in precisely the order
-//!   `OnlineDvq` processes them, whatever the thread interleaving — the
-//!   logical-time barrier — and the resulting schedule is bit-identical to
-//!   the single-threaded reference (proof obligation (a)).
+//! The completion gate is what makes the two execution modes work:
+//!
+//! * **[`Mode::Deterministic`]** lets the kernel queue completions eagerly,
+//!   as `OnlineDvq` does, and simply *stalls* ([`Status::Stalled`]) when
+//!   the next logical event is a completion whose worker has not reported
+//!   yet. Events are therefore processed in precisely the order `OnlineDvq`
+//!   processes them, whatever the thread interleaving — the logical-time
+//!   barrier — and the resulting schedule is bit-identical to the
+//!   single-threaded reference (proof obligation (a)).
 //! * **[`Mode::FreeRunning`]** trusts physical arrival instead: completions
 //!   are applied in the order workers deliver them
 //!   ([`DispatchCore::complete_unordered`]), logical time advancing
@@ -32,14 +40,12 @@
 //! file). Everything nondeterministic lives in [`crate::exec`] behind
 //! justified allows.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
 use pfair_core::key::{KeyCache, Pd2Key};
-use pfair_numeric::{Rat, Time};
-use pfair_obs::{Observer, ReadyCause, RecordingObserver, SchedEvent};
+use pfair_numeric::Time;
+use pfair_obs::{Observer, RecordingObserver, SchedEvent};
+use pfair_online::kernel::{DvqKernel, Event, DEFAULT_TICKS_PER_QUANTUM};
 use pfair_online::OnlineAssignment;
-use pfair_taskmodel::{window, SubtaskId, SubtaskRef, TaskId, TaskSystem, Weight};
+use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskId, TaskSystem};
 
 use crate::jitter::{quantum_cost, JitterRegime};
 
@@ -107,66 +113,94 @@ pub enum Status {
     Idle,
 }
 
-/// One not-yet-dispatched subtask of a task's chain.
-#[derive(Clone, Copy, Debug)]
-struct SubSpec {
-    index: u64,
-    st: SubtaskRef,
-    eligible: i64,
-    deadline: i64,
+/// The runtime's own copy of the workload: the system every submission
+/// is checked against, and the `KeyCache` its keys are served from.
+#[derive(Debug)]
+struct SystemKeys {
+    sys: TaskSystem,
+    cache: KeyCache<Pd2Key>,
+    fault: FaultPlan,
 }
 
-#[derive(Clone, Debug)]
-struct TaskState {
-    weight: Weight,
-    jobs: u64,
-    last_release: Option<i64>,
-    queue: VecDeque<SubSpec>,
-    pred_completion: Time,
-    chain_busy: bool,
-    head_armed: bool,
+impl SystemKeys {
+    /// The key of subtask `id` of a job with offset `theta`, after checking
+    /// the submission against the system so the KeyCache slot is the
+    /// right one: same offset, hence the same windows, and eligible at its
+    /// release as the kernel's chain assumes.
+    fn checked_key(&self, id: SubtaskId, theta: i64) -> Pd2Key {
+        let st = self.sys.find(id).unwrap_or_else(|| {
+            panic!(
+                "T{}_{} submitted but not in the system",
+                id.task.0, id.index
+            )
+        });
+        let s = self.sys.subtask(st);
+        assert!(
+            s.theta == theta && s.eligible == s.release,
+            "system subtask T{}_{} disagrees with the submission plan \
+             (theta {} vs {theta}): the KeyCache would serve a wrong key",
+            id.task.0,
+            id.index,
+            s.theta
+        );
+        self.key_for(st)
+    }
+
+    /// The KeyCache read backing the dispatch pass. The
+    /// [`FaultPlan::StaleKeyCacheRead`] mutant serves the *previous*
+    /// subtask's slot — the value a racing reader would see before the
+    /// cache line for this subtask lands.
+    fn key_for(&self, st: SubtaskRef) -> Pd2Key {
+        if self.fault == FaultPlan::StaleKeyCacheRead {
+            if let Some(pred) = self.sys.subtask(st).pred {
+                return self.cache.key(pred);
+            }
+        }
+        self.cache.key(st)
+    }
 }
 
-/// Heap events, ordered like `OnlineDvq`'s (`ProcFree` before `Activate`
-/// at equal instants, then by processor / task id).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    ProcFree(u32, TaskId),
-    Activate(TaskId),
+/// [`FaultPlan::TornDispatchBatch`]: around one dispatch pass, records
+/// every `QuantumStart` after the first with the previous entry's
+/// processor, as a racing reader of a non-atomic batch would see it.
+/// Execution itself (mailboxes, log) stays correct — only the event
+/// stream tears.
+struct TornBatch<'a> {
+    inner: &'a mut RecordingObserver,
+    prev_proc: Option<u32>,
 }
 
-/// The quantum in flight on a processor: `(subtask, completion, deadline)`.
-type RunningQuantum = (SubtaskId, Time, i64);
+impl Observer for TornBatch<'_> {
+    fn on_event(&mut self, ev: &SchedEvent) {
+        let mut ev = ev.clone();
+        if let SchedEvent::QuantumStart { proc, .. } = &mut ev {
+            let actual = *proc;
+            *proc = self.prev_proc.unwrap_or(actual);
+            self.prev_proc = Some(actual);
+        }
+        self.inner.on_event(&ev);
+    }
+}
 
 /// The dispatch state machine the combiner drives.
 #[derive(Debug)]
 pub struct DispatchCore {
-    sys: TaskSystem,
-    keys: KeyCache<Pd2Key>,
+    keys: SystemKeys,
+    kernel: DvqKernel,
     mode: Mode,
-    fault: FaultPlan,
     seed: u64,
     regime: JitterRegime,
-    m: u32,
-    now: Time,
     started: bool,
-    tasks: Vec<TaskState>,
-    ready: BinaryHeap<Reverse<(Pd2Key, u32)>>,
-    ready_spec: Vec<Option<SubSpec>>,
-    events: BinaryHeap<Reverse<(Time, Ev)>>,
-    free: Vec<u32>,
-    running: Vec<Option<RunningQuantum>>,
+    /// Whether the batch at the kernel's current instant is still open
+    /// (its dispatch pass not yet run).
+    batch_open: bool,
     /// Deterministic mode: has the worker physically reported the quantum
     /// dispatched to this processor?
     phys_done: Vec<bool>,
-    /// Quanta dispatched but not yet logically freed.
-    outstanding: u32,
-    /// The instant currently being batch-drained, if any.
-    batch: Option<Time>,
     log: Vec<OnlineAssignment>,
-    /// Assignments dispatched since the last [`Self::take_assignments`]:
-    /// the combiner delivers these to worker mailboxes.
-    pending: Vec<OnlineAssignment>,
+    /// How much of `log` [`Self::take_assignments`] has handed out: the
+    /// combiner delivers the rest to worker mailboxes.
+    handed: usize,
     obs: RecordingObserver,
 }
 
@@ -186,43 +220,25 @@ impl DispatchCore {
         mode: Mode,
         fault: FaultPlan,
     ) -> DispatchCore {
-        assert!(m >= 1, "need at least one processor");
-        let keys = KeyCache::build(&sys);
-        let tasks = sys
-            .tasks()
-            .iter()
-            .map(|t| TaskState {
-                weight: t.weight,
-                jobs: 0,
-                last_release: None,
-                queue: VecDeque::new(),
-                pred_completion: Rat::ZERO,
-                chain_busy: false,
-                head_armed: false,
-            })
-            .collect();
-        let num_tasks = sys.num_tasks();
+        let mut kernel = DvqKernel::new(m, DEFAULT_TICKS_PER_QUANTUM, mode == Mode::Deterministic);
+        for t in sys.tasks() {
+            kernel.add_task(t.weight);
+        }
         DispatchCore {
-            sys,
-            keys,
+            keys: SystemKeys {
+                cache: KeyCache::build(&sys),
+                sys,
+                fault,
+            },
+            kernel,
             mode,
-            fault,
             seed,
             regime,
-            m,
-            now: Rat::ZERO,
             started: false,
-            tasks,
-            ready: BinaryHeap::new(),
-            ready_spec: vec![None; num_tasks],
-            events: BinaryHeap::new(),
-            free: (0..m).collect(),
-            running: vec![None; m as usize],
+            batch_open: false,
             phys_done: vec![false; m as usize],
-            outstanding: 0,
-            batch: None,
             log: Vec::new(),
-            pending: Vec::new(),
+            handed: 0,
             obs: RecordingObserver::new(),
         }
     }
@@ -236,13 +252,13 @@ impl DispatchCore {
     /// The number of virtual processors.
     #[must_use]
     pub fn num_procs(&self) -> u32 {
-        self.m
+        self.kernel.num_processors()
     }
 
     /// Submits the next job of `task`, released at `at` — the `Submit`
-    /// request handler. Mirrors `OnlineDvq::submit_job_observed`, with the
-    /// spec windows cross-checked against the owned [`TaskSystem`] so the
-    /// KeyCache lookups are guaranteed fresh.
+    /// request handler. The kernel's submission, with each subtask
+    /// cross-checked against the owned [`TaskSystem`] so the KeyCache
+    /// lookups are guaranteed fresh.
     ///
     /// # Panics
     /// The driver controls submissions, so violations (sporadic separation,
@@ -254,48 +270,15 @@ impl DispatchCore {
             "all arrivals must be published before Begin (T{} at {at})",
             task.0
         );
-        let state = &mut self.tasks[task.idx()];
-        if let Some(prev) = state.last_release {
-            assert!(
-                at >= prev + state.weight.p(),
-                "sporadic separation violated: T{} released at {at}, earliest {}",
-                task.0,
-                prev + state.weight.p()
-            );
-        }
-        let w = state.weight;
-        let j = state.jobs;
-        let theta = at - i64::try_from(j).expect("job count fits i64") * w.p();
-        let e = u64::try_from(w.e()).expect("execution requirement is positive");
-        let first = j * e + 1;
-        for index in first..first + e {
-            let id = SubtaskId { task, index };
-            let st = self
-                .sys
-                .find(id)
-                .unwrap_or_else(|| panic!("T{}_{index} submitted but not in the system", task.0));
-            let s = self.sys.subtask(st);
-            assert!(
-                s.theta == theta && s.eligible == theta + window::release(w, index),
-                "system subtask T{}_{index} disagrees with the submission plan \
-                 (theta {} vs {theta}): the KeyCache would serve a wrong key",
-                task.0,
-                s.theta
-            );
-            let spec = SubSpec {
-                index,
-                st,
-                eligible: s.eligible,
-                deadline: s.deadline,
-            };
-            self.obs
-                .on_event(&SchedEvent::Released { id, at: s.eligible });
-            self.tasks[task.idx()].queue.push_back(spec);
-        }
-        let state = &mut self.tasks[task.idx()];
-        state.jobs += 1;
-        state.last_release = Some(at);
-        self.arm_head(task);
+        let keys = &self.keys;
+        self.kernel
+            .submit_job(
+                task,
+                at,
+                |_, id, theta| keys.checked_key(id, theta),
+                &mut self.obs,
+            )
+            .unwrap_or_else(|e| panic!("T{} at {at}: {e}", task.0));
     }
 
     /// The `Begin` request handler: arrivals are complete, event
@@ -314,7 +297,7 @@ impl DispatchCore {
             "mark_done is the deterministic-mode completion path"
         );
         assert!(
-            self.running[proc as usize].is_some(),
+            self.kernel.completion_of(proc).is_some(),
             "processor {proc} reported done while idle"
         );
         self.phys_done[proc as usize] = true;
@@ -326,9 +309,8 @@ impl DispatchCore {
     /// batches, never within one.
     #[must_use]
     pub fn completion_of(&self, proc: u32) -> Time {
-        self.running[proc as usize]
-            .as_ref()
-            .map(|&(_, completion, _)| completion)
+        self.kernel
+            .completion_of(proc)
             .expect("queried completion of an idle processor")
     }
 
@@ -343,78 +325,81 @@ impl DispatchCore {
             self.mode == Mode::FreeRunning,
             "complete_unordered is the free-running completion path"
         );
-        let (id, completion, deadline) = self.running[proc as usize]
-            .take()
+        let completion = self
+            .kernel
+            .completion_of(proc)
             .expect("processor reported done while idle");
         // Logically-earlier activations come first.
-        self.drain_events_below(completion);
-        let eff = self.now.max(completion);
-        self.ensure_batch(eff);
-        self.finish_quantum(proc, id, completion, deadline);
+        while let Some((at, _)) = self.kernel.peek() {
+            let eff = self.kernel.now().max(at);
+            if eff >= completion {
+                break;
+            }
+            if self.batch_open && eff > self.kernel.now() {
+                self.close_batch();
+                continue;
+            }
+            self.enter_batch(eff);
+            self.kernel.apply_at(at, &mut self.obs);
+        }
+        self.enter_batch(self.kernel.now().max(completion));
+        self.kernel.free(proc, &mut self.obs);
     }
 
     /// Processes logical events until input is needed: a physical
     /// completion (both modes) or, deterministic mode, the specific worker
-    /// the next `ProcFree` waits on. Dispatch decisions land in the
+    /// the next completion waits on. Dispatch decisions land in the
     /// pending-assignment buffer ([`Self::take_assignments`]).
     pub fn advance(&mut self) -> Status {
         if !self.started {
             return Status::Idle;
         }
         loop {
-            let Some(&Reverse((t, ev))) = self.events.peek() else {
+            let Some((at, ev)) = self.kernel.peek() else {
                 self.close_batch();
-                return if self.outstanding == 0 && self.ready.is_empty() {
+                return if self.kernel.is_drained() {
                     Status::Done
                 } else {
                     Status::Idle
                 };
             };
-            let eff = self.now.max(t);
-            if let Some(bt) = self.batch {
-                if eff > bt {
-                    self.close_batch();
-                    continue;
-                }
+            let eff = self.kernel.now().max(at);
+            if self.batch_open && eff > self.kernel.now() {
+                self.close_batch();
+                continue;
             }
             match self.mode {
                 Mode::Deterministic => {
-                    if let Ev::ProcFree(proc, _) = ev {
+                    if let Event::Free(proc) = ev {
                         if !self.phys_done[proc as usize] {
                             // Mid-batch stalls keep the batch open: the
                             // instant is not fully drained, so dispatching
                             // now would diverge from `OnlineDvq`.
                             return Status::Stalled;
                         }
+                        self.phys_done[proc as usize] = false;
                     }
                 }
                 Mode::FreeRunning => {
-                    if self.outstanding > 0 && eff >= self.min_outstanding() {
+                    if self.kernel.min_completion().is_some_and(|c| eff >= c) {
                         // An in-flight quantum logically completes first;
                         // wait for its worker.
                         return Status::Idle;
                     }
                 }
             }
-            self.ensure_batch(eff);
-            let Reverse((_, ev)) = self.events.pop().expect("peeked event still queued");
-            match ev {
-                Ev::ProcFree(proc, _) => {
-                    let (id, completion, deadline) = self.running[proc as usize]
-                        .take()
-                        .expect("a freed processor was running a quantum");
-                    self.phys_done[proc as usize] = false;
-                    self.finish_quantum(proc, id, completion, deadline);
-                }
-                Ev::Activate(task) => self.activate(task),
-            }
+            self.enter_batch(eff);
+            let applied = self.kernel.apply_at(at, &mut self.obs);
+            assert!(applied, "the peeked event is still queued");
         }
     }
 
     /// Assignments dispatched since the last call, in dispatch order; the
     /// combiner delivers them to worker mailboxes.
     pub fn take_assignments(&mut self) -> Vec<OnlineAssignment> {
-        std::mem::take(&mut self.pending)
+        let fresh = self.log[self.handed..].to_vec();
+        self.handed = self.log.len();
+        fresh
     }
 
     /// Consumes the core: the full dispatch log and the recorded event
@@ -424,215 +409,35 @@ impl DispatchCore {
         (self.log, self.obs.into_events())
     }
 
-    /// Earliest logical completion among in-flight quanta.
-    fn min_outstanding(&self) -> Time {
-        self.running
-            .iter()
-            .flatten()
-            .map(|&(_, completion, _)| completion)
-            .min()
-            .expect("outstanding > 0 implies an in-flight quantum")
-    }
-
-    /// Processes heap events whose effective instant is strictly below
-    /// `limit` (free-running helper; the heap holds only activations).
-    fn drain_events_below(&mut self, limit: Time) {
-        while let Some(&Reverse((t, ev))) = self.events.peek() {
-            let eff = self.now.max(t);
-            if eff >= limit {
-                break;
-            }
-            if let Some(bt) = self.batch {
-                if eff > bt {
-                    self.close_batch();
-                    continue;
-                }
-            }
-            self.ensure_batch(eff);
-            self.events.pop();
-            match ev {
-                Ev::ProcFree(..) => {
-                    unreachable!("free-running mode keeps completions out of the heap")
-                }
-                Ev::Activate(task) => self.activate(task),
-            }
-        }
-    }
-
-    /// Opens the batch at instant `eff` (emitting its `Tick`) if no batch
-    /// is open; closes and reopens if `eff` moved past an open batch.
-    fn ensure_batch(&mut self, eff: Time) {
-        if let Some(bt) = self.batch {
-            if eff == bt {
+    /// Makes `eff` the open batch's instant: a no-op if it already is,
+    /// otherwise any open batch is closed first and a new one opened.
+    fn enter_batch(&mut self, eff: Time) {
+        if self.batch_open {
+            if eff == self.kernel.now() {
                 return;
             }
             self.close_batch();
         }
-        self.batch = Some(eff);
-        self.now = eff;
-        self.obs.on_event(&SchedEvent::Tick { at: eff });
+        self.batch_open = true;
+        self.kernel.open(eff, &mut self.obs);
     }
 
-    /// Logically frees `proc` after its quantum: deadline verdict, freeing,
-    /// and re-arming the task's chain. The caller has already taken the
-    /// quantum out of `running` and opened the batch the freeing lands in.
-    fn finish_quantum(&mut self, proc: u32, id: SubtaskId, completion: Time, deadline: i64) {
-        self.obs.on_event(&SchedEvent::QuantumEnd {
-            id,
-            proc,
-            completion,
-            deadline,
-            waste: Rat::ZERO,
-        });
-        let d = Rat::int(deadline);
-        if completion > d {
-            self.obs.on_event(&SchedEvent::DeadlineMiss {
-                id,
-                completion,
-                deadline,
-                tardiness: completion - d,
-            });
-        } else {
-            self.obs.on_event(&SchedEvent::DeadlineHit {
-                id,
-                completion,
-                deadline,
-            });
-        }
-        self.free.push(proc);
-        self.outstanding -= 1;
-        let state = &mut self.tasks[id.task.idx()];
-        state.chain_busy = false;
-        self.arm_head(id.task);
-    }
-
-    /// The `Activate` handler: moves the chain head to the ready queue,
-    /// keyed from the KeyCache.
-    fn activate(&mut self, task: TaskId) {
-        let batch_t = self.batch.expect("activation happens inside a batch");
-        let state = &mut self.tasks[task.idx()];
-        state.head_armed = false;
-        if state.chain_busy {
-            return; // stale arm
-        }
-        let Some(spec) = state.queue.pop_front() else {
-            return;
-        };
-        state.chain_busy = true;
-        let cause = if batch_t == Rat::int(spec.eligible) {
-            ReadyCause::Eligibility
-        } else {
-            ReadyCause::Predecessor
-        };
-        self.obs.on_event(&SchedEvent::Ready {
-            id: SubtaskId {
-                task,
-                index: spec.index,
-            },
-            at: batch_t,
-            cause,
-        });
-        let key = self.key_for(spec.st);
-        self.ready.push(Reverse((key, task.0)));
-        self.ready_spec[task.idx()] = Some(spec);
-    }
-
-    /// The KeyCache read backing the dispatch pass. The
-    /// [`FaultPlan::StaleKeyCacheRead`] mutant serves the *previous*
-    /// subtask's slot — the value a racing reader would see before the
-    /// cache line for this subtask lands.
-    fn key_for(&self, st: SubtaskRef) -> Pd2Key {
-        if self.fault == FaultPlan::StaleKeyCacheRead {
-            if let Some(pred) = self.sys.subtask(st).pred {
-                return self.keys.key(pred);
-            }
-        }
-        self.keys.key(st)
-    }
-
-    /// Arms the chain head's activation event if the task has pending work
-    /// and nothing of it is ready/running.
-    fn arm_head(&mut self, task: TaskId) {
-        let state = &mut self.tasks[task.idx()];
-        if state.chain_busy || state.head_armed {
-            return;
-        }
-        let Some(head) = state.queue.front() else {
-            return;
-        };
-        let act = Rat::int(head.eligible).max(state.pred_completion);
-        state.head_armed = true;
-        self.events.push(Reverse((act, Ev::Activate(task))));
-    }
-
-    /// Closes the open batch: one KeyCache-backed PD² dispatch pass over
-    /// the drained instant, handing free processors (lowest index first)
-    /// to ready subtasks in priority order.
+    /// Closes the open batch, if any: the kernel's dispatch pass over the
+    /// drained instant, costed by the seeded jitter draw.
     fn close_batch(&mut self) {
-        let Some(t) = self.batch.take() else {
+        if !std::mem::take(&mut self.batch_open) {
             return;
-        };
-        self.free.sort_unstable_by(|a, b| b.cmp(a));
-        let mut prev_proc: Option<u32> = None;
-        while !self.free.is_empty() && !self.ready.is_empty() {
-            let Reverse((_, task_raw)) = self.ready.pop().expect("ready nonempty");
-            let task = TaskId(task_raw);
-            let spec = self.ready_spec[task.idx()]
-                .take()
-                .expect("ready entry has a spec");
-            let proc = self.free.pop().expect("free nonempty");
-            let c = quantum_cost(self.seed, self.regime, task, spec.index);
-            assert!(
-                c.is_positive() && c <= Rat::ONE,
-                "jitter produced cost {c} outside (0, 1]"
-            );
-            let completion = self.now + c;
-            let id = SubtaskId {
-                task,
-                index: spec.index,
-            };
-            // The torn-batch mutant records later entries of a
-            // multi-assignment batch with the previous entry's processor;
-            // the *execution* (mailboxes, log) stays correct.
-            let recorded_proc = match (self.fault, prev_proc) {
-                (FaultPlan::TornDispatchBatch, Some(prev)) => prev,
-                _ => proc,
-            };
-            self.obs.on_event(&SchedEvent::QuantumStart {
-                id,
-                proc: recorded_proc,
-                start: self.now,
-                cost: c,
-                holds_until: completion,
-                deadline: spec.deadline,
-                bbit: self.keys.key(spec.st).bbit,
-                group_deadline: self.keys.key(spec.st).group_deadline,
-            });
-            self.running[proc as usize] = Some((id, completion, spec.deadline));
-            self.phys_done[proc as usize] = false;
-            self.outstanding += 1;
-            let assignment = OnlineAssignment {
-                task,
-                index: spec.index,
-                proc,
-                start: self.now,
-                cost: c,
-                deadline: spec.deadline,
-            };
-            self.log.push(assignment.clone());
-            self.pending.push(assignment);
-            self.tasks[task.idx()].pred_completion = completion;
-            if self.mode == Mode::Deterministic {
-                self.events
-                    .push(Reverse((completion, Ev::ProcFree(proc, task))));
-            }
-            prev_proc = Some(proc);
         }
-        if !self.free.is_empty() {
-            self.obs.on_event(&SchedEvent::Idle {
-                at: t,
-                procs: u32::try_from(self.free.len()).expect("m fits u32"),
-            });
+        let (seed, regime) = (self.seed, self.regime);
+        let cost = |task, index| quantum_cost(seed, regime, task, index);
+        if self.keys.fault == FaultPlan::TornDispatchBatch {
+            let mut torn = TornBatch {
+                inner: &mut self.obs,
+                prev_proc: None,
+            };
+            self.kernel.dispatch(cost, &mut self.log, &mut torn);
+        } else {
+            self.kernel.dispatch(cost, &mut self.log, &mut self.obs);
         }
     }
 }
@@ -641,7 +446,7 @@ impl DispatchCore {
 mod tests {
     use super::*;
     use pfair_online::OnlineDvq;
-    use pfair_taskmodel::TaskSystemBuilder;
+    use pfair_taskmodel::{TaskSystemBuilder, Weight};
 
     /// A periodic system plus its submission plan: every task releases
     /// `jobs` back-to-back jobs from time 0.
@@ -675,8 +480,8 @@ mod tests {
             match core.advance() {
                 Status::Done => break,
                 Status::Stalled | Status::Idle => {
-                    let proc = (0..core.m)
-                        .filter(|&p| core.running[p as usize].is_some())
+                    let proc = (0..core.num_procs())
+                        .filter(|&p| core.kernel.completion_of(p).is_some())
                         .min_by_key(|&p| (core.completion_of(p), p))
                         .expect("a stalled core has in-flight work");
                     match core.mode {
@@ -786,7 +591,7 @@ mod tests {
                 Status::Done => break,
                 _ => {
                     let proc = (0..2)
-                        .filter(|&p| core.running[p as usize].is_some())
+                        .filter(|&p| core.kernel.completion_of(p).is_some())
                         .min_by_key(|&p| (core.completion_of(p), p))
                         .expect("in-flight work");
                     core.complete_unordered(proc);
@@ -831,19 +636,19 @@ mod tests {
             Mode::Deterministic,
             FaultPlan::StaleKeyCacheRead,
         );
-        assert_eq!(clean.key_for(a2), clean.keys.key(a2));
+        assert_eq!(clean.keys.key_for(a2), clean.keys.cache.key(a2));
         assert_eq!(
-            stale.key_for(a2),
-            stale.keys.key(a1),
+            stale.keys.key_for(a2),
+            stale.keys.cache.key(a1),
             "the stale read serves the predecessor's cache slot"
         );
         assert_ne!(
-            stale.key_for(a2),
-            stale.keys.key(a2),
+            stale.keys.key_for(a2),
+            stale.keys.cache.key(a2),
             "weight 2/5 gives T0_1 and T0_2 distinct keys, so the tear is visible"
         );
         // Chain heads have no predecessor: the stale read is invisible there.
-        assert_eq!(stale.key_for(a1), stale.keys.key(a1));
+        assert_eq!(stale.keys.key_for(a1), stale.keys.cache.key(a1));
     }
 
     #[test]

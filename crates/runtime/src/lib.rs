@@ -9,8 +9,9 @@
 //! centralized through a flat-combining delegation lock ([`lock`]):
 //! workers publish yield/arrival/completion requests into per-worker
 //! slots, and whichever worker holds the combiner role drains the batch
-//! and runs one KeyCache-backed PD² dispatch pass over the deterministic
-//! core ([`core`]).
+//! into the deterministic core ([`core`]), which drives the same online
+//! PD²-DVQ event loop as [`pfair_online::OnlineDvq`]
+//! ([`pfair_online::DvqKernel`]) with KeyCache-served keys.
 //!
 //! Correctness is *proven per run*, two ways ([`exec`]):
 //!

@@ -2,10 +2,12 @@
 //!
 //! Every combination of worker count × jitter regime × seed is executed
 //! twice — once in deterministic mode (proof: bit-equality against the
-//! single-threaded `OnlineDvq`) and once free-running (proof: the
-//! recorded event stream replays through `slotplay` into the conformance
-//! bank clean) — and the three planted concurrency mutants must each be
-//! caught by the bank, with the *expected* invariant firing first.
+//! single-threaded `OnlineDvq`, plus placement-equality against the
+//! offline `simulate_dvq`, a separate implementation of the DVQ loop) and
+//! once free-running (proof: the recorded event stream replays through
+//! `slotplay` into the conformance bank clean) — and the three planted
+//! concurrency mutants must each be caught by the bank, with the
+//! *expected* invariant firing first.
 //!
 //! Failures print the `(workers, regime, seed)` triple; re-run any single
 //! seed across the whole sweep with
@@ -13,7 +15,9 @@
 
 use std::time::Duration;
 
-use pfair::conformance::{check_runtime_run, generate_runtime_case, runtime_bank, runtime_mutants};
+use pfair::conformance::{
+    check_runtime_run, generate_runtime_case, runtime_bank, runtime_mutants, RuntimeCase,
+};
 use pfair::prelude::*;
 use proptest::{fnv1a, resolve_seed};
 
@@ -49,11 +53,54 @@ fn config(m: u32, regime: JitterRegime, seed: u64, mode: Mode) -> RuntimeConfig 
     cfg
 }
 
+/// Deterministic mode against the offline reference: `simulate_dvq` on
+/// the case's system, each quantum costed by the run's seeded jitter draw,
+/// must place every subtask at the same start on the same processor as
+/// the run's log. `OnlineDvq` shares its event loop with the runtime, so
+/// this is the check that still compares against separate code.
+fn assert_matches_offline(case: &RuntimeCase, cfg: &RuntimeConfig, run: &RuntimeRun) {
+    let mut costs = FixedCosts::new(Rat::ONE);
+    for (_, s) in case.sys.iter_refs() {
+        costs.set(
+            s.id,
+            quantum_cost(cfg.seed, cfg.regime, s.id.task, s.id.index),
+        );
+    }
+    let offline = simulate_dvq(&case.sys, cfg.m, &Pd2, &mut costs);
+    let ctx = format!(
+        "workers={} regime={:?} seed={}",
+        cfg.m, cfg.regime, cfg.seed
+    );
+    assert_eq!(
+        run.log.len(),
+        case.sys.num_subtasks(),
+        "{ctx}: log length differs from the offline schedule"
+    );
+    for a in &run.log {
+        let st = case
+            .sys
+            .find(SubtaskId {
+                task: a.task,
+                index: a.index,
+            })
+            .expect("every logged subtask is in the system");
+        let want = offline.placement(st);
+        assert_eq!(
+            (a.start, a.proc),
+            (want.start, want.proc),
+            "{ctx}: T{}_{} placed differently from simulate_dvq",
+            a.task.0,
+            a.index
+        );
+    }
+}
+
 /// The tentpole sweep: 4 worker counts × 3 jitter regimes × 50 seeds,
 /// each run executed on real threads in both modes and checked against
 /// the full replay bank (deterministic mode additionally proves
-/// bit-equality with `OnlineDvq` — 600 equality checks, well past the
-/// 200-system floor; the 600 free-running runs all replay clean).
+/// bit-equality with `OnlineDvq` and placement-equality with
+/// `simulate_dvq` — 600 equality checks each, well past the 200-system
+/// floor; the 600 free-running runs all replay clean).
 #[test]
 fn every_sweep_combination_passes_the_replay_bank_in_both_modes() {
     for &m in &WORKERS {
@@ -71,6 +118,9 @@ fn every_sweep_combination_passes_the_replay_bank_in_both_modes() {
                              cargo test --test runtime_stress",
                             f.invariant, f.detail
                         );
+                    }
+                    if mode == Mode::Deterministic {
+                        assert_matches_offline(&case, &cfg, &run);
                     }
                 }
             }
