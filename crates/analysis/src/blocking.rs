@@ -19,10 +19,16 @@
 //! interval — the blockers. Under SFQ + PD² no event is ever reported
 //! (there are no inversions: that's the optimality setting); under DVQ the
 //! reported events are exactly the phenomena of Figs. 2(b) and 3(a).
+//!
+//! [`pdb_slot_stats`] is the SFQ-side counterpart: it rebuilds, slot by
+//! slot, the `EB/PB/DB` partition that PD^B (§3.1) consults to stage
+//! those inversions at slot boundaries, measuring how often the blocking
+//! machinery engages.
 
+use pfair_core::pdb;
 use pfair_core::priority::PriorityOrder;
 use pfair_numeric::{Rat, Time};
-use pfair_sim::Schedule;
+use pfair_sim::{QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 /// Which of the paper's two inversion kinds a blocking event is.
@@ -108,11 +114,87 @@ pub fn detect_blocking(
     events
 }
 
+/// Per-slot view of the PD^B partition of an SFQ schedule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PdbSlotStats {
+    /// The slot.
+    pub t: i64,
+    /// `|EB(t)|`: ready subtasks eligible exactly at `t`.
+    pub eb: usize,
+    /// `|PB(t)|` = `p`: ready subtasks that could be predecessor-blocked.
+    pub pb: usize,
+    /// `|DB(t)|`: ready subtasks that cannot be blocked.
+    pub db: usize,
+    /// How many subtasks the slot actually scheduled (≤ `M`).
+    pub scheduled: usize,
+}
+
+/// Rebuilds the PD^B partition of every slot of an SFQ schedule, in slot
+/// order, skipping slots whose ready set is empty.
+///
+/// A subtask is ready at slot `t` iff it is its task's first subtask not
+/// scheduled before `t` and it is eligible (`e ≤ t`); its predecessor then
+/// ran before `t`, and holds its processor until `t` iff it ran in slot
+/// `t − 1`. That is exactly the ready set the SFQ driver hands
+/// [`pdb::classify`], so on a [`pfair_sim::simulate_sfq_pdb`] schedule the
+/// partition is the one PD^B decided on.
+///
+/// # Panics
+/// Panics if `sched` is not an SFQ schedule ([`QuantumModel::Sfq`]) of
+/// `sys`.
+#[must_use]
+pub fn pdb_slot_stats(sys: &TaskSystem, sched: &Schedule) -> Vec<PdbSlotStats> {
+    assert_eq!(
+        sched.model(),
+        QuantumModel::Sfq,
+        "PD^B slot stats need an SFQ schedule"
+    );
+    let slot = |st: SubtaskRef| sched.start(st).floor();
+    // Per task: first subtask not scheduled before the current slot.
+    let mut cursor: Vec<(u32, u32)> = sys.tasks().iter().map(|k| sys.task_span(k.id)).collect();
+    let last = sched.placements().iter().map(|p| p.start.floor()).max();
+    let mut ready = Vec::with_capacity(cursor.len());
+    let mut out = Vec::new();
+    for t in 0..=last.unwrap_or(-1) {
+        ready.clear();
+        let mut scheduled = 0;
+        for (cur, hi) in &mut cursor {
+            while *cur < *hi && slot(SubtaskRef(*cur)) < t {
+                *cur += 1;
+            }
+            if *cur == *hi {
+                continue;
+            }
+            let st = SubtaskRef(*cur);
+            let s = sys.subtask(st);
+            if s.eligible > t {
+                continue;
+            }
+            scheduled += usize::from(slot(st) == t);
+            ready.push(pdb::Ready {
+                st,
+                pred_holds_until_t: s.pred.is_some_and(|p| slot(p) == t - 1),
+            });
+        }
+        if !ready.is_empty() {
+            let part = pdb::classify(sys, t, &ready);
+            out.push(PdbSlotStats {
+                t,
+                eb: part.eb.len(),
+                pb: part.pb.len(),
+                db: part.db.len(),
+                scheduled,
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pfair_core::Pd2;
-    use pfair_sim::{simulate_dvq, simulate_sfq, FixedCosts, FullQuantum};
+    use pfair_sim::{simulate_dvq, simulate_sfq, simulate_sfq_pdb, FixedCosts, FullQuantum};
     use pfair_taskmodel::{release, SubtaskId, TaskId, TaskSystem};
 
     fn fig2_system() -> TaskSystem {
@@ -194,5 +276,37 @@ mod tests {
             }
             assert!(ev.duration().is_positive());
         }
+    }
+
+    #[test]
+    fn pdb_instrumentation_reports_partitions() {
+        let sys = fig2_system();
+        let sched = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        let stats = pdb_slot_stats(&sys, &sched);
+        let plain = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
+        for (st, _) in sys.iter_refs() {
+            assert_eq!(sched.start(st), plain.start(st));
+        }
+        // Slot 0: all first subtasks have e = 0 = t ⇒ EB only.
+        let s0 = stats.iter().find(|s| s.t == 0).unwrap();
+        assert_eq!((s0.eb, s0.pb, s0.db), (6, 0, 0));
+        assert_eq!(s0.scheduled, 2);
+        // Slot 2: the eligibility-blocking slot — D2/E2/F2 in EB, B1/C1 in
+        // DB.
+        let s2 = stats.iter().find(|s| s.t == 2).unwrap();
+        assert_eq!((s2.eb, s2.pb, s2.db), (3, 0, 2));
+        // Slot 5: F3's predecessor F2 ran in slot 4 ⇒ PB engages.
+        let s5 = stats.iter().find(|s| s.t == 5).unwrap();
+        assert_eq!(s5.pb, 1);
+        // Every slot schedules at most M.
+        assert!(stats.iter().all(|s| s.scheduled <= 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "SFQ schedule")]
+    fn pdb_slot_stats_rejects_a_dvq_schedule() {
+        let sys = fig2_system();
+        let sched = simulate_dvq(&sys, 2, &Pd2, &mut FullQuantum);
+        let _ = pdb_slot_stats(&sys, &sched);
     }
 }

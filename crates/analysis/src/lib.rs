@@ -9,7 +9,8 @@
 //!   subtasks (§3.2, Fig. 4) and the `S_B` postponement construction used
 //!   to reduce DVQ schedules to the SFQ model.
 //! * [`blocking`] — detection of the two DVQ priority inversions
-//!   (eligibility blocking, predecessor blocking) in a simulated schedule.
+//!   (eligibility blocking, predecessor blocking) in a simulated schedule,
+//!   and the per-slot PD^B partition of an SFQ schedule.
 //! * [`compliance`] — the k-compliance construction of §3.3 (ranks,
 //!   right-shifted systems with selectively restored eligibilities),
 //!   letting tests walk Lemma 6's induction empirically.
@@ -56,7 +57,7 @@ pub mod validity;
 pub mod waste;
 
 pub use allocation::{allocation_matrix, slot_occupancy};
-pub use blocking::{detect_blocking, BlockingEvent, BlockingKind};
+pub use blocking::{detect_blocking, pdb_slot_stats, BlockingEvent, BlockingKind, PdbSlotStats};
 pub use classify::{classify_subtasks, postpone_charged, SubtaskClass};
 pub use compliance::{k_compliant_system, ranks};
 pub use demand::{dbf, find_overload, OverloadWitness};

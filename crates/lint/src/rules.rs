@@ -459,10 +459,14 @@ struct EngineSpec {
 
 /// The engines and their declared exemptions. The offline simulators
 /// never see a release (their input is the full release sequence), so
-/// `Released` is exempt there; the online schedulers emit everything.
-/// `Blocked` appears in no engine set by construction: it is synthesized
-/// by `BlockingObserver`, and the collection below is restricted to the
-/// emitting crates (`sim`, `online`).
+/// `Released` is exempt there. The two online schedulers are drivers of
+/// one kernel (`pfair_online::DvqKernel`): their `tick*` and `run_until*`
+/// entries reach the same emission sites in its step functions. They
+/// emit `Released` on job submission, which no engine entry reaches, so
+/// it needs no exemption there. `Blocked` appears in no engine set by
+/// construction: it is synthesized by `BlockingObserver`, and the
+/// collection below is restricted to the emitting crates (`sim`,
+/// `online`).
 const ENGINES: [EngineSpec; 7] = [
     EngineSpec {
         name: "sfq",

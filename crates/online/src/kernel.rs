@@ -1,4 +1,4 @@
-//! The one online PD²-DVQ event loop, shared by its two drivers.
+//! The one online PD² event loop, shared by its three drivers.
 //!
 //! [`DvqKernel`] owns the state of the DVQ model played forward online:
 //! every task's chain of not-yet-dispatched subtasks and its arming, the
@@ -19,10 +19,13 @@
 //! The drivers decide *when* each step runs. [`crate::OnlineDvq`] drains
 //! each instant then dispatches, with costs from a caller-supplied source.
 //! `pfair_runtime::DispatchCore` runs the same steps behind a delegation
-//! lock, gated on worker threads' physical completion reports. Each
-//! driver supplies the PD² key of every subtask it submits, so the
-//! runtime can serve keys from its `KeyCache` while `OnlineDvq` builds
-//! them from the window formulas.
+//! lock, gated on worker threads' physical completion reports.
+//! [`crate::OnlineSfq`] runs them once per slot boundary with every cost
+//! fixed at one quantum and frees each processor within the tick: with
+//! full-length quanta the DVQ model makes exactly the SFQ model's
+//! decisions. Each driver supplies the PD² key of every subtask it
+//! submits, so the runtime can serve keys from its `KeyCache` while the
+//! online schedulers build them from the window formulas.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -36,37 +39,36 @@ use crate::{OnlineAssignment, OnlineError, Pd2Key};
 
 /// One not-yet-dispatched subtask of a task's chain.
 #[derive(Clone, Debug)]
-pub(crate) struct SubSpec {
-    pub(crate) index: u64,
-    pub(crate) eligible: i64,
-    pub(crate) deadline: i64,
-    pub(crate) key: Pd2Key,
+struct SubSpec {
+    index: u64,
+    eligible: i64,
+    deadline: i64,
+    key: Pd2Key,
 }
 
-/// A task's submitted jobs and its subtasks awaiting dispatch: the part
-/// of a chain both online schedulers (this kernel and
-/// [`crate::OnlineSfq`]) share.
+/// A task's chain in the kernel: its submitted jobs, the subtasks
+/// awaiting dispatch and the arming state.
 #[derive(Clone, Debug)]
-pub(crate) struct Jobs {
+struct Chain {
     weight: Weight,
     /// Jobs submitted so far.
     count: u64,
     /// Release time of the most recent job.
     last_release: Option<i64>,
     /// Subtasks awaiting dispatch, in chain order.
-    pub(crate) queue: VecDeque<SubSpec>,
+    queue: VecDeque<SubSpec>,
+    /// Completion time of the task's most recently dispatched subtask.
+    pred_completion: Time,
+    /// `true` while a subtask of this task is ready or running (the chain
+    /// head must not be armed twice).
+    chain_busy: bool,
+    /// `true` while the chain head's activation event is pending.
+    head_armed: bool,
+    /// The chain head while it sits in the ready heap.
+    ready: Option<SubSpec>,
 }
 
-impl Jobs {
-    pub(crate) fn new(weight: Weight) -> Jobs {
-        Jobs {
-            weight,
-            count: 0,
-            last_release: None,
-            queue: VecDeque::new(),
-        }
-    }
-
+impl Chain {
     /// Appends the next job of `task`, released at `at`, to the queue.
     /// `key(weight, id, theta)` supplies the PD² key of each subtask the
     /// job contributes, in index order; a [`SchedEvent::Released`] is
@@ -75,7 +77,7 @@ impl Jobs {
     /// # Errors
     /// [`OnlineError`] if `at` violates sporadic separation or precedes
     /// `now`; nothing changes then.
-    pub(crate) fn submit<O: Observer>(
+    fn submit<O: Observer>(
         &mut self,
         task: TaskId,
         at: i64,
@@ -117,21 +119,6 @@ impl Jobs {
         self.last_release = Some(at);
         Ok(())
     }
-}
-
-/// A task's chain in the kernel: its jobs plus the arming state.
-#[derive(Clone, Debug)]
-struct Chain {
-    jobs: Jobs,
-    /// Completion time of the task's most recently dispatched subtask.
-    pred_completion: Time,
-    /// `true` while a subtask of this task is ready or running (the chain
-    /// head must not be armed twice).
-    chain_busy: bool,
-    /// `true` while the chain head's activation event is pending.
-    head_armed: bool,
-    /// The chain head while it sits in the ready heap.
-    ready: Option<SubSpec>,
 }
 
 /// A queued event. At equal instants completions come before activations,
@@ -268,7 +255,10 @@ impl DvqKernel {
     pub fn add_task(&mut self, weight: Weight) -> TaskId {
         let id = TaskId(u32::try_from(self.chains.len()).expect("task count fits u32"));
         self.chains.push(Chain {
-            jobs: Jobs::new(weight),
+            weight,
+            count: 0,
+            last_release: None,
+            queue: VecDeque::new(),
             pred_completion: Rat::ZERO,
             chain_busy: false,
             head_armed: false,
@@ -307,7 +297,6 @@ impl DvqKernel {
         self.chains
             .get_mut(task.idx())
             .ok_or(OnlineError::UnknownTask)?
-            .jobs
             .submit(task, at, self.now, key, obs)?;
         self.arm_head(task);
         Ok(())
@@ -320,7 +309,7 @@ impl DvqKernel {
         if chain.chain_busy || chain.head_armed {
             return;
         }
-        let Some(head) = chain.jobs.queue.front() else {
+        let Some(head) = chain.queue.front() else {
             return;
         };
         let act = Rat::int(head.eligible).max(chain.pred_completion);
@@ -407,7 +396,7 @@ impl DvqKernel {
         if chain.chain_busy {
             return;
         }
-        let Some(spec) = chain.jobs.queue.pop_front() else {
+        let Some(spec) = chain.queue.pop_front() else {
             return;
         };
         chain.chain_busy = true;

@@ -1,4 +1,4 @@
-//! An **online** PD² scheduler for the DVQ model.
+//! **Online** PD² schedulers for the DVQ and SFQ models.
 //!
 //! The simulators in `pfair-sim` consume a fully pre-generated
 //! [`pfair_taskmodel::TaskSystem`] — the right shape for reproducing the
@@ -12,15 +12,17 @@
 //!   re-exported from `pfair-core`, where it is proven equivalent to the
 //!   comparator, so a ready queue can be a binary heap with `O(log n)`
 //!   dispatch instead of an `O(n)` scan;
-//! * [`tick::OnlineSfq`] — the SFQ counterpart as a kernel would host
-//!   it: a `tick()` per slot boundary returns the ≤ M subtasks to run;
-//! * [`kernel::DvqKernel`] — the one online PD²-DVQ event loop ("a new
+//! * [`kernel::DvqKernel`] — the one online PD² event loop ("a new
 //!   quantum begins immediately" when a subtask yields): per-task chains,
 //!   the tick/exact event queue, the PD² ready heap and the processors,
 //!   advanced by step functions (open a batch, apply an event, free a
-//!   processor, dispatch). It has two drivers:
+//!   processor, dispatch). It has three drivers:
 //!   * [`scheduler::OnlineDvq`] — sporadic job submissions and a
 //!     caller-supplied cost source, run to a horizon or until idle;
+//!   * [`tick::OnlineSfq`] — the SFQ counterpart as a kernel would host
+//!     it: a `tick()` per slot boundary steps the loop with every quantum
+//!     at full length (where DVQ and SFQ decide alike) and returns the
+//!     ≤ M subtasks to run;
 //!   * `pfair_runtime::DispatchCore` — the same steps behind a delegation
 //!     lock, gated on real worker threads' completion reports.
 //!

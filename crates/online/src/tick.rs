@@ -10,25 +10,20 @@
 //! the scheduler needs no mid-slot upcalls at all (that simplicity is
 //! exactly what the paper's §1 trades against the wasted yield tails).
 //!
-//! Dispatch order within a tick is PD² via the same [`Pd2Key`] heap as the
-//! DVQ scheduler; equivalence with the offline SFQ simulator is asserted
-//! in this module's tests.
-//!
-//! The ready set is maintained *incrementally*: each task with queued work
-//! has exactly one entry in either the priority-ordered `ready` heap or
-//! the time-ordered `pending` heap (armed at the first slot where both its
-//! eligibility and predecessor gates open). A tick drains due `pending`
-//! entries and pops ≤ M from `ready` — `O((M + arrivals) log n)` per slot
-//! instead of the previous `O(n)` rescan of every registered task.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! [`OnlineSfq`] is a unit-cost driver of the [`DvqKernel`]: when every
+//! quantum runs its full length the DVQ model makes exactly the SFQ
+//! model's decisions. A tick at slot `t` opens the kernel's batch at `t`,
+//! applies the chain activations queued there, dispatches with every cost
+//! fixed at one quantum and frees each dispatched processor at once. Ready
+//! set, dispatch order (the kernel's [`crate::Pd2Key`] heap) and emission
+//! are the kernel's; equivalence with the offline SFQ simulator is
+//! asserted in this module's tests and in `tests/online_equivalence.rs`.
 
 use pfair_numeric::Rat;
-use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
-use pfair_taskmodel::{SubtaskId, TaskId, Weight};
+use pfair_obs::{NoopObserver, Observer};
+use pfair_taskmodel::{TaskId, Weight};
 
-use crate::kernel::Jobs;
+use crate::kernel::{DvqKernel, DEFAULT_TICKS_PER_QUANTUM};
 use crate::{OnlineError, Pd2Key};
 
 /// A subtask handed out by [`OnlineSfq::tick`].
@@ -44,26 +39,10 @@ pub struct TickAssignment {
     pub deadline: i64,
 }
 
-#[derive(Clone, Debug)]
-struct TaskState {
-    jobs: Jobs,
-    /// Slot in which the task's most recent subtask ran (`None` if idle);
-    /// the successor is ready from the *next* slot on.
-    running_slot: Option<i64>,
-}
-
 /// Tick-driven online SFQ scheduler (PD² priorities).
 #[derive(Debug)]
 pub struct OnlineSfq {
-    m: u32,
-    /// The next slot boundary [`Self::tick`] expects.
-    next_slot: i64,
-    tasks: Vec<TaskState>,
-    /// Heads whose gates are open, by PD² priority. Invariant: every task
-    /// with a nonempty queue has exactly one entry in `ready` ∪ `pending`.
-    ready: BinaryHeap<Reverse<(Pd2Key, u32)>>,
-    /// Heads gated until a future slot: `(first open slot, task)`.
-    pending: BinaryHeap<Reverse<(i64, u32)>>,
+    kernel: DvqKernel,
 }
 
 impl OnlineSfq {
@@ -73,30 +52,20 @@ impl OnlineSfq {
     /// Panics if `m == 0`.
     #[must_use]
     pub fn new(m: u32) -> OnlineSfq {
-        assert!(m >= 1, "need at least one processor");
         OnlineSfq {
-            m,
-            next_slot: 0,
-            tasks: Vec::new(),
-            ready: BinaryHeap::new(),
-            pending: BinaryHeap::new(),
+            kernel: DvqKernel::new(m, DEFAULT_TICKS_PER_QUANTUM, false),
         }
     }
 
     /// Registers a task.
     pub fn add_task(&mut self, weight: Weight) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(TaskState {
-            jobs: Jobs::new(weight),
-            running_slot: None,
-        });
-        id
+        self.kernel.add_task(weight)
     }
 
     /// The next slot boundary `tick` will serve.
     #[must_use]
     pub fn next_slot(&self) -> i64 {
-        self.next_slot
+        self.kernel.now().floor()
     }
 
     /// Submits the next job of `task`, released at slot `at` (sporadic
@@ -109,7 +78,8 @@ impl OnlineSfq {
     }
 
     /// [`Self::submit_job`] with a streaming [`Observer`] attached: emits a
-    /// [`SchedEvent::Released`] for every subtask the job contributes.
+    /// [`pfair_obs::SchedEvent::Released`] for every subtask the job
+    /// contributes.
     ///
     /// # Errors
     /// [`OnlineError`] on separation/past/unknown-task violations.
@@ -119,31 +89,12 @@ impl OnlineSfq {
         at: i64,
         obs: &mut O,
     ) -> Result<(), OnlineError> {
-        let state = self
-            .tasks
-            .get_mut(task.idx())
-            .ok_or(OnlineError::UnknownTask)?;
-        let was_empty = state.jobs.queue.is_empty();
-        state.jobs.submit(
+        self.kernel.submit_job(
             task,
             at,
-            Rat::int(self.next_slot),
             |w, id, theta| Pd2Key::of(w, id, id.index, theta),
             obs,
-        )?;
-        if was_empty {
-            // The task rejoins the ready graph: arm its new head at the
-            // first slot where both gates open. (The predecessor gate is
-            // vacuous here — submission can't predate `next_slot`, which
-            // is already past any prior `running_slot` — but keeping it
-            // makes the invariant locally checkable.)
-            let head = state.jobs.queue.front().expect("job contributes subtasks");
-            let open = head
-                .eligible
-                .max(state.running_slot.map_or(i64::MIN, |s| s + 1));
-            self.pending.push(Reverse((open, task.0)));
-        }
-        Ok(())
+        )
     }
 
     /// The timer interrupt: decides slot `self.next_slot()` and returns
@@ -160,123 +111,30 @@ impl OnlineSfq {
     /// holds its processor to the boundary at `t + 1`, so nothing about it
     /// remains unknown at decision time.
     pub fn tick_observed<O: Observer>(&mut self, obs: &mut O) -> Vec<TickAssignment> {
-        let t = self.next_slot;
-        self.next_slot += 1;
-        if O::ENABLED {
-            obs.on_event(&SchedEvent::Tick { at: Rat::int(t) });
+        let t = self.kernel.now();
+        self.kernel.open(t, obs);
+        while self.kernel.apply_at(t, obs) {}
+        let mut log = Vec::new();
+        self.kernel.dispatch(|_, _| Rat::ONE, &mut log, obs);
+        for a in &log {
+            self.kernel.free(a.proc, obs);
         }
-        // Open the gates that reach this slot: due `pending` heads move to
-        // the `ready` heap. The heap orders `(slot, task)`, so at a given
-        // slot tasks surface in ascending id — the same announcement order
-        // the previous full rescan produced.
-        while let Some(&Reverse((open, task_raw))) = self.pending.peek() {
-            if open > t {
-                break;
-            }
-            self.pending.pop();
-            let head = self.tasks[task_raw as usize]
-                .jobs
-                .queue
-                .front()
-                .expect("pending task has a queued head");
-            if O::ENABLED {
-                // First slot at which both gates open: eligibility if that
-                // is the binding one, otherwise the predecessor's boundary.
-                let cause = if t == head.eligible {
-                    ReadyCause::Eligibility
-                } else {
-                    ReadyCause::Predecessor
-                };
-                obs.on_event(&SchedEvent::Ready {
-                    id: head.key.id,
-                    at: Rat::int(t),
-                    cause,
-                });
-            }
-            self.ready.push(Reverse((head.key, task_raw)));
-        }
-        let mut out = Vec::new();
-        for proc in 0..self.m {
-            let Some(Reverse((_, task_raw))) = self.ready.pop() else {
-                break;
-            };
-            let state = &mut self.tasks[task_raw as usize];
-            let spec = state.jobs.queue.pop_front().expect("head present");
-            state.running_slot = Some(t);
-            // Re-arm the successor (if any): eligible and past this
-            // quantum's boundary.
-            let rearm = state
-                .jobs
-                .queue
-                .front()
-                .map(|next| next.eligible.max(t + 1));
-            if let Some(open) = rearm {
-                self.pending.push(Reverse((open, task_raw)));
-            }
-            if O::ENABLED {
-                obs.on_event(&SchedEvent::QuantumStart {
-                    id: spec.key.id,
-                    proc,
-                    start: Rat::int(t),
-                    cost: Rat::ONE,
-                    holds_until: Rat::int(t + 1),
-                    deadline: spec.deadline,
-                    bbit: spec.key.bbit,
-                    group_deadline: spec.key.group_deadline,
-                });
-            }
-            out.push(TickAssignment {
-                task: TaskId(task_raw),
-                index: spec.index,
-                proc,
-                deadline: spec.deadline,
-            });
-        }
-        if O::ENABLED {
-            let idle = self.m - out.len() as u32;
-            if idle > 0 {
-                obs.on_event(&SchedEvent::Idle {
-                    at: Rat::int(t),
-                    procs: idle,
-                });
-            }
-            // Quantum ends at the boundary t + 1, before the next Tick.
-            for a in &out {
-                let id = SubtaskId {
-                    task: a.task,
-                    index: a.index,
-                };
-                let completion = Rat::int(t + 1);
-                obs.on_event(&SchedEvent::QuantumEnd {
-                    id,
-                    proc: a.proc,
-                    completion,
-                    deadline: a.deadline,
-                    waste: Rat::ZERO,
-                });
-                if completion > Rat::int(a.deadline) {
-                    obs.on_event(&SchedEvent::DeadlineMiss {
-                        id,
-                        completion,
-                        deadline: a.deadline,
-                        tardiness: completion - Rat::int(a.deadline),
-                    });
-                } else {
-                    obs.on_event(&SchedEvent::DeadlineHit {
-                        id,
-                        completion,
-                        deadline: a.deadline,
-                    });
-                }
-            }
-        }
-        out
+        // Submissions from here on must not precede the next slot.
+        self.kernel.wait_until(t + Rat::ONE);
+        log.into_iter()
+            .map(|a| TickAssignment {
+                task: a.task,
+                index: a.index,
+                proc: a.proc,
+                deadline: a.deadline,
+            })
+            .collect()
     }
 
     /// `true` iff no submitted work remains.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.tasks.iter().all(|t| t.jobs.queue.is_empty())
+        self.kernel.peek().is_none() && self.kernel.is_drained()
     }
 }
 
@@ -286,7 +144,7 @@ mod tests {
     use pfair_core::Pd2;
     use pfair_numeric::Rat;
     use pfair_sim::{simulate_sfq, FullQuantum};
-    use pfair_taskmodel::TaskSystemBuilder;
+    use pfair_taskmodel::{SubtaskId, TaskSystemBuilder};
 
     /// Drive both the tick scheduler and the offline SFQ simulator on the
     /// same periodic workload; their decisions must match slot for slot.

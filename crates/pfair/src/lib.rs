@@ -77,9 +77,9 @@ pub mod prelude {
     pub use pfair_analysis::{
         all_jobs, check_structural, check_window_containment, classify_subtasks,
         context_switch_stats, dbf, detect_blocking, find_overload, jobs_of, k_compliant_system,
-        migration_stats, postpone_charged, ranks, schedule_report, subtask_tardiness,
-        tardiness_stats, waste_stats, BlockingKind, SubtaskClass, SwitchStats, TardinessStats,
-        WasteStats,
+        migration_stats, pdb_slot_stats, postpone_charged, ranks, schedule_report,
+        subtask_tardiness, tardiness_stats, waste_stats, BlockingKind, PdbSlotStats, SubtaskClass,
+        SwitchStats, TardinessStats, WasteStats,
     };
     pub use pfair_core::{
         pdb, Algorithm, ComparatorOnly, Epdf, EpdfKey, KeyCache, KeyDispatch, Pd, Pd2, PdKey, Pf,
@@ -100,10 +100,9 @@ pub mod prelude {
     pub use pfair_sim::{
         is_boundary_periodic, simulate_bf, simulate_bf_observed, simulate_dvq,
         simulate_dvq_observed, simulate_flow, simulate_flow_observed, simulate_sfq,
-        simulate_sfq_affine, simulate_sfq_affine_observed, simulate_sfq_observed, simulate_sfq_pdb,
-        simulate_sfq_pdb_instrumented, simulate_sfq_pdb_observed, simulate_sfq_pdb_with,
-        simulate_staggered, simulate_staggered_observed, CostModel, ExactOnly, FixedCosts,
-        FullQuantum, PdbSlotStats, Placement, QuantumModel, ScaledCost, Schedule, SfqPolicy,
+        simulate_sfq_observed, simulate_sfq_pdb, simulate_sfq_with, simulate_staggered,
+        simulate_staggered_observed, AffinityMode, CostModel, ExactOnly, FixedCosts, FullQuantum,
+        Placement, QuantumModel, ScaledCost, Schedule, SfqPolicy,
     };
     pub use pfair_taskmodel::{
         release, ModelError, Subtask, SubtaskId, SubtaskRef, Task, TaskId, TaskSystem,

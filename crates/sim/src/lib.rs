@@ -62,9 +62,8 @@ pub use dvq::{simulate_dvq, simulate_dvq_observed};
 pub use flow::{simulate_flow, simulate_flow_observed};
 pub use schedule::{Placement, QuantumModel, Schedule};
 pub use sfq::{
-    run_sfq_observed, simulate_sfq, simulate_sfq_affine, simulate_sfq_affine_observed,
-    simulate_sfq_observed, simulate_sfq_pdb, simulate_sfq_pdb_instrumented,
-    simulate_sfq_pdb_observed, simulate_sfq_pdb_with, AffinityMode, PdbSlotStats, SfqPolicy,
+    simulate_sfq, simulate_sfq_observed, simulate_sfq_pdb, simulate_sfq_with, AffinityMode,
+    SfqPolicy,
 };
 pub use slotplay::replay_events;
 pub use staggered::{simulate_staggered, simulate_staggered_observed};

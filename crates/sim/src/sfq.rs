@@ -14,10 +14,13 @@
 //! run in the very next slot). At most one subtask per task is ready at a
 //! time, so intra-task parallelism is structurally impossible.
 //!
-//! Two drivers are provided: [`simulate_sfq`] for plain priority orders
-//! (EPDF/PD²/PF/PD) and [`simulate_sfq_pdb`] for the paper's PD^B
+//! One loop, [`simulate_sfq_with`], serves every run: its [`SfqPolicy`]
+//! is either a plain priority order (EPDF/PD²/PF/PD) or the paper's PD^B
 //! procedure, which needs the extra readiness fact "did the predecessor
-//! run in slot `t − 1`" to form its `EB/PB/DB` partition.
+//! run in slot `t − 1`" to form its `EB/PB/DB` partition, and its
+//! [`AffinityMode`] maps picks onto processors. [`simulate_sfq`],
+//! [`simulate_sfq_observed`] and [`simulate_sfq_pdb`] are its common
+//! shapes.
 //!
 //! In the workspace's two-tier time representation (see the `dvq` module
 //! docs and `crate::tdomain`), SFQ *is* the integer tier by construction:
@@ -65,7 +68,7 @@ pub fn simulate_sfq(
     order: &dyn PriorityOrder,
     cost: &mut dyn CostModel,
 ) -> Schedule {
-    run_sfq(sys, m, SfqPolicy::Priority(order), cost)
+    simulate_sfq_observed(sys, m, order, cost, &mut NoopObserver)
 }
 
 /// [`simulate_sfq`] with a streaming [`Observer`] attached. With
@@ -79,94 +82,29 @@ pub fn simulate_sfq_observed<O: Observer>(
     cost: &mut dyn CostModel,
     obs: &mut O,
 ) -> Schedule {
-    run_sfq_impl(
+    simulate_sfq_with(
         sys,
         m,
         SfqPolicy::Priority(order),
-        cost,
-        None,
         AffinityMode::ByDecision,
+        cost,
         obs,
     )
 }
 
 /// Simulates `sys` on `m` processors under the SFQ model with the PD^B
-/// selection procedure.
+/// selection procedure, resolving Table 1's two-way ties the paper's
+/// worst-case way ([`pdb::PdbLinearization::MaxBlocking`]).
 #[must_use]
 pub fn simulate_sfq_pdb(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
-    run_sfq(
+    simulate_sfq_with(
         sys,
         m,
         SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
-        cost,
-    )
-}
-
-/// [`simulate_sfq_pdb`] with a streaming [`Observer`] attached.
-#[must_use]
-pub fn simulate_sfq_pdb_observed<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
-        cost,
-        None,
         AffinityMode::ByDecision,
-        obs,
-    )
-}
-
-/// [`simulate_sfq_pdb`] with an explicit resolution of Table 1's two-way
-/// ties (the paper's worst case is [`pdb::PdbLinearization::MaxBlocking`]).
-#[must_use]
-pub fn simulate_sfq_pdb_with(
-    sys: &TaskSystem,
-    m: u32,
-    cost: &mut dyn CostModel,
-    lin: pdb::PdbLinearization,
-) -> Schedule {
-    run_sfq(sys, m, SfqPolicy::PdB(lin), cost)
-}
-
-/// Per-slot view of the PD^B partition (instrumentation for studying how
-/// often the blocking machinery actually engages).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PdbSlotStats {
-    /// The slot.
-    pub t: i64,
-    /// `|EB(t)|`: ready subtasks eligible exactly at `t`.
-    pub eb: usize,
-    /// `|PB(t)|` = `p`: ready subtasks that could be predecessor-blocked.
-    pub pb: usize,
-    /// `|DB(t)|`: ready subtasks that cannot be blocked.
-    pub db: usize,
-    /// How many subtasks the slot actually scheduled (≤ `M`).
-    pub scheduled: usize,
-}
-
-/// [`simulate_sfq_pdb`] plus per-slot partition statistics.
-#[must_use]
-pub fn simulate_sfq_pdb_instrumented(
-    sys: &TaskSystem,
-    m: u32,
-    cost: &mut dyn CostModel,
-) -> (Schedule, Vec<PdbSlotStats>) {
-    let mut stats = Vec::new();
-    let sched = run_sfq_impl(
-        sys,
-        m,
-        SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
         cost,
-        Some(&mut stats),
-        AffinityMode::ByDecision,
         &mut NoopObserver,
-    );
-    (sched, stats)
+    )
 }
 
 /// How picked subtasks are mapped onto processors within a slot.
@@ -182,76 +120,6 @@ pub enum AffinityMode {
     /// Prefer the processor the task last ran on (reduces migrations, as
     /// real implementations do to preserve cache affinity).
     Sticky,
-}
-
-/// Shared SFQ driver.
-#[must_use]
-pub fn run_sfq(
-    sys: &TaskSystem,
-    m: u32,
-    policy: SfqPolicy<'_>,
-    cost: &mut dyn CostModel,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        policy,
-        cost,
-        None,
-        AffinityMode::ByDecision,
-        &mut NoopObserver,
-    )
-}
-
-/// [`run_sfq`] with a streaming [`Observer`] attached.
-#[must_use]
-pub fn run_sfq_observed<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    policy: SfqPolicy<'_>,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    run_sfq_impl(sys, m, policy, cost, None, AffinityMode::ByDecision, obs)
-}
-
-/// [`simulate_sfq`] with sticky processor affinity.
-#[must_use]
-pub fn simulate_sfq_affine(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        SfqPolicy::Priority(order),
-        cost,
-        None,
-        AffinityMode::Sticky,
-        &mut NoopObserver,
-    )
-}
-
-/// [`simulate_sfq_affine`] with a streaming [`Observer`] attached.
-#[must_use]
-pub fn simulate_sfq_affine_observed<O: Observer>(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    run_sfq_impl(
-        sys,
-        m,
-        SfqPolicy::Priority(order),
-        cost,
-        None,
-        AffinityMode::Sticky,
-        obs,
-    )
 }
 
 /// Per-slot top-`M` selection for [`SfqPolicy::Priority`] runs.
@@ -315,13 +183,17 @@ fn select_keyed<K: SubtaskKey>(
     ready.extend(scratch.iter().map(|&(_, st)| st));
 }
 
-fn run_sfq_impl<O: Observer>(
+/// The SFQ driver every entry point runs: `policy` picks each slot's
+/// subtasks, `affinity` maps them onto processors, and `obs` receives the
+/// event stream. The PD^B partition behind a [`SfqPolicy::PdB`] run can be
+/// rebuilt from its schedule with `pfair_analysis::pdb_slot_stats`.
+#[must_use]
+pub fn simulate_sfq_with<O: Observer>(
     sys: &TaskSystem,
     m: u32,
     policy: SfqPolicy<'_>,
-    cost: &mut dyn CostModel,
-    mut pdb_stats: Option<&mut Vec<PdbSlotStats>>,
     affinity: AffinityMode,
+    cost: &mut dyn CostModel,
     obs: &mut O,
 ) -> Schedule {
     assert!(m >= 1, "need at least one processor");
@@ -457,17 +329,7 @@ fn run_sfq_impl<O: Observer>(
                     })
                     .collect();
                 let part = pdb::classify(sys, t, &readiness);
-                let picked = pdb::select_slot_with(sys, m as usize, &part, lin);
-                if let Some(stats) = pdb_stats.as_deref_mut() {
-                    stats.push(PdbSlotStats {
-                        t,
-                        eb: part.eb.len(),
-                        pb: part.pb.len(),
-                        db: part.db.len(),
-                        scheduled: picked.len(),
-                    });
-                }
-                pdb_holder = picked;
+                pdb_holder = pdb::select_slot_with(sys, m as usize, &part, lin);
                 &pdb_holder
             }
         };
@@ -678,31 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn pdb_instrumentation_reports_partitions() {
-        let sys = fig2_system();
-        let (sched, stats) = simulate_sfq_pdb_instrumented(&sys, 2, &mut FullQuantum);
-        let plain = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
-        for (st, _) in sys.iter_refs() {
-            assert_eq!(sched.start(st), plain.start(st));
-        }
-        // Slot 0: all first subtasks have e = 0 = t ⇒ EB only.
-        let s0 = stats.iter().find(|s| s.t == 0).unwrap();
-        assert_eq!((s0.eb, s0.pb, s0.db), (6, 0, 0));
-        assert_eq!(s0.scheduled, 2);
-        // Slot 2: the eligibility-blocking slot — D2/E2/F2 in EB, B1/C1 in
-        // DB.
-        let s2 = stats.iter().find(|s| s.t == 2).unwrap();
-        assert_eq!((s2.eb, s2.pb, s2.db), (3, 0, 2));
-        // Slot 5: F3's predecessor F2 ran in slot 4 ⇒ PB engages.
-        let s5 = stats.iter().find(|s| s.t == 5).unwrap();
-        assert_eq!(s5.pb, 1);
-        // Every slot schedules at most M.
-        assert!(stats.iter().all(|s| s.scheduled <= 2));
-    }
-
-    use crate::sfq::simulate_sfq_pdb_instrumented;
-
-    #[test]
     fn partial_selection_matches_full_sort() {
         // Many more ready tasks than processors: the select-then-sort fast
         // path must pick exactly the full sort's prefix every slot.
@@ -746,7 +583,14 @@ mod tests {
         // tasks across processors.
         let sys = release::periodic(&[(1, 2), (1, 2), (1, 2), (1, 2), (1, 2), (1, 2)], 24);
         let plain = simulate_sfq(&sys, 3, &Pd2, &mut FullQuantum);
-        let sticky = crate::sfq::simulate_sfq_affine(&sys, 3, &Pd2, &mut FullQuantum);
+        let sticky = simulate_sfq_with(
+            &sys,
+            3,
+            SfqPolicy::Priority(&Pd2),
+            AffinityMode::Sticky,
+            &mut FullQuantum,
+            &mut NoopObserver,
+        );
         // Identical slot assignment…
         for (st, _) in sys.iter_refs() {
             assert_eq!(plain.start(st), sticky.start(st));

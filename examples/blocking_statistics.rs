@@ -55,7 +55,7 @@ fn main() {
             }
             max_tard = max_tard.max(tardiness_stats(&sys, &sched).max);
             // PD^B partition engagement (boundary analogue).
-            let (_, stats) = simulate_sfq_pdb_instrumented(&sys, m, &mut FullQuantum);
+            let stats = pdb_slot_stats(&sys, &simulate_sfq_pdb(&sys, m, &mut FullQuantum));
             pb_slots += stats.iter().filter(|s| s.pb > 0).count();
             total_slots += stats.len();
         }

@@ -39,7 +39,14 @@ fn main() {
         let ws = random_weights(&TaskGenConfig::full(m, 12), 95_000 + seed);
         let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(24), seed);
         let plain = simulate_sfq(&sys, m, Algorithm::Pd2.order(), &mut FullQuantum);
-        let sticky = simulate_sfq_affine(&sys, m, Algorithm::Pd2.order(), &mut FullQuantum);
+        let sticky = simulate_sfq_with(
+            &sys,
+            m,
+            SfqPolicy::Priority(Algorithm::Pd2.order()),
+            AffinityMode::Sticky,
+            &mut FullQuantum,
+            &mut NoopObserver,
+        );
         // Same schedule, different placement.
         for (st, _) in sys.iter_refs() {
             assert_eq!(plain.start(st), sticky.start(st));

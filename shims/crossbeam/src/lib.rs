@@ -156,6 +156,9 @@ mod tests {
 
         let q = Arc::new(ArrayQueue::new(64));
         let popped = Arc::new(std::sync::Mutex::new(Vec::new()));
+        // Items popped by any consumer so far: every consumer stops once
+        // the whole stream is out, whichever consumers took it.
+        let taken = Arc::new(AtomicUsize::new(0));
 
         std::thread::scope(|s| {
             for producer in 0..PRODUCERS {
@@ -173,15 +176,17 @@ mod tests {
             for _ in 0..CONSUMERS {
                 let q = Arc::clone(&q);
                 let popped = Arc::clone(&popped);
+                let taken = Arc::clone(&taken);
                 s.spawn(move || {
                     let mut local = Vec::new();
                     loop {
                         match q.pop() {
-                            Some(item) => local.push(item),
+                            Some(item) => {
+                                local.push(item);
+                                taken.fetch_add(1, Ordering::SeqCst);
+                            }
                             None => {
-                                let total: usize =
-                                    popped.lock().unwrap().iter().map(Vec::len).sum();
-                                if total + local.len() >= PRODUCERS * PER_PRODUCER {
+                                if taken.load(Ordering::SeqCst) >= PRODUCERS * PER_PRODUCER {
                                     break;
                                 }
                                 std::thread::yield_now();

@@ -676,7 +676,14 @@ fn main() {
             "sfq" => simulate_sfq_observed(&sys, m, order, &mut costs, &mut obs),
             "dvq" => simulate_dvq_observed(&sys, m, order, &mut costs, &mut obs),
             "staggered" => simulate_staggered_observed(&sys, m, order, &mut costs, &mut obs),
-            "pdb" => simulate_sfq_pdb_observed(&sys, m, &mut costs, &mut obs),
+            "pdb" => simulate_sfq_with(
+                &sys,
+                m,
+                SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
+                AffinityMode::ByDecision,
+                &mut costs,
+                &mut obs,
+            ),
             "bf" => {
                 require_boundary_periodic(&sys);
                 simulate_bf_observed(&sys, m, &mut costs, &mut obs)

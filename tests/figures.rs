@@ -566,7 +566,14 @@ fn fig3_streaming_blocking_golden() {
 fn fig6_streaming_f2_misses_by_one_quantum() {
     let sys = fig2_system();
     let mut metrics = MetricsObserver::new(2);
-    let _ = simulate_sfq_pdb_observed(&sys, 2, &mut FullQuantum, &mut metrics);
+    let _ = simulate_sfq_with(
+        &sys,
+        2,
+        SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
+        AffinityMode::ByDecision,
+        &mut FullQuantum,
+        &mut metrics,
+    );
     assert_eq!(metrics.deadline_misses(), 1);
     assert_eq!(metrics.max_tardiness(), Rat::ONE);
     assert_eq!(metrics.total_tardiness(), Rat::ONE);

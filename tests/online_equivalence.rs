@@ -1,48 +1,66 @@
-//! Cross-check: the online heap-based scheduler must produce *exactly*
-//! the schedule of the offline DVQ simulator on identical workloads.
+//! Cross-check: the online heap-based schedulers must produce *exactly*
+//! the schedules of the offline simulators on identical workloads —
+//! `OnlineDvq` against the DVQ simulator, `OnlineSfq` against the SFQ one.
 //!
-//! The two implementations share the window formulas and nothing else —
-//! the offline simulator scans a ready vector with the comparator, the
-//! online one pops a binary heap of static keys — so agreement here
-//! certifies both the `Pd2Key` encoding and the event-loop semantics.
+//! The implementations share the window formulas and nothing else — the
+//! offline simulators scan a ready vector, the online ones pop a binary
+//! heap of static keys — so agreement here certifies both the `Pd2Key`
+//! encoding and the event-loop semantics.
 
 use std::collections::HashMap;
 
+use pfair::obs::RecordingObserver;
 use pfair::prelude::*;
 use pfair::workload::{random_weights, UniformCost};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Submits one periodic job stream per task and runs the online scheduler
-/// with costs drawn from the same per-subtask map as the offline run.
+/// Submits each task's job stream and runs the online scheduler with
+/// costs drawn from the same per-subtask map as the offline run.
 fn run_online(
     weights: &[Weight],
-    jobs_per_task: u64,
+    releases: &[Vec<i64>],
     costs: &HashMap<(u32, u64), Rat>,
     m: u32,
 ) -> Vec<OnlineAssignment> {
     let mut s = OnlineDvq::new(m);
-    let ids: Vec<TaskId> = weights.iter().map(|&w| s.add_task(w)).collect();
-    for (&t, &w) in ids.iter().zip(weights) {
-        for j in 0..jobs_per_task {
-            s.submit_job(t, j as i64 * w.p()).unwrap();
+    for (&w, jobs) in weights.iter().zip(releases) {
+        let t = s.add_task(w);
+        for &at in jobs {
+            s.submit_job(t, at).unwrap();
         }
     }
     s.run_until_idle(&mut |task, index| costs.get(&(task.0, index)).copied().unwrap_or(Rat::ONE))
 }
 
-/// Builds the equivalent offline system (periodic, same job count).
-fn offline_system(weights: &[Weight], jobs_per_task: u64) -> TaskSystem {
+/// Periodic releases: job `j` at `j·p`.
+fn periodic_releases(weights: &[Weight], jobs: u64) -> Vec<Vec<i64>> {
+    weights
+        .iter()
+        .map(|w| (0..jobs as i64).map(|j| j * w.p()).collect())
+        .collect()
+}
+
+/// Builds the offline system whose job `j` of each task is released at
+/// `releases[task][j]` (offset `θ = at − j·p`).
+fn release_system(weights: &[Weight], releases: &[Vec<i64>]) -> TaskSystem {
     let mut b = TaskSystemBuilder::new();
-    for &w in weights {
+    for (&w, jobs) in weights.iter().zip(releases) {
         let t = b.add_task(w);
-        for i in 1..=jobs_per_task * w.e() as u64 {
-            b.push(t, i, 0, None).unwrap();
+        let e = w.e() as u64;
+        for (j, &at) in jobs.iter().enumerate() {
+            let theta = at - j as i64 * w.p();
+            for i in j as u64 * e + 1..=(j as u64 + 1) * e {
+                b.push(t, i, theta, None).unwrap();
+            }
         }
     }
     b.build()
 }
 
 fn check_equivalence(weights: &[Weight], jobs: u64, m: u32, seed: u64) {
-    let sys = offline_system(weights, jobs);
+    let releases = periodic_releases(weights, jobs);
+    let sys = release_system(weights, &releases);
     // Draw per-subtask costs once, deterministically.
     let mut draw = UniformCost::new(Rat::new(1, 3), seed);
     let mut cost_map: HashMap<(u32, u64), Rat> = HashMap::new();
@@ -61,7 +79,7 @@ fn check_equivalence(weights: &[Weight], jobs: u64, m: u32, seed: u64) {
     }
 
     let offline = simulate_dvq(&sys, m, &Pd2, &mut offline_costs);
-    let online = run_online(weights, jobs, &cost_map, m);
+    let online = run_online(weights, &releases, &cost_map, m);
 
     assert_eq!(online.len(), sys.num_subtasks(), "assignment counts differ");
     for a in &online {
@@ -110,26 +128,47 @@ fn online_matches_offline_on_random_systems() {
     }
 }
 
-#[test]
-fn online_bound_holds_on_sporadic_arrivals() {
-    // Sporadic (late) arrivals with early yields: Theorem 3's bound must
-    // hold for the online scheduler directly.
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let mut s = OnlineDvq::new(3);
-    let weights = [
+/// The sporadic workload's task weights.
+fn sporadic_weights() -> [Weight; 5] {
+    [
         Weight::new(1, 2),
         Weight::new(2, 3),
         Weight::new(3, 4),
         Weight::new(1, 3),
         Weight::new(1, 4),
-    ];
-    let ids: Vec<TaskId> = weights.iter().map(|&w| s.add_task(w)).collect();
-    for (&t, &w) in ids.iter().zip(&weights) {
-        let mut at = rng.gen_range(0..3);
-        for _ in 0..5 {
+    ]
+}
+
+/// Five job releases per task: the first in `0..3`, each later one a
+/// period plus `0..3` slots of sporadic slack after the last.
+fn sporadic_releases(rng: &mut StdRng, weights: &[Weight]) -> Vec<Vec<i64>> {
+    weights
+        .iter()
+        .map(|w| {
+            let mut at = rng.gen_range(0..3);
+            (0..5)
+                .map(|_| {
+                    let release = at;
+                    at += w.p() + rng.gen_range(0..3i64);
+                    release
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn online_bound_holds_on_sporadic_arrivals() {
+    // Sporadic (late) arrivals with early yields: Theorem 3's bound must
+    // hold for the online scheduler directly.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut s = OnlineDvq::new(3);
+    let weights = sporadic_weights();
+    let releases = sporadic_releases(&mut rng, &weights);
+    for (&w, jobs) in weights.iter().zip(&releases) {
+        let t = s.add_task(w);
+        for &at in jobs {
             s.submit_job(t, at).unwrap();
-            at += w.p() + rng.gen_range(0..3i64); // sporadic slack
         }
     }
     let delta = Rat::new(1, 64);
@@ -148,4 +187,73 @@ fn online_bound_holds_on_sporadic_arrivals() {
         max_tard = max_tard.max(t);
     }
     assert!(max_tard <= Rat::ONE, "online tardiness {max_tard}");
+}
+
+fn quantum_starts(events: &[SchedEvent]) -> Vec<SchedEvent> {
+    events
+        .iter()
+        .filter(|ev| matches!(ev, SchedEvent::QuantumStart { .. }))
+        .cloned()
+        .collect()
+}
+
+/// Ticks `OnlineSfq` through the workload until idle and requires the
+/// offline PD² SFQ simulator's slot and processor for every subtask, and
+/// its `QuantumStart` stream.
+fn check_sfq_equivalence(weights: &[Weight], releases: &[Vec<i64>], m: u32) {
+    let sys = release_system(weights, releases);
+    let offline = simulate_sfq(&sys, m, &Pd2, &mut FullQuantum);
+    let mut offline_events = RecordingObserver::new();
+    let _ = simulate_sfq_observed(&sys, m, &Pd2, &mut FullQuantum, &mut offline_events);
+
+    let mut s = OnlineSfq::new(m);
+    let mut online_events = RecordingObserver::new();
+    for (&w, jobs) in weights.iter().zip(releases) {
+        let t = s.add_task(w);
+        for &at in jobs {
+            s.submit_job(t, at).unwrap();
+        }
+    }
+    let mut ticked = 0;
+    while !s.is_idle() {
+        let slot = s.next_slot();
+        for a in s.tick_observed(&mut online_events) {
+            let st = sys
+                .find(SubtaskId {
+                    task: a.task,
+                    index: a.index,
+                })
+                .expect("subtask exists offline");
+            let tag = format!("T{}_{} on {m} cpus", a.task.0, a.index);
+            assert_eq!(offline.start(st), Rat::int(slot), "slot of {tag}");
+            assert_eq!(offline.placement(st).proc, a.proc, "processor of {tag}");
+            assert_eq!(a.deadline, sys.subtask(st).deadline);
+            ticked += 1;
+        }
+    }
+    assert_eq!(ticked, sys.num_subtasks(), "assignment counts differ");
+    assert_eq!(
+        quantum_starts(online_events.events()),
+        quantum_starts(offline_events.events()),
+        "QuantumStart streams differ on {m} cpus"
+    );
+}
+
+#[test]
+fn online_sfq_matches_offline_on_random_systems() {
+    for m in [2u32, 3, 4] {
+        for seed in 0..6u64 {
+            let ws = random_weights(&TaskGenConfig::full(m, 8), 60_000 + seed);
+            check_sfq_equivalence(&ws, &periodic_releases(&ws, 2), m);
+        }
+    }
+}
+
+#[test]
+fn online_sfq_matches_offline_on_sporadic_arrivals() {
+    let weights = sporadic_weights();
+    for seed in 0..8 {
+        let releases = sporadic_releases(&mut StdRng::seed_from_u64(seed), &weights);
+        check_sfq_equivalence(&weights, &releases, 3);
+    }
 }
