@@ -20,6 +20,17 @@
 //! (there are no inversions: that's the optimality setting); under DVQ the
 //! reported events are exactly the phenomena of Figs. 2(b) and 3(a).
 //!
+//! A blocker `p` of the wait `(r, s]` satisfies `p.start < s` and
+//! `p.start + p.cost > r`, so with `c_max` the largest cost in the
+//! schedule it starts in the window `(r − c_max, s)`. The detector finds
+//! that window by binary search in the `(start, proc)`-sorted placements
+//! instead of scanning them all: quanta starting in `(r, s)` overlap the
+//! wait by construction, and only those starting in `(r − c_max, r]` need
+//! their completion tested. `c_max` is read from the data, never assumed
+//! to be 1, so the window is exact for any [`Schedule`]. The cost is
+//! O(V log P + Σ window sizes) for V subtasks and P placements — about
+//! `m·(s − r + c_max)` candidates per wait — instead of O(V·P).
+//!
 //! [`pdb_slot_stats`] is the SFQ-side counterpart: it rebuilds, slot by
 //! slot, the `EB/PB/DB` partition that PD^B (§3.1) consults to stage
 //! those inversions at slot boundaries, measuring how often the blocking
@@ -28,7 +39,7 @@
 use pfair_core::pdb;
 use pfair_core::priority::PriorityOrder;
 use pfair_numeric::{Rat, Time};
-use pfair_sim::{QuantumModel, Schedule};
+use pfair_sim::{Placement, QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 /// Which of the paper's two inversion kinds a blocking event is.
@@ -64,12 +75,18 @@ impl BlockingEvent {
 }
 
 /// Scans a schedule for priority inversions under `order`.
+///
+/// Events come in subtask order; each event's blockers come in placement
+/// (`(start, proc)`) order.
 #[must_use]
 pub fn detect_blocking(
     sys: &TaskSystem,
     sched: &Schedule,
     order: &dyn PriorityOrder,
 ) -> Vec<BlockingEvent> {
+    let placements = sched.placements();
+    let c_max = placements.iter().map(|p| p.cost).max().unwrap_or(Rat::ZERO);
+    let completion: Vec<Time> = placements.iter().map(Placement::completion).collect();
     let mut events = Vec::new();
     for (st, s) in sys.iter_refs() {
         let eligible = Rat::int(s.eligible);
@@ -83,17 +100,18 @@ pub fn detect_blocking(
             continue;
         }
         // Lower-priority subtasks executing within (ready_at, scheduled_at]
-        // — i.e. overlapping the waiting interval — are blockers.
-        let blockers: Vec<SubtaskRef> = sched
-            .placements()
-            .iter()
-            .filter(|p| {
-                p.st != st
-                    && p.start < scheduled_at
-                    && p.completion() > ready_at
-                    && order.precedes(sys, st, p.st)
-            })
-            .map(|p| p.st)
+        // — i.e. overlapping the waiting interval — are blockers. They
+        // start in (ready_at − c_max, scheduled_at); the victim itself
+        // starts at scheduled_at, outside the window.
+        let reach = ready_at - c_max;
+        let lo = placements.partition_point(|p| p.start <= reach);
+        let mid = lo + placements[lo..].partition_point(|p| p.start <= ready_at);
+        let hi = mid + placements[mid..].partition_point(|p| p.start < scheduled_at);
+        let blockers: Vec<SubtaskRef> = (lo..mid)
+            .filter(|&i| completion[i] > ready_at)
+            .chain(mid..hi)
+            .map(|i| placements[i].st)
+            .filter(|&b| order.precedes(sys, st, b))
             .collect();
         if blockers.is_empty() {
             continue; // waited on equal/higher-priority contention: not an inversion

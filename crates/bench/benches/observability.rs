@@ -7,7 +7,9 @@
 //! workload `keyed_vs_comparator` uses. The live observers then price the
 //! layer: counters ([`MetricsObserver`]), online inversion detection
 //! ([`BlockingObserver`]), exact per-slot lag ([`LagObserver`]) and full
-//! event capture ([`JsonlObserver`]).
+//! event capture ([`JsonlObserver`]). `posthoc_blocking` prices
+//! `detect_blocking` on the same DVQ schedule, so the post-hoc and
+//! streaming inversion searches sit side by side.
 //!
 //! Run with `cargo bench -p pfair-bench --bench observability`; numbers
 //! are recorded in `BENCH_observability.json` at the repo root.
@@ -80,6 +82,10 @@ fn bench_observability(c: &mut Criterion) {
             let mut obs = BlockingObserver::new(&sys, &Pd2);
             simulate_dvq_observed(std::hint::black_box(&sys), m, &Pd2, &mut cost, &mut obs)
         })
+    });
+    let dvq = simulate_dvq(&sys, m, &Pd2, &mut UniformCost::new(Rat::new(1, 2), 7));
+    g.bench_function("posthoc_blocking", |b| {
+        b.iter(|| detect_blocking(&sys, std::hint::black_box(&dvq), &Pd2))
     });
     g.bench_function("dvq_jsonl", |b| {
         b.iter(|| {

@@ -1,4 +1,12 @@
 //! Online replication of `pfair-analysis::blocking::detect_blocking`.
+//!
+//! Both detectors search the same window. A blocker of the wait `(r, s]`
+//! satisfies `start < s` and `start + cost > r`, so with `c_max` the
+//! largest cost seen it starts in `(r − c_max, s)`. Event times are
+//! nondecreasing, so the retained history is sorted by start and the
+//! window is found by binary search: each dispatch costs
+//! O(log P + window size) for P quanta seen, about `m·(s − r + c_max)`
+//! candidates, instead of a scan of the whole history.
 
 use crate::{InversionKind, NoopObserver, Observer, SchedEvent};
 use pfair_core::PriorityOrder;
@@ -39,9 +47,12 @@ impl BlockingRecord {
 /// Wraps an inner observer; every event is forwarded, and a
 /// [`SchedEvent::Blocked`] is *generated* for the inner observer whenever
 /// an inversion is found (this is how [`crate::MetricsObserver`] learns its
-/// blocking counts). Placement history is retained for the whole run — the
-/// post-hoc predicate may reach arbitrarily far back — so memory is
-/// O(placements), like the schedule itself.
+/// blocking counts).
+///
+/// Placement history is kept for the whole run, so memory is
+/// O(placements), like the schedule itself; each dispatch searches only
+/// the window described in the module docs. Pruning the history soundly
+/// would need the live ready set, so it is not done.
 ///
 /// Must observe a run from its beginning: predecessor completions are
 /// learned from their `QuantumStart` events.
@@ -50,8 +61,11 @@ pub struct BlockingObserver<'a, Inner: Observer = NoopObserver> {
     order: &'a dyn PriorityOrder,
     inner: Inner,
     completion_of: Vec<Option<Time>>,
-    /// `(start, proc, subtask, completion)` for every quantum seen.
+    /// `(start, proc, subtask, completion)` for every quantum seen, in
+    /// start order.
     placements: Vec<(Time, u32, SubtaskRef, Time)>,
+    /// The largest cost in `placements`.
+    c_max: Rat,
     records: Vec<BlockingRecord>,
 }
 
@@ -74,6 +88,7 @@ impl<'a, Inner: Observer> BlockingObserver<'a, Inner> {
             inner,
             completion_of: vec![None; sys.num_subtasks()],
             placements: Vec::new(),
+            c_max: Rat::ZERO,
             records: Vec::new(),
         }
     }
@@ -132,19 +147,21 @@ impl<Inner: Observer> Observer for BlockingObserver<'_, Inner> {
         };
         self.completion_of[st.idx()] = Some(completion);
         if scheduled_at > ready_at {
-            // Same predicate as detect_blocking. Event times are
-            // nondecreasing, so every quantum with an earlier start is
-            // already in `placements`; same-instant starts are excluded by
-            // the strict `<` either way.
-            let mut blockers: Vec<(Time, u32, SubtaskRef)> = self
-                .placements
+            // Same predicate and window as detect_blocking. Event times
+            // are nondecreasing, so every quantum with an earlier start is
+            // already in `placements`; same-instant starts fall outside the
+            // window's strict upper bound. Quanta starting after `ready_at`
+            // overlap the wait by construction.
+            let history = &self.placements;
+            let reach = ready_at - self.c_max;
+            let lo = history.partition_point(|p| p.0 <= reach);
+            let mid = lo + history[lo..].partition_point(|p| p.0 <= ready_at);
+            let hi = mid + history[mid..].partition_point(|p| p.0 < scheduled_at);
+            let mut blockers: Vec<(Time, u32, SubtaskRef)> = history[lo..mid]
                 .iter()
-                .filter(|&&(p_start, _, p_st, p_completion)| {
-                    p_st != st
-                        && p_start < scheduled_at
-                        && p_completion > ready_at
-                        && self.order.precedes(self.sys, st, p_st)
-                })
+                .filter(|p| p.3 > ready_at)
+                .chain(&history[mid..hi])
+                .filter(|p| self.order.precedes(self.sys, st, p.2))
                 .map(|&(p_start, p_proc, p_st, _)| (p_start, p_proc, p_st))
                 .collect();
             if !blockers.is_empty() {
@@ -179,6 +196,11 @@ impl<Inner: Observer> Observer for BlockingObserver<'_, Inner> {
                 });
             }
         }
+        debug_assert!(
+            self.placements.last().is_none_or(|p| p.0 <= scheduled_at),
+            "QuantumStart times must be nondecreasing"
+        );
+        self.c_max = self.c_max.max(*cost);
         self.placements.push((scheduled_at, *proc, st, completion));
     }
 }

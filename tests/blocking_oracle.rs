@@ -1,0 +1,251 @@
+//! The windowed priority-inversion search must be invisible:
+//! `detect_blocking` and the streaming `BlockingObserver` only look at the
+//! quanta starting in `(r − c_max, s)` of a wait `(r, s]`, and both must
+//! report exactly what the plain quadratic predicate reports — same
+//! victims, ready and dispatch times, kinds, and blockers in the same
+//! order — on seeded systems of up to ~100 tasks, under PD², EPDF and PD,
+//! full, scaled, adversarial and GRID-resolution (720720) costs.
+//!
+//! The hand-built schedules pin the window's edges: a quantum that ends
+//! exactly at the ready time is not a blocker, one that ends a GRID tick
+//! later is, and a charged quantum longer than 1 still is one.
+
+use pfair::prelude::*;
+use pfair::workload::{random_weights, releasegen};
+use proptest::prelude::*;
+
+/// Inversions as `(victim, ready_at, scheduled_at, kind, blockers)` tuples.
+type Flat = Vec<(SubtaskRef, Time, Time, BlockingKind, Vec<SubtaskRef>)>;
+
+/// The quadratic reference: every placement tested against every waiting
+/// subtask.
+fn oracle(sys: &TaskSystem, sched: &Schedule, order: &dyn PriorityOrder) -> Flat {
+    let mut events = Vec::new();
+    for (st, s) in sys.iter_refs() {
+        let eligible = Rat::int(s.eligible);
+        let pred_completion = s.pred.map(|p| sched.completion(p));
+        let ready_at = match pred_completion {
+            Some(pc) => pc.max(eligible),
+            None => eligible,
+        };
+        let scheduled_at = sched.start(st);
+        if scheduled_at <= ready_at {
+            continue;
+        }
+        let blockers: Vec<SubtaskRef> = sched
+            .placements()
+            .iter()
+            .filter(|p| {
+                p.st != st
+                    && p.start < scheduled_at
+                    && p.completion() > ready_at
+                    && order.precedes(sys, st, p.st)
+            })
+            .map(|p| p.st)
+            .collect();
+        if blockers.is_empty() {
+            continue;
+        }
+        let kind = if ready_at == eligible {
+            BlockingKind::Eligibility
+        } else {
+            BlockingKind::Predecessor
+        };
+        events.push((st, ready_at, scheduled_at, kind, blockers));
+    }
+    events
+}
+
+fn flatten_posthoc(sys: &TaskSystem, sched: &Schedule, order: &dyn PriorityOrder) -> Flat {
+    detect_blocking(sys, sched, order)
+        .into_iter()
+        .map(|e| (e.victim, e.ready_at, e.scheduled_at, e.kind, e.blockers))
+        .collect()
+}
+
+fn flatten_streaming(records: Vec<BlockingRecord>) -> Flat {
+    records
+        .into_iter()
+        .map(|r| {
+            let kind = match r.kind {
+                InversionKind::Eligibility => BlockingKind::Eligibility,
+                InversionKind::Predecessor => BlockingKind::Predecessor,
+            };
+            (r.victim, r.ready_at, r.scheduled_at, kind, r.blockers)
+        })
+        .collect()
+}
+
+/// Feeds a finished schedule to a fresh observer as its `QuantumStart`
+/// stream, in `(start, proc)` order.
+fn stream_schedule(sys: &TaskSystem, sched: &Schedule, order: &dyn PriorityOrder) -> Flat {
+    let mut obs = BlockingObserver::new(sys, order);
+    for p in sched.placements() {
+        let s = sys.subtask(p.st);
+        obs.on_event(&SchedEvent::QuantumStart {
+            id: s.id,
+            proc: p.proc,
+            start: p.start,
+            cost: p.cost,
+            holds_until: p.holds_until,
+            deadline: s.deadline,
+            bbit: s.bbit,
+            group_deadline: s.group_deadline,
+        });
+    }
+    flatten_streaming(obs.into_parts().0)
+}
+
+fn cost_model(regime: u8, seed: u64) -> Box<dyn CostModel> {
+    match regime {
+        0 => Box::new(FullQuantum),
+        1 => Box::new(ScaledCost(Rat::new(5, 8))),
+        2 => Box::new(AdversarialYield::new(Rat::new(1, 8), 60, seed ^ 0xb10c)),
+        _ => Box::new(UniformCost::new(Rat::new(1, 4), seed ^ 0x720)),
+    }
+}
+
+fn random_system(seed: u64, m: u32, light: bool, gis: bool, horizon: i64) -> TaskSystem {
+    let cfg = TaskGenConfig {
+        dist: if light {
+            WeightDist::Light
+        } else {
+            WeightDist::Uniform
+        },
+        ..TaskGenConfig::full(m, 12)
+    };
+    let ws = random_weights(&cfg, seed);
+    let rel = if gis {
+        ReleaseConfig {
+            early: i64::from(seed.is_multiple_of(2)),
+            ..ReleaseConfig::gis(horizon)
+        }
+    } else {
+        ReleaseConfig::periodic(horizon)
+    };
+    releasegen::generate(&ws, &rel, seed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Both windowed detectors equal the quadratic oracle on DVQ runs;
+    /// `detect_blocking` also on the SFQ run of the same system.
+    #[test]
+    fn windowed_detectors_match_the_quadratic_oracle(
+        seed in 0u64..1_000_000,
+        m in 1u32..=24,
+        light in 0u8..2,
+        gis in 0u8..2,
+        horizon in 6i64..=14,
+        regime in 0u8..4,
+    ) {
+        let sys = random_system(seed, m, light == 1, gis == 1, horizon);
+        for alg in [Algorithm::Pd2, Algorithm::Epdf, Algorithm::Pd] {
+            let order = alg.order();
+            let mut obs = BlockingObserver::new(&sys, order);
+            let mut cost = cost_model(regime, seed);
+            let dvq = simulate_dvq_observed(&sys, m, order, cost.as_mut(), &mut obs);
+            let want = oracle(&sys, &dvq, order);
+            prop_assert_eq!(&flatten_posthoc(&sys, &dvq, order), &want, "{:?} DVQ post-hoc", alg);
+            prop_assert_eq!(
+                &flatten_streaming(obs.into_parts().0),
+                &want,
+                "{:?} DVQ streaming",
+                alg
+            );
+
+            let mut cost = cost_model(regime, seed);
+            let sfq = simulate_sfq(&sys, m, order, cost.as_mut());
+            prop_assert_eq!(
+                flatten_posthoc(&sys, &sfq, order),
+                oracle(&sys, &sfq, order),
+                "{:?} SFQ post-hoc",
+                alg
+            );
+        }
+    }
+}
+
+/// `V` (weight 1/2: `V_1` eligible at 0, `V_2` at 2) and `L` (weight 1/6,
+/// one subtask with deadline 6, so strictly lower PD² priority than
+/// `V_2`, whose deadline is 4).
+fn edge_system() -> (TaskSystem, SubtaskRef, SubtaskRef, SubtaskRef) {
+    let sys = release::periodic_named(&[("V", 1, 2), ("L", 1, 6)], 4);
+    let find = |task, index| {
+        sys.find(SubtaskId {
+            task: TaskId(task),
+            index,
+        })
+        .unwrap()
+    };
+    let (v1, v2, l1) = (find(0, 1), find(0, 2), find(1, 1));
+    assert_eq!(sys.num_subtasks(), 3);
+    assert!(Pd2.precedes(&sys, v2, l1));
+    (sys, v1, v2, l1)
+}
+
+/// `V_2` is ready at `r = 2` and waits until 3; `L_1` runs from
+/// `l_start` for `l_cost` on the other processor.
+fn edge_schedule(sys: &TaskSystem, l_start: Rat, l_cost: Rat) -> Schedule {
+    let (_, v1, v2, l1) = edge_system();
+    let place = |st, proc, start: Rat, cost: Rat| Placement {
+        st,
+        proc,
+        start,
+        cost,
+        holds_until: start + cost,
+    };
+    Schedule::new(
+        sys,
+        QuantumModel::Dvq,
+        2,
+        vec![
+            place(v1, 0, Rat::ZERO, Rat::ONE),
+            place(v2, 0, Rat::int(3), Rat::ONE),
+            place(l1, 1, l_start, l_cost),
+        ],
+    )
+}
+
+fn assert_edge(l_start: Rat, l_cost: Rat, expect_blocked: bool) {
+    let (sys, _, v2, l1) = edge_system();
+    let sched = edge_schedule(&sys, l_start, l_cost);
+    let want = if expect_blocked {
+        vec![(
+            v2,
+            Rat::int(2),
+            Rat::int(3),
+            BlockingKind::Eligibility,
+            vec![l1],
+        )]
+    } else {
+        Vec::new()
+    };
+    assert_eq!(oracle(&sys, &sched, &Pd2), want, "oracle");
+    assert_eq!(flatten_posthoc(&sys, &sched, &Pd2), want, "detect_blocking");
+    assert_eq!(
+        stream_schedule(&sys, &sched, &Pd2),
+        want,
+        "BlockingObserver"
+    );
+}
+
+#[test]
+fn quantum_ending_exactly_at_the_ready_time_is_not_a_blocker() {
+    // L_1 occupies [r − 1, r): it starts exactly at r − c_max.
+    assert_edge(Rat::ONE, Rat::ONE, false);
+}
+
+#[test]
+fn quantum_ending_one_grid_tick_after_the_ready_time_is_a_blocker() {
+    // L_1 occupies [r − 1 + 1/720720, r + 1/720720): it overlaps the wait.
+    assert_edge(Rat::ONE + Rat::new(1, 720_720), Rat::ONE, true);
+}
+
+#[test]
+fn charged_quantum_longer_than_one_widens_the_window() {
+    // L_1 starts before r − 1 but runs 3/2, past r: c_max comes from the
+    // data, so the window still reaches it.
+    assert_edge(Rat::new(3, 4), Rat::new(3, 2), true);
+}
