@@ -31,16 +31,28 @@
 //! O(V log P + Σ window sizes) for V subtasks and P placements — about
 //! `m·(s − r + c_max)` candidates per wait — instead of O(V·P).
 //!
+//! Each candidate costs two integer tests. The window walk compares `i64`
+//! ticks on the schedule's grid (exact `Rat`s only when no `i64` grid fits;
+//! see the crate docs), and the priority test compares precomputed strict
+//! keys ([`StrictKeys`], laid out in placement order) when the order
+//! registers a key type — PD², EPDF and PD. Other orders (PF, ablations,
+//! custom comparators) keep `order.precedes`.
+//!
 //! [`pdb_slot_stats`] is the SFQ-side counterpart: it rebuilds, slot by
 //! slot, the `EB/PB/DB` partition that PD^B (§3.1) consults to stage
 //! those inversions at slot boundaries, measuring how often the blocking
 //! machinery engages.
 
+use core::ops::ControlFlow;
+
 use pfair_core::pdb;
 use pfair_core::priority::PriorityOrder;
+use pfair_core::StrictKeys;
 use pfair_numeric::{Rat, Time};
-use pfair_sim::{Placement, QuantumModel, Schedule};
+use pfair_sim::{QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
+
+use crate::grid::{with_times, Times};
 
 /// Which of the paper's two inversion kinds a blocking event is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -85,17 +97,51 @@ pub fn detect_blocking(
     order: &dyn PriorityOrder,
 ) -> Vec<BlockingEvent> {
     let placements = sched.placements();
-    let c_max = placements.iter().map(|p| p.cost).max().unwrap_or(Rat::ZERO);
-    let completion: Vec<Time> = placements.iter().map(Placement::completion).collect();
     let mut events = Vec::new();
+    with_times!(Some(sys), sched, |tm| inversions_in(
+        sys,
+        sched,
+        tm,
+        order,
+        false,
+        |victim, ready_at, scheduled_at, kind, blockers| {
+            events.push(BlockingEvent {
+                victim,
+                ready_at: tm.rat(ready_at),
+                scheduled_at: tm.rat(scheduled_at),
+                kind,
+                blockers: blockers.iter().map(|&i| placements[i].st).collect(),
+            });
+        },
+    ));
+    events
+}
+
+/// The inversion search in the arithmetic of `tm`: calls `found(victim,
+/// ready_at, scheduled_at, kind, blockers)` for each inversion, in subtask
+/// order, with the blockers' placement indices in placement order — or,
+/// with `first_only`, just the first blocker, which is all a count needs.
+pub(crate) fn inversions_in<Tm: Times>(
+    sys: &TaskSystem,
+    sched: &Schedule,
+    tm: &Tm,
+    order: &dyn PriorityOrder,
+    first_only: bool,
+    mut found: impl FnMut(SubtaskRef, Tm::T, Tm::T, BlockingKind, &[usize]),
+) {
+    let placements = sched.placements();
+    let starts = tm.starts();
+    let zero = tm.int(0);
+    let c_max = (0..starts.len()).map(|i| tm.cost(i)).max().unwrap_or(zero);
+    let keys = StrictKeys::of_subtasks(sys, order, placements.iter().map(|p| p.st));
+    let mut blockers = Vec::new();
     for (st, s) in sys.iter_refs() {
-        let eligible = Rat::int(s.eligible);
-        let pred_completion = s.pred.map(|p| sched.completion(p));
-        let ready_at = match pred_completion {
-            Some(pc) => pc.max(eligible),
+        let eligible = tm.int(s.eligible);
+        let ready_at = match s.pred {
+            Some(p) => tm.completion(tm.index(p)).max(eligible),
             None => eligible,
         };
-        let scheduled_at = sched.start(st);
+        let scheduled_at = tm.start(tm.index(st));
         if scheduled_at <= ready_at {
             continue;
         }
@@ -104,15 +150,21 @@ pub fn detect_blocking(
         // start in (ready_at − c_max, scheduled_at); the victim itself
         // starts at scheduled_at, outside the window.
         let reach = ready_at - c_max;
-        let lo = placements.partition_point(|p| p.start <= reach);
-        let mid = lo + placements[lo..].partition_point(|p| p.start <= ready_at);
-        let hi = mid + placements[mid..].partition_point(|p| p.start < scheduled_at);
-        let blockers: Vec<SubtaskRef> = (lo..mid)
-            .filter(|&i| completion[i] > ready_at)
-            .chain(mid..hi)
-            .map(|i| placements[i].st)
-            .filter(|&b| order.precedes(sys, st, b))
-            .collect();
+        let lo = starts.partition_point(|&t| t <= reach);
+        let mid = lo + starts[lo..].partition_point(|&t| t <= ready_at);
+        let hi = mid + starts[mid..].partition_point(|&t| t < scheduled_at);
+        let candidates = (lo..mid)
+            .filter(|&i| tm.completion(i) > ready_at)
+            .chain(mid..hi);
+        blockers.clear();
+        keys.for_each_lower(st, candidates, |i| {
+            blockers.push(i);
+            if first_only {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
         if blockers.is_empty() {
             continue; // waited on equal/higher-priority contention: not an inversion
         }
@@ -121,15 +173,8 @@ pub fn detect_blocking(
         } else {
             BlockingKind::Predecessor
         };
-        events.push(BlockingEvent {
-            victim: st,
-            ready_at,
-            scheduled_at,
-            kind,
-            blockers,
-        });
+        found(st, ready_at, scheduled_at, kind, &blockers);
     }
-    events
 }
 
 /// Per-slot view of the PD^B partition of an SFQ schedule.

@@ -35,6 +35,23 @@
 //!   the simulators.
 //! * [`waste`] — busy/idle/wasted-quantum accounting: the §1 motivation
 //!   for the DVQ model, measured.
+//!
+//! # Two-tier time
+//!
+//! The analyses behind [`schedule_report`] — [`detect_blocking`],
+//! [`check_structural`], [`check_window_containment`],
+//! [`tardiness_stats`], [`waste_stats`] and [`response_stats`] — each have
+//! one body, generic over the arithmetic it runs in. A private grid holds
+//! every placement's start, completion, hold and cost as `i64` ticks at
+//! the lcm of the schedule's denominators; when that lcm, a tick count,
+//! or an eligibility or deadline of the system leaves `i64`, the same body
+//! runs on the schedule's exact `Rat`s instead. The tier is chosen from
+//! the data, never by the caller, and both are exact: every result is the
+//! same `Rat`. On the grid a comparison is one `i64` compare instead of
+//! an `i128` cross-multiplication, and a sum is an `i128` add instead of
+//! two gcds; results become `Rat` once, at the end. [`schedule_report`]
+//! builds the grid once for all six, and counts inversions without
+//! listing their blockers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +62,7 @@ pub mod classify;
 pub mod compliance;
 pub mod demand;
 pub mod displacement;
+mod grid;
 pub mod jobs;
 pub mod lag;
 pub mod lemmas;

@@ -17,8 +17,6 @@
 //! model it is at most 1 per boundary offset; under DVQ it falls in
 //! between, depending on yields.
 
-use std::collections::HashMap;
-
 use pfair_numeric::Time;
 use pfair_sim::Schedule;
 use pfair_taskmodel::TaskSystem;
@@ -132,14 +130,13 @@ pub fn context_switch_stats(sys: &TaskSystem, sched: &Schedule) -> SwitchStats {
 /// `counts[k]` = number of instants at which exactly `k+1` quanta start.
 #[must_use]
 pub fn contention_profile(sched: &Schedule) -> Vec<usize> {
-    let mut by_instant: HashMap<Time, usize> = HashMap::new();
-    for p in sched.placements() {
-        *by_instant.entry(p.start).or_default() += 1;
-    }
-    let max = by_instant.values().copied().max().unwrap_or(0);
-    let mut counts = vec![0usize; max];
-    for (_, k) in by_instant {
-        counts[k - 1] += 1;
+    // Placements are start-sorted, so each instant is one run.
+    let mut counts = Vec::new();
+    for run in sched.placements().chunk_by(|a, b| a.start == b.start) {
+        if counts.len() < run.len() {
+            counts.resize(run.len(), 0);
+        }
+        counts[run.len() - 1] += 1;
     }
     counts
 }

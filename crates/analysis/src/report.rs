@@ -13,12 +13,13 @@ use pfair_numeric::Rat;
 use pfair_sim::Schedule;
 use pfair_taskmodel::TaskSystem;
 
-use crate::blocking::{detect_blocking, BlockingKind};
+use crate::blocking::{inversions_in, BlockingKind};
+use crate::grid::{with_times, Times};
 use crate::overhead::{migration_stats, MigrationStats};
-use crate::response::{response_stats, ResponseStats};
-use crate::tardiness::{tardiness_stats, TardinessStats};
-use crate::validity::{check_structural, check_window_containment};
-use crate::waste::{waste_stats, WasteStats};
+use crate::response::{response_in, ResponseStats};
+use crate::tardiness::{tardiness_in, TardinessStats};
+use crate::validity::{structural_in, window_containment_in};
+use crate::waste::{waste_in, WasteStats};
 
 /// Every analysis of one schedule, in one struct.
 #[derive(Clone, Debug)]
@@ -42,28 +43,39 @@ pub struct ScheduleReport {
 }
 
 /// Runs every analysis on a schedule.
+///
+/// The tick grid of the schedule (or, off-grid, its exact `Rat` times) is
+/// built once and shared by every analysis; see the crate docs. The
+/// inversion search only counts, so each wait stops at its first blocker.
 #[must_use]
 pub fn schedule_report(
     sys: &TaskSystem,
     sched: &Schedule,
     order: &dyn PriorityOrder,
 ) -> ScheduleReport {
-    let blocking = detect_blocking(sys, sched, order);
+    with_times!(Some(sys), sched, |tm| report_in(sys, sched, tm, order))
+}
+
+fn report_in<Tm: Times>(
+    sys: &TaskSystem,
+    sched: &Schedule,
+    tm: &Tm,
+    order: &dyn PriorityOrder,
+) -> ScheduleReport {
+    let (mut eligibility_blocking, mut predecessor_blocking) = (0, 0);
+    inversions_in(sys, sched, tm, order, true, |_, _, _, kind, _| match kind {
+        BlockingKind::Eligibility => eligibility_blocking += 1,
+        BlockingKind::Predecessor => predecessor_blocking += 1,
+    });
     ScheduleReport {
-        tardiness: tardiness_stats(sys, sched),
-        waste: waste_stats(sched),
+        tardiness: tardiness_in(sys, tm),
+        waste: waste_in(sched, tm),
         migrations: migration_stats(sys, sched),
-        response: response_stats(sys, sched),
-        eligibility_blocking: blocking
-            .iter()
-            .filter(|e| e.kind == BlockingKind::Eligibility)
-            .count(),
-        predecessor_blocking: blocking
-            .iter()
-            .filter(|e| e.kind == BlockingKind::Predecessor)
-            .count(),
-        structural_violations: check_structural(sys, sched).len(),
-        window_violations: check_window_containment(sys, sched).len(),
+        response: response_in(sys, tm),
+        eligibility_blocking,
+        predecessor_blocking,
+        structural_violations: structural_in(sys, sched, tm).len(),
+        window_violations: window_containment_in(sys, tm).len(),
     }
 }
 

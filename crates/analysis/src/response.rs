@@ -14,6 +14,8 @@ use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use serde::{Deserialize, Serialize};
 
+use crate::grid::{with_times, Times};
+
 /// Response time of one subtask (from eligibility to completion).
 #[must_use]
 pub fn subtask_response(sys: &TaskSystem, sched: &Schedule, st: SubtaskRef) -> Rat {
@@ -46,17 +48,23 @@ impl ResponseStats {
 /// Computes [`ResponseStats`] over a schedule.
 #[must_use]
 pub fn response_stats(sys: &TaskSystem, sched: &Schedule) -> ResponseStats {
-    let mut stats = ResponseStats {
-        max: Rat::ZERO,
-        total: Rat::ZERO,
-        subtasks: sys.num_subtasks(),
-    };
-    for (st, _) in sys.iter_refs() {
-        let r = subtask_response(sys, sched, st);
-        stats.max = stats.max.max(r);
-        stats.total += r;
+    with_times!(Some(sys), sched, |tm| response_in(sys, tm))
+}
+
+/// [`response_stats`] in the arithmetic of `tm`.
+pub(crate) fn response_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> ResponseStats {
+    let mut max = tm.int(0);
+    let mut total = tm.sum(max);
+    for (st, s) in sys.iter_refs() {
+        let r = tm.completion(tm.index(st)) - tm.int(s.eligible);
+        max = max.max(r);
+        total = total + tm.sum(r);
     }
-    stats
+    ResponseStats {
+        max: tm.rat(max),
+        total: tm.sum_rat(total),
+        subtasks: sys.num_subtasks(),
+    }
 }
 
 #[cfg(test)]

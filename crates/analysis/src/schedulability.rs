@@ -21,7 +21,7 @@
 //! "the oracle says schedulable" and "PD² under SFQ misses nothing" is a
 //! genuine cross-check of both (exercised in `tests/oracle.rs`).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pfair_maxflow::FlowNetwork;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
@@ -57,9 +57,10 @@ pub fn flow_schedulable(sys: &TaskSystem, m: u32, mode: WindowMode) -> FlowSched
     }
 
     // Collect the slots any window touches (windows can be sparse, so use
-    // dense ids per distinct slot).
-    let mut slot_ids: HashMap<i64, usize> = HashMap::new();
-    let mut task_slot_ids: HashMap<(u32, i64), usize> = HashMap::new();
+    // dense ids per distinct slot). Ordered maps keep the edge insertion
+    // order, and so the witness, the same on every run.
+    let mut slot_ids: BTreeMap<i64, usize> = BTreeMap::new();
+    let mut task_slot_ids: BTreeMap<(u32, i64), usize> = BTreeMap::new();
     let window = |st: SubtaskRef| {
         let s = sys.subtask(st);
         let lo = match mode {
@@ -142,8 +143,8 @@ mod tests {
         assert!(fs.schedulable);
         assert_eq!(fs.assignment.len(), sys.num_subtasks());
         // The witness really is a valid windowed schedule.
-        let mut per_slot: HashMap<i64, usize> = HashMap::new();
-        let mut per_task_slot: HashMap<(u32, i64), usize> = HashMap::new();
+        let mut per_slot: BTreeMap<i64, usize> = BTreeMap::new();
+        let mut per_task_slot: BTreeMap<(u32, i64), usize> = BTreeMap::new();
         for (st, t) in &fs.assignment {
             let s = sys.subtask(*st);
             assert!(s.release <= *t && *t < s.deadline, "{:?} slot {t}", s.id);

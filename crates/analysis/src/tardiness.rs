@@ -11,6 +11,8 @@ use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use serde::{Deserialize, Serialize};
 
+use crate::grid::{with_times, Times};
+
 /// Tardiness of one subtask in a schedule.
 #[must_use]
 pub fn subtask_tardiness(sys: &TaskSystem, sched: &Schedule, st: SubtaskRef) -> Rat {
@@ -60,25 +62,33 @@ impl TardinessStats {
 /// Computes [`TardinessStats`] over an entire schedule.
 #[must_use]
 pub fn tardiness_stats(sys: &TaskSystem, sched: &Schedule) -> TardinessStats {
-    let mut stats = TardinessStats {
-        max: Rat::ZERO,
-        total: Rat::ZERO,
-        subtasks: sys.num_subtasks(),
-        misses: 0,
-        worst: None,
-    };
-    for (st, _) in sys.iter_refs() {
-        let t = subtask_tardiness(sys, sched, st);
-        if t.is_positive() {
-            stats.misses += 1;
-            stats.total += t;
-            if t > stats.max {
-                stats.max = t;
-                stats.worst = Some(st);
+    with_times!(Some(sys), sched, |tm| tardiness_in(sys, tm))
+}
+
+/// [`tardiness_stats`] in the arithmetic of `tm`.
+pub(crate) fn tardiness_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> TardinessStats {
+    let zero = tm.int(0);
+    let (mut max, mut total) = (zero, tm.sum(zero));
+    let mut misses = 0;
+    let mut worst = None;
+    for (st, s) in sys.iter_refs() {
+        let t = tm.completion(tm.index(st)) - tm.int(s.deadline);
+        if t > zero {
+            misses += 1;
+            total = total + tm.sum(t);
+            if t > max {
+                max = t;
+                worst = Some(st);
             }
         }
     }
-    stats
+    TardinessStats {
+        max: tm.rat(max),
+        total: tm.sum_rat(total),
+        subtasks: sys.num_subtasks(),
+        misses,
+        worst,
+    }
 }
 
 /// Histogram of subtask tardiness: `buckets` equal-width bins over

@@ -12,12 +12,20 @@
 //!   subtask completes by its pseudo-deadline. PD² under SFQ satisfies it
 //!   for every feasible system; DVQ schedules may violate it by design —
 //!   that violation, bounded by one quantum, is the paper's subject.
+//!
+//! Both run on the schedule's `i64` tick grid when one fits (see the crate
+//! docs). [`check_structural`] is one pass over the start-sorted
+//! placements per check: a per-processor "last hold" array finds
+//! overlaps, and over-full SFQ slots are runs of equal start slot, so the
+//! cost is O(P + V) for P placements and V subtasks, whatever `M`.
 
 use core::fmt;
 
-use pfair_numeric::{Rat, Time};
+use pfair_numeric::Time;
 use pfair_sim::{QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
+
+use crate::grid::{with_times, Times};
 
 /// A violated schedule invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,65 +131,91 @@ impl fmt::Display for ValidityError {
 impl std::error::Error for ValidityError {}
 
 /// Checks the structural invariants; returns every violation found.
+///
+/// Errors come grouped by kind: processor overlaps (by processor, then in
+/// time order), early starts in subtask order, then for SFQ schedules
+/// non-integral starts in placement order and over-full slots in slot
+/// order.
 #[must_use]
 pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError> {
-    let mut errors = Vec::new();
+    with_times!(Some(sys), sched, |tm| structural_in(sys, sched, tm))
+}
 
-    // Per-processor exclusivity: placements are start-sorted already.
-    for proc in 0..sched.m() {
-        let mut prev: Option<&pfair_sim::Placement> = None;
-        for p in sched.on_processor(proc) {
-            if let Some(q) = prev {
-                if p.start < q.holds_until.max(q.completion()) {
-                    errors.push(ValidityError::ProcessorOverlap {
-                        proc,
-                        first: q.st,
-                        second: p.st,
-                    });
-                }
+/// [`check_structural`] in the arithmetic of `tm`: one pass over the
+/// start-sorted placements per check.
+pub(crate) fn structural_in<Tm: Times>(
+    sys: &TaskSystem,
+    sched: &Schedule,
+    tm: &Tm,
+) -> Vec<ValidityError> {
+    let placements = sched.placements();
+
+    // Per-processor exclusivity: each processor's latest quantum and the
+    // instant it frees the processor. Placements on processors outside
+    // `0..m` are not checked.
+    let mut last: Vec<Option<(SubtaskRef, Tm::T)>> = vec![None; sched.m() as usize];
+    let mut overlaps = Vec::new();
+    for (i, p) in placements.iter().enumerate() {
+        let Some(slot) = last.get_mut(p.proc as usize) else {
+            continue;
+        };
+        if let Some((first, until)) = *slot {
+            if tm.start(i) < until {
+                overlaps.push((p.proc, first, p.st));
             }
-            prev = Some(p);
         }
+        *slot = Some((p.st, tm.holds_until(i).max(tm.completion(i))));
     }
+    // Stable: each processor's overlaps stay in time order.
+    overlaps.sort_by_key(|&(proc, _, _)| proc);
+    let mut errors: Vec<ValidityError> = overlaps
+        .into_iter()
+        .map(|(proc, first, second)| ValidityError::ProcessorOverlap {
+            proc,
+            first,
+            second,
+        })
+        .collect();
 
     for (st, s) in sys.iter_refs() {
-        let start = sched.start(st);
-        if start < Rat::int(s.eligible) {
+        let start = tm.start(tm.index(st));
+        if start < tm.int(s.eligible) {
             errors.push(ValidityError::BeforeEligibility {
                 st,
-                start,
+                start: tm.rat(start),
                 eligible: s.eligible,
             });
         }
         if let Some(pred) = s.pred {
-            let pc = sched.completion(pred);
+            let pc = tm.completion(tm.index(pred));
             if start < pc {
                 errors.push(ValidityError::BeforePredecessor {
                     st,
-                    start,
-                    pred_completion: pc,
+                    start: tm.rat(start),
+                    pred_completion: tm.rat(pc),
                 });
             }
         }
     }
 
     if sched.model() == QuantumModel::Sfq {
-        for p in sched.placements() {
-            if !p.start.is_integer() {
+        for (p, &start) in placements.iter().zip(tm.starts()) {
+            if !tm.is_integral(start) {
                 errors.push(ValidityError::NonIntegralStart {
                     st: p.st,
-                    start: p.start,
+                    start: tm.rat(start),
                 });
             }
         }
-        // ≤ M per slot (placements have unit holds, so count by start slot).
-        let mut counts: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
-        for p in sched.placements() {
-            *counts.entry(p.start.floor()).or_default() += 1;
-        }
-        for (slot, count) in counts {
-            if count > sched.m() as usize {
-                errors.push(ValidityError::TooManyInSlot { slot, count });
+        // ≤ M per slot (placements have unit holds, so count by start
+        // slot). Starts are sorted, so each slot is one run.
+        let m = sched.m() as usize;
+        for run in tm.starts().chunk_by(|&a, &b| tm.floor(a) == tm.floor(b)) {
+            if run.len() > m {
+                errors.push(ValidityError::TooManyInSlot {
+                    slot: tm.floor(run[0]),
+                    count: run.len(),
+                });
             }
         }
     }
@@ -193,13 +227,18 @@ pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError
 /// by its pseudo-deadline. Returns the violations (deadline misses).
 #[must_use]
 pub fn check_window_containment(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError> {
+    with_times!(Some(sys), sched, |tm| window_containment_in(sys, tm))
+}
+
+/// [`check_window_containment`] in the arithmetic of `tm`.
+pub(crate) fn window_containment_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> Vec<ValidityError> {
     let mut errors = Vec::new();
     for (st, s) in sys.iter_refs() {
-        let completion = sched.completion(st);
-        if completion > Rat::int(s.deadline) {
+        let completion = tm.completion(tm.index(st));
+        if completion > tm.int(s.deadline) {
             errors.push(ValidityError::DeadlineMiss {
                 st,
-                completion,
+                completion: tm.rat(completion),
                 deadline: s.deadline,
             });
         }
@@ -211,6 +250,7 @@ pub fn check_window_containment(sys: &TaskSystem, sched: &Schedule) -> Vec<Valid
 mod tests {
     use super::*;
     use pfair_core::{Epdf, Pd2};
+    use pfair_numeric::Rat;
     use pfair_sim::{simulate_dvq, simulate_sfq, simulate_staggered, FixedCosts, FullQuantum};
     use pfair_taskmodel::{release, TaskId};
 
@@ -264,6 +304,41 @@ mod tests {
         let sys = fig2_system();
         let sched = simulate_sfq(&sys, 2, &Epdf, &mut FullQuantum);
         assert!(check_window_containment(&sys, &sched).is_empty());
+    }
+
+    #[test]
+    fn over_full_slots_are_reported_in_slot_order() {
+        // Three unit quanta in slot 4 and three in slot 1 on two
+        // processors (subtasks placed in any order): both slots are
+        // over-full, and the errors come in slot order.
+        let sys = release::periodic(&[(1, 1), (1, 1), (1, 1)], 2);
+        let refs: Vec<SubtaskRef> = sys.iter_refs().map(|(st, _)| st).collect();
+        let placements = refs
+            .iter()
+            .enumerate()
+            .map(|(i, &st)| {
+                let start = if i % 2 == 0 { 4 } else { 1 };
+                pfair_sim::Placement {
+                    st,
+                    proc: (i / 2) as u32 % 2,
+                    start: Rat::int(start),
+                    cost: Rat::ONE,
+                    holds_until: Rat::int(start + 1),
+                }
+            })
+            .collect();
+        let sched = Schedule::new(&sys, QuantumModel::Sfq, 2, placements);
+        let over_full: Vec<ValidityError> = check_structural(&sys, &sched)
+            .into_iter()
+            .filter(|e| matches!(e, ValidityError::TooManyInSlot { .. }))
+            .collect();
+        assert_eq!(
+            over_full,
+            [
+                ValidityError::TooManyInSlot { slot: 1, count: 3 },
+                ValidityError::TooManyInSlot { slot: 4, count: 3 },
+            ]
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@ use pfair_numeric::Rat;
 use pfair_sim::Schedule;
 use serde::{Deserialize, Serialize};
 
+use crate::grid::{with_times, Times};
+
 /// Aggregate processor-time accounting for one schedule.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WasteStats {
@@ -62,23 +64,29 @@ impl WasteStats {
 /// Computes [`WasteStats`] for a schedule.
 #[must_use]
 pub fn waste_stats(sched: &Schedule) -> WasteStats {
-    let mut busy = Rat::ZERO;
-    let mut wasted = Rat::ZERO;
-    let makespan = sched.makespan();
-    for p in sched.placements() {
-        busy += p.cost;
+    with_times!(None, sched, |tm| waste_in(sched, tm))
+}
+
+/// [`waste_stats`] in the arithmetic of `tm`.
+pub(crate) fn waste_in<Tm: Times>(sched: &Schedule, tm: &Tm) -> WasteStats {
+    let n = tm.starts().len();
+    let makespan = (0..n).map(|i| tm.completion(i)).max().unwrap_or(tm.int(0));
+    let mut busy = tm.sum(tm.int(0));
+    let mut wasted = busy;
+    for i in 0..n {
+        busy = busy + tm.sum(tm.cost(i));
         // Clamp holds to the makespan so SFQ's final boundary hold does
         // not count as waste beyond the horizon of interest.
-        let hold_end = p.holds_until.min(makespan).max(p.completion());
-        wasted += hold_end - p.completion();
+        let completion = tm.completion(i);
+        let hold_end = tm.holds_until(i).min(makespan).max(completion);
+        wasted = wasted + tm.sum(hold_end - completion);
     }
-    let capacity = Rat::int(i64::from(sched.m())) * makespan;
-    let idle = capacity - busy - wasted;
+    let capacity = tm.times(i64::from(sched.m()), tm.sum(makespan));
     WasteStats {
-        busy,
-        wasted,
-        idle,
-        makespan,
+        busy: tm.sum_rat(busy),
+        wasted: tm.sum_rat(wasted),
+        idle: tm.sum_rat(capacity - busy - wasted),
+        makespan: tm.rat(makespan),
         m: sched.m(),
     }
 }

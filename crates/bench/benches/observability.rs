@@ -9,7 +9,9 @@
 //! ([`BlockingObserver`]), exact per-slot lag ([`LagObserver`]) and full
 //! event capture ([`JsonlObserver`]). `posthoc_blocking` prices
 //! `detect_blocking` on the same DVQ schedule, so the post-hoc and
-//! streaming inversion searches sit side by side.
+//! streaming inversion searches sit side by side; `schedule_report`
+//! prices every post-hoc analysis of that schedule together (one tick
+//! grid, inversions counted rather than listed).
 //!
 //! Run with `cargo bench -p pfair-bench --bench observability`; numbers
 //! are recorded in `BENCH_observability.json` at the repo root.
@@ -86,6 +88,9 @@ fn bench_observability(c: &mut Criterion) {
     let dvq = simulate_dvq(&sys, m, &Pd2, &mut UniformCost::new(Rat::new(1, 2), 7));
     g.bench_function("posthoc_blocking", |b| {
         b.iter(|| detect_blocking(&sys, std::hint::black_box(&dvq), &Pd2))
+    });
+    g.bench_function("schedule_report", |b| {
+        b.iter(|| schedule_report(&sys, std::hint::black_box(&dvq), &Pd2))
     });
     g.bench_function("dvq_jsonl", |b| {
         b.iter(|| {

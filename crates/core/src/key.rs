@@ -32,12 +32,16 @@
 //!
 //! Each key type is *proven against its comparator*, not trusted: unit and
 //! property tests below (and cross-crate integration tests) require
-//! `key(a).cmp(&key(b)) == order.cmp(sys, a, b)` for every pair — the
-//! simulators additionally assert schedule-for-schedule identity on the
-//! paper's golden traces. Any change to a comparator must be mirrored here
-//! and re-proven.
+//! `key(a).cmp(&key(b)) == order.cmp(sys, a, b)` and
+//! `key(a).cmp_strict(&key(b)) == order.cmp_strict(sys, a, b)` for every
+//! pair — the simulators additionally assert schedule-for-schedule
+//! identity on the paper's golden traces, and the inversion searches,
+//! which test the strict order through [`StrictKeys`], are held to the
+//! comparator's answers by their oracle tests. Any change to a
+//! comparator must be mirrored here and re-proven.
 
 use core::cmp::Ordering;
+use core::ops::ControlFlow;
 
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskSystem, Weight};
@@ -56,6 +60,13 @@ pub trait SubtaskKey: Copy + Ord + core::fmt::Debug {
     /// stages (b-bit, group deadline, weight, id) only on bucket
     /// collisions — see the simulators' bucketed ready sets.
     fn deadline(&self) -> i64;
+
+    /// The order's own comparison without the deterministic weight/id
+    /// tie-breaks, mirroring
+    /// [`PriorityOrder::cmp_strict`](crate::PriorityOrder::cmp_strict):
+    /// `Less` is the paper's `≺`, and `Equal` means the algorithm regards
+    /// the two subtasks as equal priority. `Ord::cmp` refines it.
+    fn cmp_strict(&self, other: &Self) -> Ordering;
 }
 
 /// The PD² total order as a key. Smaller = higher priority, matching
@@ -100,18 +111,7 @@ impl PartialOrd for Pd2Key {
 
 impl Ord for Pd2Key {
     fn cmp(&self, other: &Pd2Key) -> Ordering {
-        self.deadline
-            .cmp(&other.deadline)
-            // b = 1 first.
-            .then_with(|| other.bbit.cmp(&self.bbit))
-            // Group deadline only when both b-bits are set; larger first.
-            .then_with(|| {
-                if self.bbit && other.bbit {
-                    other.group_deadline.cmp(&self.group_deadline)
-                } else {
-                    Ordering::Equal
-                }
-            })
+        self.cmp_strict(other)
             // Heavier weight first, then identity.
             .then_with(|| other.weight.cmp(&self.weight))
             .then_with(|| self.id.cmp(&other.id))
@@ -132,6 +132,22 @@ impl SubtaskKey for Pd2Key {
 
     fn deadline(&self) -> i64 {
         self.deadline
+    }
+
+    #[inline]
+    fn cmp_strict(&self, other: &Pd2Key) -> Ordering {
+        self.deadline
+            .cmp(&other.deadline)
+            // b = 1 first.
+            .then_with(|| other.bbit.cmp(&self.bbit))
+            // Group deadline only when both b-bits are set; larger first.
+            .then_with(|| {
+                if self.bbit && other.bbit {
+                    other.group_deadline.cmp(&self.group_deadline)
+                } else {
+                    Ordering::Equal
+                }
+            })
     }
 }
 
@@ -156,8 +172,7 @@ impl PartialOrd for EpdfKey {
 
 impl Ord for EpdfKey {
     fn cmp(&self, other: &EpdfKey) -> Ordering {
-        self.deadline
-            .cmp(&other.deadline)
+        self.cmp_strict(other)
             .then_with(|| other.weight.cmp(&self.weight))
             .then_with(|| self.id.cmp(&other.id))
     }
@@ -175,6 +190,11 @@ impl SubtaskKey for EpdfKey {
 
     fn deadline(&self) -> i64 {
         self.deadline
+    }
+
+    #[inline]
+    fn cmp_strict(&self, other: &EpdfKey) -> Ordering {
+        self.deadline.cmp(&other.deadline)
     }
 }
 
@@ -200,20 +220,7 @@ impl PartialOrd for PdKey {
 
 impl Ord for PdKey {
     fn cmp(&self, other: &PdKey) -> Ordering {
-        self.pd2
-            .deadline
-            .cmp(&other.pd2.deadline)
-            .then_with(|| other.pd2.bbit.cmp(&self.pd2.bbit))
-            .then_with(|| {
-                if self.pd2.bbit && other.pd2.bbit {
-                    other.pd2.group_deadline.cmp(&self.pd2.group_deadline)
-                } else {
-                    Ordering::Equal
-                }
-            })
-            // PD's refinements: heavy first, then heavier weight.
-            .then_with(|| other.heavy.cmp(&self.heavy))
-            .then_with(|| other.pd2.weight.cmp(&self.pd2.weight))
+        self.cmp_strict(other)
             .then_with(|| self.pd2.id.cmp(&other.pd2.id))
     }
 }
@@ -229,6 +236,15 @@ impl SubtaskKey for PdKey {
 
     fn deadline(&self) -> i64 {
         self.pd2.deadline
+    }
+
+    #[inline]
+    fn cmp_strict(&self, other: &PdKey) -> Ordering {
+        self.pd2
+            .cmp_strict(&other.pd2)
+            // PD's refinements: heavy first, then heavier weight.
+            .then_with(|| other.heavy.cmp(&self.heavy))
+            .then_with(|| other.pd2.weight.cmp(&self.pd2.weight))
     }
 }
 
@@ -291,15 +307,133 @@ pub enum KeyDispatch {
     Comparator,
 }
 
+/// The paper's strict priority `≺` of one order over a column of
+/// subtasks, with each entry's key precomputed when the order registers a
+/// key type.
+///
+/// The column is laid out in whatever order its owner scans it — the
+/// post-hoc inversion search uses placement order, the streaming detector
+/// dispatch order — so a scan over a range of entries reads its keys
+/// contiguously. Under [`KeyDispatch::Pd2`], [`KeyDispatch::Epdf`] and
+/// [`KeyDispatch::Pd`] a test is one [`SubtaskKey::cmp_strict`]; under
+/// [`KeyDispatch::Comparator`] (PF, ablations, custom orders, and
+/// [`ComparatorOnly`](crate::ComparatorOnly) wrappers) it is
+/// [`PriorityOrder::precedes`](crate::PriorityOrder::precedes), so the
+/// answer is the comparator's for every order.
+#[derive(Clone, Debug)]
+pub struct StrictKeys<'a> {
+    sys: &'a TaskSystem,
+    order: &'a dyn crate::PriorityOrder,
+    column: Column,
+}
+
+#[derive(Clone, Debug)]
+enum Column {
+    Pd2(Vec<Pd2Key>),
+    Epdf(Vec<EpdfKey>),
+    Pd(Vec<PdKey>),
+    /// No key type: the entries themselves, for the comparator.
+    Comparator(Vec<SubtaskRef>),
+}
+
+impl<'a> StrictKeys<'a> {
+    /// An empty column of `sys`'s subtasks under `order`.
+    #[must_use]
+    pub fn new(sys: &'a TaskSystem, order: &'a dyn crate::PriorityOrder) -> StrictKeys<'a> {
+        let column = match order.key_dispatch() {
+            KeyDispatch::Pd2 => Column::Pd2(Vec::new()),
+            KeyDispatch::Epdf => Column::Epdf(Vec::new()),
+            KeyDispatch::Pd => Column::Pd(Vec::new()),
+            KeyDispatch::Comparator => Column::Comparator(Vec::new()),
+        };
+        StrictKeys { sys, order, column }
+    }
+
+    /// The column of `entries`, in the given order.
+    #[must_use]
+    pub fn of_subtasks(
+        sys: &'a TaskSystem,
+        order: &'a dyn crate::PriorityOrder,
+        entries: impl IntoIterator<Item = SubtaskRef>,
+    ) -> StrictKeys<'a> {
+        let mut keys = StrictKeys::new(sys, order);
+        for st in entries {
+            keys.push(st);
+        }
+        keys
+    }
+
+    /// Appends `st` as the next entry.
+    pub fn push(&mut self, st: SubtaskRef) {
+        let sys = self.sys;
+        match &mut self.column {
+            Column::Pd2(keys) => keys.push(Pd2Key::of_subtask(sys, st)),
+            Column::Epdf(keys) => keys.push(EpdfKey::of_subtask(sys, st)),
+            Column::Pd(keys) => keys.push(PdKey::of_subtask(sys, st)),
+            Column::Comparator(refs) => refs.push(st),
+        }
+    }
+
+    /// Calls `visit` on each entry of `candidates` (indices into the
+    /// column) that `victim` strictly precedes, in `candidates` order,
+    /// until `visit` breaks.
+    pub fn for_each_lower(
+        &self,
+        victim: SubtaskRef,
+        candidates: impl Iterator<Item = usize>,
+        visit: impl FnMut(usize) -> ControlFlow<()>,
+    ) {
+        let sys = self.sys;
+        match &self.column {
+            Column::Pd2(keys) => lower_keys(keys, sys, victim, candidates, visit),
+            Column::Epdf(keys) => lower_keys(keys, sys, victim, candidates, visit),
+            Column::Pd(keys) => lower_keys(keys, sys, victim, candidates, visit),
+            Column::Comparator(refs) => lower_by(
+                candidates,
+                |i| self.order.precedes(sys, victim, refs[i]),
+                visit,
+            ),
+        }
+    }
+}
+
+fn lower_keys<K: SubtaskKey>(
+    keys: &[K],
+    sys: &TaskSystem,
+    victim: SubtaskRef,
+    candidates: impl Iterator<Item = usize>,
+    visit: impl FnMut(usize) -> ControlFlow<()>,
+) {
+    let v = K::of_subtask(sys, victim);
+    lower_by(
+        candidates,
+        |i| v.cmp_strict(&keys[i]) == Ordering::Less,
+        visit,
+    );
+}
+
+fn lower_by(
+    candidates: impl Iterator<Item = usize>,
+    mut lower: impl FnMut(usize) -> bool,
+    mut visit: impl FnMut(usize) -> ControlFlow<()>,
+) {
+    for i in candidates {
+        if lower(i) && visit(i).is_break() {
+            return;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Epdf, Pd, Pd2, PriorityOrder};
+    use crate::{ComparatorOnly, Epdf, Pd, Pd2, Pf, PriorityOrder};
     use pfair_taskmodel::release;
     use proptest::prelude::*;
 
     /// The key order must coincide with the comparator's total order on
-    /// every pair of a representative system — for all three key types.
+    /// every pair of a representative system — for all three key types —
+    /// and each key's `cmp_strict` with the order's `cmp_strict`.
     #[test]
     fn key_order_matches_comparator() {
         let sys = release::periodic(
@@ -333,6 +467,57 @@ mod tests {
             for (b, _) in sys.iter_refs() {
                 assert_eq!(epdf.key(a).cmp(&epdf.key(b)), Epdf.cmp(&sys, a, b));
                 assert_eq!(pd.key(a).cmp(&pd.key(b)), Pd.cmp(&sys, a, b));
+                assert_eq!(
+                    cache.key(a).cmp_strict(&cache.key(b)),
+                    Pd2.cmp_strict(&sys, a, b),
+                    "{:?} vs {:?}",
+                    sys.subtask(a).id,
+                    sys.subtask(b).id
+                );
+                assert_eq!(
+                    epdf.key(a).cmp_strict(&epdf.key(b)),
+                    Epdf.cmp_strict(&sys, a, b)
+                );
+                assert_eq!(pd.key(a).cmp_strict(&pd.key(b)), Pd.cmp_strict(&sys, a, b));
+            }
+        }
+    }
+
+    /// `StrictKeys` answers `order.precedes` for every pair, keyed or not:
+    /// PD², EPDF and PD through their keys, PF and a `ComparatorOnly`
+    /// wrapper through the comparator.
+    #[test]
+    fn strict_keys_answer_precedes() {
+        let sys = release::periodic(&[(7, 8), (3, 4), (1, 2), (2, 3), (1, 6), (5, 12)], 24);
+        let pd2 = ComparatorOnly(&Pd2);
+        let orders: [&dyn PriorityOrder; 5] = [&Pd2, &Epdf, &Pd, &Pf, &pd2];
+        let refs: Vec<SubtaskRef> = sys.iter_refs().map(|(st, _)| st).collect();
+        for order in orders {
+            let keys = StrictKeys::of_subtasks(&sys, order, refs.iter().copied());
+            assert_eq!(
+                matches!(keys.column, Column::Comparator(_)),
+                order.key_dispatch() == KeyDispatch::Comparator,
+                "{}",
+                order.name()
+            );
+            for &victim in &refs {
+                let mut lower = Vec::new();
+                keys.for_each_lower(victim, 0..refs.len(), |i| {
+                    lower.push(refs[i]);
+                    ControlFlow::Continue(())
+                });
+                let want: Vec<SubtaskRef> = refs
+                    .iter()
+                    .copied()
+                    .filter(|&b| order.precedes(&sys, victim, b))
+                    .collect();
+                assert_eq!(lower, want, "{} {victim:?}", order.name());
+                let mut first = None;
+                keys.for_each_lower(victim, 0..refs.len(), |i| {
+                    first = Some(refs[i]);
+                    ControlFlow::Break(())
+                });
+                assert_eq!(first, want.first().copied(), "{}", order.name());
             }
         }
     }
@@ -433,6 +618,12 @@ mod tests {
             let (pa, pb) = (PdKey::of_subtask(&sys, ra), PdKey::of_subtask(&sys, rb));
             prop_assert_eq!(pa.cmp(&pb), Pd.cmp(&sys, ra, rb));
             prop_assert_eq!(pb.cmp(&pa), Pd.cmp(&sys, rb, ra));
+            prop_assert_eq!(ka.cmp_strict(&kb), Pd2.cmp_strict(&sys, ra, rb));
+            prop_assert_eq!(kb.cmp_strict(&ka), Pd2.cmp_strict(&sys, rb, ra));
+            prop_assert_eq!(ea.cmp_strict(&eb), Epdf.cmp_strict(&sys, ra, rb));
+            prop_assert_eq!(eb.cmp_strict(&ea), Epdf.cmp_strict(&sys, rb, ra));
+            prop_assert_eq!(pa.cmp_strict(&pb), Pd.cmp_strict(&sys, ra, rb));
+            prop_assert_eq!(pb.cmp_strict(&pa), Pd.cmp_strict(&sys, rb, ra));
         }
     }
 }

@@ -40,7 +40,7 @@ pub mod priority;
 
 pub use ablation::{Pd2NoBBit, Pd2NoGroupDeadline};
 pub use epdf::Epdf;
-pub use key::{EpdfKey, KeyCache, KeyDispatch, Pd2Key, PdKey, SubtaskKey};
+pub use key::{EpdfKey, KeyCache, KeyDispatch, Pd2Key, PdKey, StrictKeys, SubtaskKey};
 pub use pd::Pd;
 pub use pd2::Pd2;
 pub use pf::Pf;

@@ -105,7 +105,8 @@ const VALUE_CRATES: [&str; 12] = [
 /// and (in `runtime`, whose *decisions* must stay a pure function of the
 /// workload even when execution rides real threads) unjustified thread
 /// spawns are banned.
-const DETERMINISTIC: [&str; 6] = [
+const DETERMINISTIC: [&str; 7] = [
+    "analysis",
     "core",
     "sim",
     "online",

@@ -343,8 +343,17 @@ fn no_nondeterminism_fires_on_clocks_and_hash_iteration() {
         "use std::collections::BTreeMap;\nfn f(m: &BTreeMap<u32, u32>) {}\n"
     )
     .is_empty());
-    // Analysis/report crates are out of scope.
-    assert!(lint_one("crates/analysis/src/x.rs", "use std::collections::HashMap;").is_empty());
+    // Analysis is in scope: its error lists and reports must not depend
+    // on hash order either.
+    assert_eq!(
+        rules_of(&lint_one(
+            "crates/analysis/src/x.rs",
+            "use std::collections::HashMap;"
+        )),
+        ["no-nondeterminism"]
+    );
+    // Rendering crates are out of scope.
+    assert!(lint_one("crates/trace/src/x.rs", "use std::collections::HashMap;").is_empty());
 }
 
 #[test]

@@ -7,9 +7,17 @@
 //! window is found by binary search: each dispatch costs
 //! O(log P + window size) for P quanta seen, about `m·(s − r + c_max)`
 //! candidates, instead of a scan of the whole history.
+//!
+//! Both detectors also share the priority test: a [`StrictKeys`] column
+//! kept entry for entry with the history, so under PD², EPDF and PD each
+//! candidate costs one strict-key compare instead of a comparator call.
+//! Unlike the post-hoc search, the observer keeps `Rat` times: its window
+//! bounds and completion tests are rational compares.
+
+use core::ops::ControlFlow;
 
 use crate::{InversionKind, NoopObserver, Observer, SchedEvent};
-use pfair_core::PriorityOrder;
+use pfair_core::{PriorityOrder, StrictKeys};
 use pfair_numeric::{Rat, Time};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
@@ -58,12 +66,14 @@ impl BlockingRecord {
 /// learned from their `QuantumStart` events.
 pub struct BlockingObserver<'a, Inner: Observer = NoopObserver> {
     sys: &'a TaskSystem,
-    order: &'a dyn PriorityOrder,
     inner: Inner,
     completion_of: Vec<Option<Time>>,
     /// `(start, proc, subtask, completion)` for every quantum seen, in
     /// start order.
     placements: Vec<(Time, u32, SubtaskRef, Time)>,
+    /// The strict-priority keys of `placements`' subtasks under the
+    /// detector's order, entry for entry.
+    keys: StrictKeys<'a>,
     /// The largest cost in `placements`.
     c_max: Rat,
     records: Vec<BlockingRecord>,
@@ -84,10 +94,10 @@ impl<'a, Inner: Observer> BlockingObserver<'a, Inner> {
     pub fn with_inner(sys: &'a TaskSystem, order: &'a dyn PriorityOrder, inner: Inner) -> Self {
         BlockingObserver {
             sys,
-            order,
             inner,
             completion_of: vec![None; sys.num_subtasks()],
             placements: Vec::new(),
+            keys: StrictKeys::new(sys, order),
             c_max: Rat::ZERO,
             records: Vec::new(),
         }
@@ -157,13 +167,15 @@ impl<Inner: Observer> Observer for BlockingObserver<'_, Inner> {
             let lo = history.partition_point(|p| p.0 <= reach);
             let mid = lo + history[lo..].partition_point(|p| p.0 <= ready_at);
             let hi = mid + history[mid..].partition_point(|p| p.0 < scheduled_at);
-            let mut blockers: Vec<(Time, u32, SubtaskRef)> = history[lo..mid]
-                .iter()
-                .filter(|p| p.3 > ready_at)
-                .chain(&history[mid..hi])
-                .filter(|p| self.order.precedes(self.sys, st, p.2))
-                .map(|&(p_start, p_proc, p_st, _)| (p_start, p_proc, p_st))
-                .collect();
+            let candidates = (lo..mid)
+                .filter(|&i| history[i].3 > ready_at)
+                .chain(mid..hi);
+            let mut blockers: Vec<(Time, u32, SubtaskRef)> = Vec::new();
+            self.keys.for_each_lower(st, candidates, |i| {
+                let (p_start, p_proc, p_st, _) = history[i];
+                blockers.push((p_start, p_proc, p_st));
+                ControlFlow::Continue(())
+            });
             if !blockers.is_empty() {
                 // detect_blocking walks placements in (start, proc) order;
                 // our event order can interleave processors within a batch.
@@ -202,5 +214,6 @@ impl<Inner: Observer> Observer for BlockingObserver<'_, Inner> {
         );
         self.c_max = self.c_max.max(*cost);
         self.placements.push((scheduled_at, *proc, st, completion));
+        self.keys.push(st);
     }
 }

@@ -3,58 +3,21 @@
 //! quanta starting in `(r − c_max, s)` of a wait `(r, s]`, and both must
 //! report exactly what the plain quadratic predicate reports — same
 //! victims, ready and dispatch times, kinds, and blockers in the same
-//! order — on seeded systems of up to ~100 tasks, under PD², EPDF and PD,
-//! full, scaled, adversarial and GRID-resolution (720720) costs.
+//! order — on seeded systems of up to ~100 tasks, under PD², EPDF and PD
+//! (compared through their keys), PF and `ComparatorOnly(&Pd2)` (through
+//! the comparator), with full, scaled, adversarial and GRID-resolution
+//! (720720) costs.
 //!
 //! The hand-built schedules pin the window's edges: a quantum that ends
 //! exactly at the ready time is not a blocker, one that ends a GRID tick
-//! later is, and a charged quantum longer than 1 still is one.
+//! later is, and a charged quantum longer than 1 still is one. One more is
+//! off every `i64` tick grid, so `detect_blocking` runs on exact `Rat`s.
 
+mod common;
+
+use common::{cost_model, quadratic_blocking as oracle, random_system, Flat};
 use pfair::prelude::*;
-use pfair::workload::{random_weights, releasegen};
 use proptest::prelude::*;
-
-/// Inversions as `(victim, ready_at, scheduled_at, kind, blockers)` tuples.
-type Flat = Vec<(SubtaskRef, Time, Time, BlockingKind, Vec<SubtaskRef>)>;
-
-/// The quadratic reference: every placement tested against every waiting
-/// subtask.
-fn oracle(sys: &TaskSystem, sched: &Schedule, order: &dyn PriorityOrder) -> Flat {
-    let mut events = Vec::new();
-    for (st, s) in sys.iter_refs() {
-        let eligible = Rat::int(s.eligible);
-        let pred_completion = s.pred.map(|p| sched.completion(p));
-        let ready_at = match pred_completion {
-            Some(pc) => pc.max(eligible),
-            None => eligible,
-        };
-        let scheduled_at = sched.start(st);
-        if scheduled_at <= ready_at {
-            continue;
-        }
-        let blockers: Vec<SubtaskRef> = sched
-            .placements()
-            .iter()
-            .filter(|p| {
-                p.st != st
-                    && p.start < scheduled_at
-                    && p.completion() > ready_at
-                    && order.precedes(sys, st, p.st)
-            })
-            .map(|p| p.st)
-            .collect();
-        if blockers.is_empty() {
-            continue;
-        }
-        let kind = if ready_at == eligible {
-            BlockingKind::Eligibility
-        } else {
-            BlockingKind::Predecessor
-        };
-        events.push((st, ready_at, scheduled_at, kind, blockers));
-    }
-    events
-}
 
 fn flatten_posthoc(sys: &TaskSystem, sched: &Schedule, order: &dyn PriorityOrder) -> Flat {
     detect_blocking(sys, sched, order)
@@ -96,36 +59,6 @@ fn stream_schedule(sys: &TaskSystem, sched: &Schedule, order: &dyn PriorityOrder
     flatten_streaming(obs.into_parts().0)
 }
 
-fn cost_model(regime: u8, seed: u64) -> Box<dyn CostModel> {
-    match regime {
-        0 => Box::new(FullQuantum),
-        1 => Box::new(ScaledCost(Rat::new(5, 8))),
-        2 => Box::new(AdversarialYield::new(Rat::new(1, 8), 60, seed ^ 0xb10c)),
-        _ => Box::new(UniformCost::new(Rat::new(1, 4), seed ^ 0x720)),
-    }
-}
-
-fn random_system(seed: u64, m: u32, light: bool, gis: bool, horizon: i64) -> TaskSystem {
-    let cfg = TaskGenConfig {
-        dist: if light {
-            WeightDist::Light
-        } else {
-            WeightDist::Uniform
-        },
-        ..TaskGenConfig::full(m, 12)
-    };
-    let ws = random_weights(&cfg, seed);
-    let rel = if gis {
-        ReleaseConfig {
-            early: i64::from(seed.is_multiple_of(2)),
-            ..ReleaseConfig::gis(horizon)
-        }
-    } else {
-        ReleaseConfig::periodic(horizon)
-    };
-    releasegen::generate(&ws, &rel, seed)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -141,17 +74,20 @@ proptest! {
         regime in 0u8..4,
     ) {
         let sys = random_system(seed, m, light == 1, gis == 1, horizon);
-        for alg in [Algorithm::Pd2, Algorithm::Epdf, Algorithm::Pd] {
-            let order = alg.order();
+        let pd2_by_comparator = ComparatorOnly(&Pd2);
+        let orders: [&dyn PriorityOrder; 5] =
+            [&Pd2, &Epdf, &Pd, &Pf, &pd2_by_comparator];
+        for order in orders {
+            let alg = format!("{order:?}");
             let mut obs = BlockingObserver::new(&sys, order);
             let mut cost = cost_model(regime, seed);
             let dvq = simulate_dvq_observed(&sys, m, order, cost.as_mut(), &mut obs);
             let want = oracle(&sys, &dvq, order);
-            prop_assert_eq!(&flatten_posthoc(&sys, &dvq, order), &want, "{:?} DVQ post-hoc", alg);
+            prop_assert_eq!(&flatten_posthoc(&sys, &dvq, order), &want, "{} DVQ post-hoc", alg);
             prop_assert_eq!(
                 &flatten_streaming(obs.into_parts().0),
                 &want,
-                "{:?} DVQ streaming",
+                "{} DVQ streaming",
                 alg
             );
 
@@ -160,7 +96,7 @@ proptest! {
             prop_assert_eq!(
                 flatten_posthoc(&sys, &sfq, order),
                 oracle(&sys, &sfq, order),
-                "{:?} SFQ post-hoc",
+                "{} SFQ post-hoc",
                 alg
             );
         }
@@ -248,4 +184,53 @@ fn charged_quantum_longer_than_one_widens_the_window() {
     // L_1 starts before r − 1 but runs 3/2, past r: c_max comes from the
     // data, so the window still reaches it.
     assert_edge(Rat::new(3, 4), Rat::new(3, 2), true);
+}
+
+/// Three distinct primes near 2²²: a schedule using all three as
+/// denominators has no `i64` tick grid (their product exceeds 2⁶³).
+const OFF_GRID: [i64; 3] = [4_194_301, 4_194_287, 4_194_277];
+
+#[test]
+fn off_grid_schedule_matches_the_oracle() {
+    let (sys, v1, v2, l1) = edge_system();
+    let [p1, p2, p3] = OFF_GRID;
+    assert_eq!(
+        pfair::numeric::checked_lcm(p1 * p2, p3),
+        None,
+        "the premise: no i64 grid"
+    );
+    let place = |st, proc, start: Rat, cost: Rat| Placement {
+        st,
+        proc,
+        start,
+        cost,
+        holds_until: start + cost,
+    };
+    // V_1 ends before 2, so V_2 is ready at its eligibility, 2; L_1 runs
+    // from 3/2 + 1/p2 to past 2 and blocks it until 3.
+    let l_start = Rat::new(3, 2) + Rat::new(1, p2);
+    let sched = Schedule::new(
+        &sys,
+        QuantumModel::Dvq,
+        2,
+        vec![
+            place(v1, 0, Rat::ZERO, Rat::new(p1 - 1, p1)),
+            place(v2, 0, Rat::int(3), Rat::ONE),
+            place(l1, 1, l_start, Rat::new(p3 - 1, p3)),
+        ],
+    );
+    let want = vec![(
+        v2,
+        Rat::int(2),
+        Rat::int(3),
+        BlockingKind::Eligibility,
+        vec![l1],
+    )];
+    assert_eq!(oracle(&sys, &sched, &Pd2), want, "oracle");
+    assert_eq!(flatten_posthoc(&sys, &sched, &Pd2), want, "detect_blocking");
+    assert_eq!(
+        stream_schedule(&sys, &sched, &Pd2),
+        want,
+        "BlockingObserver"
+    );
 }

@@ -1,0 +1,82 @@
+//! Shared by the oracle tests: the seeded systems and cost regimes they
+//! sweep, and the quadratic priority-inversion predicate every inversion
+//! search is checked against.
+
+use pfair::prelude::*;
+use pfair::workload::{random_weights, releasegen};
+
+/// Inversions as `(victim, ready_at, scheduled_at, kind, blockers)` tuples.
+pub type Flat = Vec<(SubtaskRef, Time, Time, BlockingKind, Vec<SubtaskRef>)>;
+
+/// The quadratic reference: every placement tested against every waiting
+/// subtask.
+pub fn quadratic_blocking(sys: &TaskSystem, sched: &Schedule, order: &dyn PriorityOrder) -> Flat {
+    let mut events = Vec::new();
+    for (st, s) in sys.iter_refs() {
+        let eligible = Rat::int(s.eligible);
+        let pred_completion = s.pred.map(|p| sched.completion(p));
+        let ready_at = match pred_completion {
+            Some(pc) => pc.max(eligible),
+            None => eligible,
+        };
+        let scheduled_at = sched.start(st);
+        if scheduled_at <= ready_at {
+            continue;
+        }
+        let blockers: Vec<SubtaskRef> = sched
+            .placements()
+            .iter()
+            .filter(|p| {
+                p.st != st
+                    && p.start < scheduled_at
+                    && p.completion() > ready_at
+                    && order.precedes(sys, st, p.st)
+            })
+            .map(|p| p.st)
+            .collect();
+        if blockers.is_empty() {
+            continue;
+        }
+        let kind = if ready_at == eligible {
+            BlockingKind::Eligibility
+        } else {
+            BlockingKind::Predecessor
+        };
+        events.push((st, ready_at, scheduled_at, kind, blockers));
+    }
+    events
+}
+
+/// Cost regime `regime` (0–3): full quanta, a fixed 5/8, adversarial
+/// yields, and uniform draws at GRID resolution (720720).
+pub fn cost_model(regime: u8, seed: u64) -> Box<dyn CostModel> {
+    match regime {
+        0 => Box::new(FullQuantum),
+        1 => Box::new(ScaledCost(Rat::new(5, 8))),
+        2 => Box::new(AdversarialYield::new(Rat::new(1, 8), 60, seed ^ 0xb10c)),
+        _ => Box::new(UniformCost::new(Rat::new(1, 4), seed ^ 0x720)),
+    }
+}
+
+/// A seeded system of up to 12 tasks per processor: light or uniform
+/// weights, periodic or GIS releases (early releases on even seeds).
+pub fn random_system(seed: u64, m: u32, light: bool, gis: bool, horizon: i64) -> TaskSystem {
+    let cfg = TaskGenConfig {
+        dist: if light {
+            WeightDist::Light
+        } else {
+            WeightDist::Uniform
+        },
+        ..TaskGenConfig::full(m, 12)
+    };
+    let ws = random_weights(&cfg, seed);
+    let rel = if gis {
+        ReleaseConfig {
+            early: i64::from(seed.is_multiple_of(2)),
+            ..ReleaseConfig::gis(horizon)
+        }
+    } else {
+        ReleaseConfig::periodic(horizon)
+    };
+    releasegen::generate(&ws, &rel, seed)
+}
