@@ -667,7 +667,8 @@ impl Invariant for MaxflowAgreement {
 }
 
 /// The keyed-heap and comparator dispatch paths must produce identical
-/// schedules (same slot and processor per subtask) under both SFQ and DVQ.
+/// schedules (same start and processor per subtask) under SFQ, DVQ and
+/// the staggered model.
 #[derive(Debug)]
 struct KeyedComparatorEquality;
 
@@ -693,6 +694,11 @@ impl Invariant for KeyedComparatorEquality {
                 "dvq",
                 (engines.dvq)(sys, m, engines.keyed_order, &mut case.cost_model()),
                 (engines.dvq)(sys, m, &comparator, &mut case.cost_model()),
+            ),
+            (
+                "staggered",
+                (engines.staggered)(sys, m, engines.keyed_order, &mut case.cost_model()),
+                (engines.staggered)(sys, m, &comparator, &mut case.cost_model()),
             ),
         ] {
             for (st, _) in sys.iter_refs() {

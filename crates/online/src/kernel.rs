@@ -132,9 +132,9 @@ pub enum Event {
     Activate(TaskId),
 }
 
-/// Default tick resolution of the event queue's fast mode:
-/// `lcm(1..13)`, the workload generators' cost grid.
-pub const DEFAULT_TICKS_PER_QUANTUM: i64 = 720_720;
+/// Tick resolution of the event queue's fast mode: `lcm(1..13)`, the
+/// workload generators' cost grid.
+const TICKS_PER_QUANTUM: i64 = 720_720;
 
 /// The quantum occupying a processor: `(subtask, completion, deadline)`.
 type RunningQuantum = (SubtaskId, Time, i64);
@@ -221,32 +221,34 @@ pub struct DvqKernel {
     events: EventQueue,
     /// Ready chain heads, min-keyed by PD² priority: `(key, task id)`.
     ready: BinaryHeap<Reverse<(Pd2Key, u32)>>,
-    free: Vec<u32>,
+    /// Free processors as a min-heap, so `pop()` serves the lowest index
+    /// first.
+    free: BinaryHeap<Reverse<u32>>,
     running: Vec<Option<RunningQuantum>>,
 }
 
 impl DvqKernel {
     /// A kernel over `m ≥ 1` processors at time 0, its event queue in tick
-    /// mode at `ticks_per_quantum`. With `eager_completions`, every
-    /// dispatched quantum's completion is queued as an [`Event::Free`] at
-    /// `start + cost`; without, the driver reports completions through
-    /// [`Self::free`].
+    /// mode at `lcm(1..13)` ticks per quantum. With `eager_completions`,
+    /// every dispatched quantum's completion is queued as an
+    /// [`Event::Free`] at `start + cost`; without, the driver reports
+    /// completions through [`Self::free`].
     ///
     /// # Panics
-    /// Panics if `m == 0` or `ticks_per_quantum < 1`.
+    /// Panics if `m == 0`.
     #[must_use]
-    pub fn new(m: u32, ticks_per_quantum: i64, eager_completions: bool) -> DvqKernel {
+    pub fn new(m: u32, eager_completions: bool) -> DvqKernel {
         assert!(m >= 1, "need at least one processor");
         DvqKernel {
             now: Rat::ZERO,
             eager: eager_completions,
             chains: Vec::new(),
             events: EventQueue::Ticks {
-                scale: QScale::new(ticks_per_quantum),
+                scale: QScale::new(TICKS_PER_QUANTUM),
                 heap: BinaryHeap::new(),
             },
             ready: BinaryHeap::new(),
-            free: (0..m).collect(),
+            free: (0..m).map(Reverse).collect(),
             running: vec![None; m as usize],
         }
     }
@@ -383,7 +385,7 @@ impl DvqKernel {
                 });
             }
         }
-        self.free.push(proc);
+        self.free.push(Reverse(proc));
         self.chains[id.task.idx()].chain_busy = false;
         self.arm_head(id.task);
     }
@@ -432,14 +434,12 @@ impl DvqKernel {
         log: &mut Vec<OnlineAssignment>,
         obs: &mut O,
     ) {
-        // Descending, so `pop()` hands out the lowest index first.
-        self.free.sort_unstable_by(|a, b| b.cmp(a));
         while !self.free.is_empty() && !self.ready.is_empty() {
             let Reverse((_, task_raw)) = self.ready.pop().expect("ready nonempty");
             let task = TaskId(task_raw);
             let chain = &mut self.chains[task.idx()];
             let spec = chain.ready.take().expect("ready entry has a spec");
-            let proc = self.free.pop().expect("free nonempty");
+            let Reverse(proc) = self.free.pop().expect("free nonempty");
             let c = cost(task, spec.index);
             assert!(
                 c.is_positive() && c <= Rat::ONE,

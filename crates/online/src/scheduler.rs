@@ -31,7 +31,7 @@ use pfair_numeric::{Rat, Time};
 use pfair_obs::{NoopObserver, Observer};
 use pfair_taskmodel::{TaskId, Weight};
 
-use crate::kernel::{DvqKernel, DEFAULT_TICKS_PER_QUANTUM};
+use crate::kernel::DvqKernel;
 use crate::Pd2Key;
 
 /// A dispatched quantum, as reported by the scheduler.
@@ -100,7 +100,6 @@ impl std::error::Error for OnlineError {}
 #[derive(Debug)]
 pub struct OnlineDvq {
     kernel: DvqKernel,
-    log: Vec<OnlineAssignment>,
 }
 
 impl OnlineDvq {
@@ -109,30 +108,15 @@ impl OnlineDvq {
     /// The event queue starts in its integer-tick fast mode at the
     /// workload cost grid's resolution (`lcm(1..13)` ticks per quantum)
     /// and falls back to exact rational times automatically on the first
-    /// off-grid value — see [`Self::with_resolution`].
+    /// off-grid value. The mode never affects the schedule — only how much
+    /// of the run enjoys integer heap comparisons.
     ///
     /// # Panics
     /// Panics if `m == 0`.
     #[must_use]
     pub fn new(m: u32) -> OnlineDvq {
-        OnlineDvq::with_resolution(m, DEFAULT_TICKS_PER_QUANTUM)
-    }
-
-    /// [`Self::new`] with an explicit tick resolution for the event
-    /// queue's fast mode: event times are kept as integer counts of
-    /// `1/ticks_per_quantum` quanta while every cost, eligibility, and
-    /// completion lands on that grid, and migrate losslessly to exact
-    /// rationals the first time one does not. The resolution never affects
-    /// the schedule — only how much of the run enjoys integer heap
-    /// comparisons.
-    ///
-    /// # Panics
-    /// Panics if `m == 0` or `ticks_per_quantum < 1`.
-    #[must_use]
-    pub fn with_resolution(m: u32, ticks_per_quantum: i64) -> OnlineDvq {
         OnlineDvq {
-            kernel: DvqKernel::new(m, ticks_per_quantum, true),
-            log: Vec::new(),
+            kernel: DvqKernel::new(m, true),
         }
     }
 
@@ -221,7 +205,7 @@ impl OnlineDvq {
         cost: &mut dyn FnMut(TaskId, u64) -> Rat,
         obs: &mut O,
     ) -> Vec<OnlineAssignment> {
-        let log_start = self.log.len();
+        let mut log = Vec::new();
         while let Some((at, _)) = self.kernel.peek() {
             if horizon.is_some_and(|h| at > h) {
                 break;
@@ -230,12 +214,12 @@ impl OnlineDvq {
             // Drain the batch (`apply_at` matches the instant even if an
             // arm within the batch migrates the queue to exact mode).
             while self.kernel.apply_at(at, obs) {}
-            self.kernel.dispatch(&mut *cost, &mut self.log, obs);
+            self.kernel.dispatch(&mut *cost, &mut log, obs);
         }
         if let Some(h) = horizon {
             self.kernel.wait_until(h);
         }
-        self.log[log_start..].to_vec()
+        log
     }
 
     /// Runs until every submitted job has completed; returns the
@@ -259,17 +243,14 @@ impl OnlineDvq {
     ) -> Vec<OnlineAssignment> {
         self.run_until_impl(None, cost, obs)
     }
-
-    /// Every assignment made since construction.
-    #[must_use]
-    pub fn full_log(&self) -> &[OnlineAssignment] {
-        &self.log
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfair_core::Pd2;
+    use pfair_sim::{simulate_dvq, FixedCosts};
+    use pfair_taskmodel::{release, SubtaskId};
 
     fn unit_cost() -> impl FnMut(TaskId, u64) -> Rat {
         |_, _| Rat::ONE
@@ -342,7 +323,6 @@ mod tests {
         let second = s.run_until_idle(&mut unit_cost());
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].start, Rat::int(2));
-        assert_eq!(s.full_log().len(), 2);
     }
 
     #[test]
@@ -396,34 +376,47 @@ mod tests {
     }
 
     #[test]
-    fn coarse_resolution_migrates_without_changing_the_schedule() {
-        // Resolution 2 cannot represent cost 1/3: the queue migrates to
-        // exact mode mid-run. The log must match both the default (GRID)
-        // resolution — which represents 1/3 natively — and resolution 1,
-        // which migrates on the very first fractional completion.
-        let runs: Vec<Vec<OnlineAssignment>> = [720_720i64, 2, 1]
-            .iter()
-            .map(|&res| {
-                let mut s = OnlineDvq::with_resolution(2, res);
-                let a = s.add_task(Weight::new(1, 2));
-                let b = s.add_task(Weight::new(1, 3));
-                let c = s.add_task(Weight::new(2, 5));
-                for (t, p) in [(a, 2), (b, 3), (c, 5)] {
-                    for j in 0..4 {
-                        s.submit_job(t, j * p).unwrap();
-                    }
-                }
-                s.run_until_idle(&mut |task, _| {
-                    if task == b {
-                        Rat::new(1, 3)
-                    } else {
-                        Rat::new(1, 2)
-                    }
+    fn off_grid_cost_migrates_without_changing_the_schedule() {
+        // Cost 1/17 is off the 720720-tick grid: the first such completion
+        // moves the event queue to exact mode mid-run. The assignments must
+        // still be exactly the offline simulator's on the same jobs.
+        let weights = [(1, 2), (1, 3), (2, 5)];
+        let sys = release::periodic(&weights, 30);
+        let mut s = OnlineDvq::new(2);
+        for &(e, p) in &weights {
+            let t = s.add_task(Weight::new(e, p));
+            for j in 0..30 / p {
+                s.submit_job(t, j * p).unwrap();
+            }
+        }
+        let cost_of = |task: TaskId| {
+            if task == TaskId(1) {
+                Rat::new(1, 17)
+            } else {
+                Rat::new(1, 2)
+            }
+        };
+        let log = s.run_until_idle(&mut |task, _| cost_of(task));
+        let mut costs = FixedCosts::new(Rat::ONE);
+        for (_, sub) in sys.iter_refs() {
+            costs = costs.with(sub.id.task, sub.id.index, cost_of(sub.id.task));
+        }
+        let offline = simulate_dvq(&sys, 2, &Pd2, &mut costs);
+        assert_eq!(log.len(), sys.num_subtasks());
+        for a in &log {
+            let st = sys
+                .find(SubtaskId {
+                    task: a.task,
+                    index: a.index,
                 })
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
+                .expect("released offline too");
+            let p = offline.placement(st);
+            assert_eq!(
+                (a.proc, a.start, a.cost),
+                (p.proc, p.start, p.cost),
+                "{a:?}"
+            );
+        }
     }
 
     #[test]

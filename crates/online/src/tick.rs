@@ -23,7 +23,7 @@ use pfair_numeric::Rat;
 use pfair_obs::{NoopObserver, Observer};
 use pfair_taskmodel::{TaskId, Weight};
 
-use crate::kernel::{DvqKernel, DEFAULT_TICKS_PER_QUANTUM};
+use crate::kernel::DvqKernel;
 use crate::{OnlineError, Pd2Key};
 
 /// A subtask handed out by [`OnlineSfq::tick`].
@@ -53,7 +53,7 @@ impl OnlineSfq {
     #[must_use]
     pub fn new(m: u32) -> OnlineSfq {
         OnlineSfq {
-            kernel: DvqKernel::new(m, DEFAULT_TICKS_PER_QUANTUM, false),
+            kernel: DvqKernel::new(m, false),
         }
     }
 

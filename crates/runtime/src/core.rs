@@ -43,7 +43,7 @@
 use pfair_core::key::{KeyCache, Pd2Key};
 use pfair_numeric::Time;
 use pfair_obs::{Observer, RecordingObserver, SchedEvent};
-use pfair_online::kernel::{DvqKernel, Event, DEFAULT_TICKS_PER_QUANTUM};
+use pfair_online::kernel::{DvqKernel, Event};
 use pfair_online::OnlineAssignment;
 use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskId, TaskSystem};
 
@@ -220,7 +220,7 @@ impl DispatchCore {
         mode: Mode,
         fault: FaultPlan,
     ) -> DispatchCore {
-        let mut kernel = DvqKernel::new(m, DEFAULT_TICKS_PER_QUANTUM, mode == Mode::Deterministic);
+        let mut kernel = DvqKernel::new(m, mode == Mode::Deterministic);
         for t in sys.tasks() {
             kernel.add_task(t.weight);
         }

@@ -15,9 +15,15 @@
 //!   quanta whose boundaries on processor `k` are offset by `k/M`;
 //!   synchronized but not aligned, still non-work-conserving.
 //!
+//! The two event-driven engines share one ready set (`ready.rs`: a
+//! deadline-bucketed key queue for keyed orders, a comparator scan
+//! otherwise). Only the DVQ loop, the hot path, also runs on integer ticks
+//! when the cost model allows (`tdomain.rs`); the staggered loop runs on
+//! exact rationals.
+//!
 //! Two further engine *families* compete with the Pfair variants under the
 //! same conformance roof (both slot-based, replayed through the shared
-//! `TimeDomain`-generic driver in `slotplay`):
+//! exact-time driver in `slotplay`):
 //!
 //! * [`bf`] — **Boundary-Fair** scheduling (Zhu/Mossé/Melhem, DP-Fair):
 //!   allocation decisions only at period boundaries, McNaughton wrap-around
@@ -50,6 +56,7 @@ pub mod cost;
 pub mod dvq;
 mod emit;
 pub mod flow;
+mod ready;
 pub mod schedule;
 pub mod sfq;
 mod slotplay;

@@ -9,20 +9,17 @@
 //! instant, and emitting `Tick`/`Ready`/`QuantumStart`/`Idle` exactly the
 //! way the per-slot SFQ driver does.
 //!
-//! The replay loop is written once over [`TimeDomain`], the same
-//! abstraction the DVQ/staggered event loops run in. Slot engines only ever
-//! instantiate the exact tier: every decision instant is an integral slot,
-//! there is no event heap to speed up, and costs enter only as completion
-//! offsets — so the tick tier would buy nothing, but keeping the arithmetic
-//! behind the trait keeps the loop shaped like its event-driven siblings.
+//! The replay runs on exact [`Rat`] times: every decision instant is an
+//! integral slot, there is no event heap to speed up, and costs enter only
+//! as completion offsets.
 
+use pfair_numeric::Rat;
 use pfair_obs::{Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 use crate::cost::{checked_cost, CostModel};
 use crate::emit::{flush_ends, PendingEnd};
 use crate::schedule::{Placement, QuantumModel, Schedule};
-use crate::tdomain::{ExactTimes, TimeDomain};
 
 /// One decided cell of a slot table: `st` runs in slot `[slot, slot + 1)`
 /// on processor `proc`.
@@ -111,23 +108,10 @@ pub(crate) fn replay<O: Observer>(
     sys: &TaskSystem,
     model: QuantumModel,
     m: u32,
-    cells: Vec<Cell>,
-    cost: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    replay_in(&ExactTimes, sys, model, m, cells, cost, obs)
-        .expect("the exact time domain is infallible")
-}
-
-fn replay_in<D: TimeDomain, O: Observer>(
-    dom: &D,
-    sys: &TaskSystem,
-    model: QuantumModel,
-    m: u32,
     mut cells: Vec<Cell>,
     cost: &mut dyn CostModel,
     obs: &mut O,
-) -> Option<Schedule> {
+) -> Schedule {
     cells.sort_unstable_by_key(|c| (c.slot, c.proc));
     let mut placements = Vec::with_capacity(cells.len());
     // Slot each subtask ran in (for the readiness cause of successors).
@@ -143,9 +127,7 @@ fn replay_in<D: TimeDomain, O: Observer>(
         // (costs are ≤ 1): announce those ends before this slot emits.
         if O::ENABLED {
             flush_ends(sys, &mut pending_ends, obs);
-            obs.on_event(&SchedEvent::Tick {
-                at: dom.to_rat(dom.int(t)?),
-            });
+            obs.on_event(&SchedEvent::Tick { at: Rat::int(t) });
             // Slot engines commit to dispatch instants ahead of time, so a
             // subtask's observable readiness *is* its dispatch slot; the
             // cause still records what gated it last (chain vs eligibility).
@@ -162,21 +144,21 @@ fn replay_in<D: TimeDomain, O: Observer>(
                 };
                 obs.on_event(&SchedEvent::Ready {
                     id: s.id,
-                    at: dom.to_rat(dom.int(t)?),
+                    at: Rat::int(t),
                     cause,
                 });
             }
         }
         for cell in batch {
-            let start = dom.int(t)?;
-            let holds_until = dom.add_one(start)?;
+            let start = Rat::int(t);
+            let holds_until = start + Rat::ONE;
             let c = checked_cost(cost.cost(sys, cell.st), cell.st);
             placements.push(Placement {
                 st: cell.st,
                 proc: cell.proc,
-                start: dom.to_rat(start),
+                start,
                 cost: c,
-                holds_until: dom.to_rat(holds_until),
+                holds_until,
             });
             slot_of[cell.st.idx()] = Some(t);
             if O::ENABLED {
@@ -184,24 +166,19 @@ fn replay_in<D: TimeDomain, O: Observer>(
                 obs.on_event(&SchedEvent::QuantumStart {
                     id: s.id,
                     proc: cell.proc,
-                    start: dom.to_rat(start),
+                    start,
                     cost: c,
-                    holds_until: dom.to_rat(holds_until),
+                    holds_until,
                     deadline: s.deadline,
                     bbit: s.bbit,
                     group_deadline: s.group_deadline,
                 });
-                pending_ends.push((
-                    dom.to_rat(dom.add_cost(start, c)?),
-                    cell.proc,
-                    cell.st,
-                    dom.to_rat(holds_until) - dom.to_rat(start) - c,
-                ));
+                pending_ends.push((start + c, cell.proc, cell.st, holds_until - start - c));
             }
         }
         if O::ENABLED && batch.len() < m as usize {
             obs.on_event(&SchedEvent::Idle {
-                at: dom.to_rat(dom.int(t)?),
+                at: Rat::int(t),
                 procs: m - batch.len() as u32,
             });
         }
@@ -211,5 +188,5 @@ fn replay_in<D: TimeDomain, O: Observer>(
     if O::ENABLED {
         flush_ends(sys, &mut pending_ends, obs);
     }
-    Some(Schedule::new(sys, model, m, placements))
+    Schedule::new(sys, model, m, placements)
 }

@@ -1,8 +1,9 @@
 //! Time domains: the two-tier representation of event times.
 //!
-//! The event-driven simulators ([`crate::dvq`], [`crate::staggered`]) are
-//! written once, generic over a [`TimeDomain`] — the arithmetic their
-//! event heaps and completion sums run in:
+//! The DVQ event loop ([`crate::dvq`]) is written once, generic over a
+//! [`TimeDomain`] — the arithmetic its event heap and completion sums run
+//! in. It is the only user: the staggered loop and the slot replay run on
+//! exact [`Rat`]s directly.
 //!
 //! * [`ExactTimes`] — times are exact [`Rat`]s; every operation is
 //!   infallible. The reference tier, always correct.
@@ -13,7 +14,7 @@
 //!   dominant cost under `Rat` — and every fallible conversion returns
 //!   `Option` so the loop can **bail out** to [`ExactTimes`] mid-run.
 //!
-//! The bail-out contract is what keeps the fast path honest: a loop must
+//! The bail-out contract is what keeps the fast path honest: the loop must
 //! attempt every fallible conversion for a dispatch *before* any of that
 //! dispatch's side effects (observer emissions, placements, heap pushes),
 //! so that on `None` it can convert its whole state to exact rationals via
@@ -59,9 +60,6 @@ pub(crate) trait TimeDomain {
     /// domain's grid or the sum overflows.
     fn add_cost(&self, t: Self::T, c: Rat) -> Option<Self::T>;
 
-    /// `t + 1` (one quantum); `None` on overflow.
-    fn add_one(&self, t: Self::T) -> Option<Self::T>;
-
     /// The exact rational value of `t`. Total: both domains represent
     /// rationals exactly, so nothing is ever lost leaving the fast tier.
     fn to_rat(&self, t: Self::T) -> Rat;
@@ -92,10 +90,6 @@ impl TimeDomain for ExactTimes {
 
     fn add_cost(&self, t: Time, c: Rat) -> Option<Time> {
         Some(t + c)
-    }
-
-    fn add_one(&self, t: Time) -> Option<Time> {
-        Some(t + Rat::ONE)
     }
 
     fn to_rat(&self, t: Time) -> Rat {
@@ -136,27 +130,16 @@ impl TimeDomain for TickTimes {
         t.checked_add(self.scale.from_rat(c)?)
     }
 
-    fn add_one(&self, t: QTime) -> Option<QTime> {
-        t.checked_add(self.scale.int(1)?)
-    }
-
     fn to_rat(&self, t: QTime) -> Rat {
         self.scale.to_rat(t)
     }
 }
 
-/// Picks the tick scale for a run over `sys`-like event times, or `None`
-/// to stay exact: requires a denominator hint and headroom for every time
-/// the run can produce. `max_int` must bound every integral instant the
-/// caller will convert (max eligibility plus one quantum per dispatch plus
-/// slack); with that guarantee, in-run bails can only come from costs off
-/// the hinted grid, never from overflow.
-/// An upper bound on every integral instant an event-driven run over `sys`
-/// can produce, or `None` on overflow (which simply keeps the run exact).
-/// Each dispatch pushes a completion (or next boundary) `≤ now + 1` and an
-/// activation `≤ max(eligible, now + 1)`, and idle boundary spins never
-/// outlast the latest eligibility, so by induction every event time is at
-/// most `max |eligible| + num_subtasks + 2`.
+/// An upper bound on every integral instant a DVQ run over `sys` can
+/// produce, or `None` on overflow (which simply keeps the run exact).
+/// Each dispatch pushes a completion `≤ now + 1` and an activation
+/// `≤ max(eligible, now + 1)`, so by induction every event time is at most
+/// `max |eligible| + num_subtasks + 2`.
 pub(crate) fn event_span(sys: &TaskSystem) -> Option<i64> {
     let max_e = sys
         .iter_refs()
@@ -169,6 +152,11 @@ pub(crate) fn event_span(sys: &TaskSystem) -> Option<i64> {
         .checked_add(2)
 }
 
+/// Picks the tick scale for a run over `sys`-like event times, or `None`
+/// to stay exact: requires a denominator hint and headroom for every time
+/// the run can produce. `max_int` must bound every integral instant the
+/// caller will convert ([`event_span`]); with that guarantee, in-run bails
+/// can only come from costs off the hinted grid, never from overflow.
 pub(crate) fn tick_scale(hint: Option<i64>, max_int: i64) -> Option<QScale> {
     let den = hint?;
     if den <= 0 {
@@ -194,7 +182,6 @@ mod tests {
             d.add_cost(t, c).expect("exact add"),
             Rat::int(3) + Rat::new(7, 8)
         );
-        assert_eq!(d.add_one(t).expect("exact add_one"), Rat::int(4));
         assert_eq!(d.from_rat(c).expect("exact from_rat"), c);
     }
 
@@ -206,11 +193,6 @@ mod tests {
         let t = d.int(5).expect("5 quanta in 24ths");
         let stepped = d.add_cost(t, Rat::new(7, 8)).expect("7/8 on the grid");
         assert_eq!(d.to_rat(stepped), Rat::int(5) + Rat::new(7, 8));
-        assert_eq!(
-            d.add_one(t).map(|x| d.to_rat(x)),
-            Some(Rat::int(6)),
-            "add_one is one quantum"
-        );
         // Off-grid cost: refuse, don't round.
         assert_eq!(d.add_cost(t, Rat::new(1, 7)), None);
     }

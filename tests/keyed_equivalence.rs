@@ -162,9 +162,11 @@ fn fig6_shifted_system_identical_under_keyed_dispatch() {
     assert!(check_window_containment(&tau, &sched).is_empty());
 }
 
-/// Asserts the integer-tick fast path (taken when the cost model hints its
-/// denominator grid) and the exact-rational path ([`ExactOnly`] withholds
-/// the hint) produce identical schedules under both event-driven models.
+/// Asserts the DVQ loop's integer-tick fast path (taken when the cost
+/// model hints its denominator grid) and its exact-rational path
+/// ([`ExactOnly`] withholds the hint) produce identical schedules, and
+/// that the staggered loop (exact times only) schedules identically over
+/// the keyed and the comparator ready set.
 fn assert_tick_matches_exact(
     sys: &TaskSystem,
     m: u32,
@@ -186,14 +188,14 @@ fn assert_tick_matches_exact(
         "DVQ tick-vs-exact",
     );
 
-    let fast_stag = simulate_staggered(sys, m, order, &mut mk_cost());
-    let exact_stag = simulate_staggered(sys, m, order, &mut ExactOnly(&mut mk_cost()));
+    let keyed_stag = simulate_staggered(sys, m, order, &mut mk_cost());
+    let comp_stag = simulate_staggered(sys, m, &ComparatorOnly(order), &mut mk_cost());
     assert_same_schedule(
         sys,
-        &fast_stag,
-        &exact_stag,
+        &keyed_stag,
+        &comp_stag,
         order.name(),
-        "staggered tick-vs-exact",
+        "staggered keyed-vs-comparator",
     );
 }
 
@@ -275,8 +277,10 @@ proptest! {
     }
 
     /// The integer-tick fast path is invisible on random GIS systems: with
-    /// the hint engaged and withheld (`ExactOnly`), DVQ and staggered
-    /// schedules coincide for all three keyed orders.
+    /// the hint engaged and withheld (`ExactOnly`), DVQ schedules coincide
+    /// for all three keyed orders; the staggered loop, on exact times
+    /// only, schedules identically over the keyed and comparator ready
+    /// sets under the same costs.
     #[test]
     fn prop_tick_path_matches_exact_on_random_gis(seed in 0u64..10_000) {
         let ws = random_weights(&TaskGenConfig::full(3, 5), seed);
@@ -298,9 +302,9 @@ proptest! {
             let fd = simulate_dvq(&sys, 3, order, &mut mk());
             let ed = simulate_dvq(&sys, 3, order, &mut ExactOnly(&mut mk()));
             prop_assert_eq!(fd.placements(), ed.placements());
-            let fs = simulate_staggered(&sys, 3, order, &mut mk());
-            let es = simulate_staggered(&sys, 3, order, &mut ExactOnly(&mut mk()));
-            prop_assert_eq!(fs.placements(), es.placements());
+            let ks = simulate_staggered(&sys, 3, order, &mut mk());
+            let cs = simulate_staggered(&sys, 3, &ComparatorOnly(order), &mut mk());
+            prop_assert_eq!(ks.placements(), cs.placements());
         }
     }
 }
