@@ -20,6 +20,27 @@
 //! delivers its one quantum of value linearly over `[s, s+c)` — the early
 //! yield means the subtask needed less time, not that the task received
 //! less of its reservation. (This is the WCET-pessimism reading of §1.)
+//!
+//! Two layers:
+//!
+//! * **Definitions.** [`ideal_allocation`], [`received_allocation`],
+//!   [`task_lag`] and [`total_lag`] evaluate one instant from scratch,
+//!   walking every subtask of the task (or of the system). They are the
+//!   statement of the quantities above, and the oracle the sweep is tested
+//!   against (`tests/lag_sweep.rs`).
+//! * **Sweep.** [`lag_series`] evaluates `LAG(τ, t)` at every integral
+//!   `t ∈ [0, horizon]` in one time-ordered pass: the windows are sorted by
+//!   release once, the placements are already start-ordered, and running
+//!   counts hold the windows that have passed (`d ≤ t`) and the quanta
+//!   that have completed (`completion ≤ t`), each of which contributes
+//!   exactly 1. Only the active windows (`r < t < d`) and the
+//!   in-flight quanta (`start < t < completion`) are summed per slot, so a
+//!   slot costs O(active windows + in-flight quanta) instead of
+//!   O(subtasks). [`max_lag_over_slots`] is the maximum of that series.
+//!
+//! `pfair_obs::LagObserver` keeps the same state while a run streams; it
+//! is deliberately a separate implementation, since the conformance bank
+//! compares the two.
 
 use pfair_numeric::{Rat, Time};
 use pfair_sim::Schedule;
@@ -78,11 +99,65 @@ pub fn total_lag(sys: &TaskSystem, sched: &Schedule, t: Time) -> Rat {
         .sum()
 }
 
-/// Maximum of `LAG(τ, t)` over all integral `t` in `[0, horizon]`.
+/// `LAG(τ, t)` at every integral `t ∈ [0, horizon]`, index `t`, in one
+/// time-ordered sweep. Element `t` equals [`total_lag`] at `t` exactly,
+/// including quanta that complete past `horizon`. Empty when `horizon < 0`.
+#[must_use]
+pub fn lag_series(sys: &TaskSystem, sched: &Schedule, horizon: i64) -> Vec<Rat> {
+    let mut windows: Vec<(i64, i64)> = sys
+        .subtasks()
+        .iter()
+        .map(|s| (s.release, s.deadline))
+        .collect();
+    windows.sort_unstable();
+    // `Schedule::placements` is start-ordered.
+    let quanta = sched.placements();
+
+    let mut series = Vec::with_capacity(usize::try_from(horizon + 1).unwrap_or(0));
+    let (mut next_window, mut next_quantum) = (0, 0);
+    // Windows with `r < t < d`, quanta with `start < t < completion`.
+    let mut active: Vec<(i64, i64)> = Vec::new();
+    let mut inflight: Vec<(Time, Rat, Time)> = Vec::new();
+    // Windows with `d ≤ t` and quanta with `completion ≤ t`.
+    let (mut passed, mut completed) = (0usize, 0usize);
+    for t in 0..=horizon {
+        let at = Rat::int(t);
+        while let Some(&w) = windows.get(next_window).filter(|w| w.0 < t) {
+            active.push(w);
+            next_window += 1;
+        }
+        let before = active.len();
+        active.retain(|&(_, d)| d > t);
+        passed += before - active.len();
+        while let Some(p) = quanta.get(next_quantum).filter(|p| p.start < at) {
+            inflight.push((p.start, p.cost, p.completion()));
+            next_quantum += 1;
+        }
+        let before = inflight.len();
+        inflight.retain(|&(_, _, completion)| completion > at);
+        completed += before - inflight.len();
+
+        let mut lag = Rat::int(
+            i64::try_from(passed).expect("window count fits i64")
+                - i64::try_from(completed).expect("quantum count fits i64"),
+        );
+        for &(r, d) in &active {
+            lag += Rat::new(t - r, d - r);
+        }
+        for &(start, cost, _) in &inflight {
+            lag -= (at - start) / cost;
+        }
+        series.push(lag);
+    }
+    series
+}
+
+/// Maximum of `LAG(τ, t)` over all integral `t` in `[0, horizon]`: the
+/// maximum of [`lag_series`].
 #[must_use]
 pub fn max_lag_over_slots(sys: &TaskSystem, sched: &Schedule, horizon: i64) -> Rat {
-    (0..=horizon)
-        .map(|t| total_lag(sys, sched, Rat::int(t)))
+    lag_series(sys, sched, horizon)
+        .into_iter()
         .max()
         .unwrap_or(Rat::ZERO)
 }

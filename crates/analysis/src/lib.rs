@@ -19,7 +19,8 @@
 //! * [`displacement`](mod@displacement) — drift between two schedules of one system (the
 //!   quantity the paper's proofs manipulate).
 //! * [`lag`] — fluid (processor-sharing) allocation and `LAG`, the
-//!   classical Pfair progress measure.
+//!   classical Pfair progress measure: per-instant definitions plus a
+//!   one-pass per-slot sweep ([`lag_series`]).
 //! * [`jobs`] — the job-level view (§1's "each task releases a job every
 //!   T.p time units"), with per-job completions and tardiness.
 //! * [`lemmas`] — executable checks of the paper's Lemma 1 / Property PB
@@ -81,7 +82,9 @@ pub use compliance::{k_compliant_system, ranks};
 pub use demand::{dbf, find_overload, OverloadWitness};
 pub use displacement::{displacement, displacement_stats, DisplacementStats};
 pub use jobs::{all_jobs, jobs_of, Job};
-pub use lag::{ideal_allocation, max_lag_over_slots, received_allocation, task_lag, total_lag};
+pub use lag::{
+    ideal_allocation, lag_series, max_lag_over_slots, received_allocation, task_lag, total_lag,
+};
 pub use lemmas::{check_lemma1, Lemma1Violation};
 pub use overhead::{
     contention_profile, context_switch_stats, migration_stats, peak_simultaneous_starts,

@@ -10,12 +10,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pfair_analysis::{
-    check_structural, check_window_containment, detect_blocking, flow_schedulable,
-    max_lag_over_slots, tardiness_histogram, tardiness_stats, total_lag, BlockingKind, WindowMode,
+    check_structural, check_window_containment, detect_blocking, flow_schedulable, lag_series,
+    tardiness_histogram, tardiness_stats, BlockingKind, WindowMode,
 };
 use pfair_core::pdb;
 use pfair_core::priority::ComparatorOnly;
-use pfair_core::KeyDispatch;
+use pfair_core::{KeyDispatch, Pd2, PriorityOrder};
 use pfair_numeric::Rat;
 use pfair_obs::{InversionKind, MetricsObserver, DEFAULT_BUCKETS};
 use pfair_online::OnlineDvq;
@@ -366,7 +366,8 @@ fn check_slot_discipline(sys: &TaskSystem, sched: &Schedule, m: u32) -> Result<(
 /// per boundary interval `[b, b′)` every task receives exactly its
 /// mandatory units `⌊fluid(b′) − alloc(b)⌋` plus at most one optional
 /// unit, optional units granted from spare capacity in urgency order
-/// (largest fractional remainder, earliest next own boundary, task id) —
+/// (the PD² priority of the unit each grant would hand out, the task's
+/// first unit past its allocated and mandatory ones) —
 /// together with the slot discipline, intra-task precedence, and
 /// containment of every unit inside its job window (which is what makes
 /// BF meet every *job* deadline despite ignoring Pfair subtask windows).
@@ -461,7 +462,7 @@ impl Invariant for BfBoundaryConservation {
             let len = b2 - b;
             let mut expect = vec![0i64; n_tasks];
             let mut spare = i64::from(m) * len;
-            let mut cands: Vec<(Rat, i64, usize)> = Vec::new();
+            let mut cands: Vec<(SubtaskRef, usize)> = Vec::new();
             for (k, task) in sys.tasks().iter().enumerate() {
                 let n = sys.task_subtasks(task.id).len() as i64;
                 if alloc[k] >= n {
@@ -482,18 +483,16 @@ impl Invariant for BfBoundaryConservation {
                 }
                 expect[k] = mand;
                 spare -= mand;
-                let frac = pw - Rat::int(mand);
-                if frac.is_positive() && mand < len {
-                    let next_own = (b / task.weight.p() + 1) * task.weight.p();
-                    cands.push((frac, next_own, k));
+                if pw > Rat::int(mand) && mand < len {
+                    // The unit an optional grant would hand out: the task's
+                    // first unit past its allocated and mandatory ones.
+                    let unit = i64::from(sys.task_span(task.id).0) + alloc[k] + mand;
+                    let unit = u32::try_from(unit).expect("subtask ref fits u32");
+                    cands.push((SubtaskRef(unit), k));
                 }
             }
-            cands.sort_by(|x, y| {
-                y.0.cmp(&x.0)
-                    .then_with(|| x.1.cmp(&y.1))
-                    .then_with(|| x.2.cmp(&y.2))
-            });
-            for &(_, _, k) in cands
+            cands.sort_by(|x, y| Pd2.cmp(sys, x.0, y.0));
+            for &(_, k) in cands
                 .iter()
                 .take(usize::try_from(spare).expect("spare is nonnegative"))
             {
@@ -902,8 +901,14 @@ impl Invariant for OnlineOfflineEquivalence {
 /// Streaming observability must agree exactly with post-hoc analysis on
 /// the same run: the engine's streaming blocking detector against
 /// `detect_blocking`, and the streaming lag/metrics observers against
-/// `total_lag` / `max_lag_over_slots` / `tardiness_stats` /
-/// `tardiness_histogram` — rational equality throughout, no tolerance.
+/// `lag_series` / `tardiness_stats` / `tardiness_histogram` — rational
+/// equality throughout, no tolerance. The post-hoc lag series is built
+/// once per probe, through the horizon and every streamed slot past it;
+/// each streamed `LAG(t)` is compared with its element `t`, and the
+/// streamed maximum with the series' maximum over `[0, horizon]` (what
+/// `max_lag_over_slots` returns). `lag_series` is a sweep written
+/// independently of `LagObserver`, and `tests/lag_sweep.rs` holds it
+/// equal to the per-instant definition `total_lag`.
 #[derive(Debug)]
 struct StreamingPosthocAgreement;
 
@@ -968,15 +973,25 @@ impl StreamingPosthocAgreement {
         for (label, probe) in [("sfq", ProbeSim::Sfq), ("dvq", ProbeSim::Dvq)] {
             let (sched, series, max) =
                 (engines.lag_probe)(sys, m, engines.keyed_order, &mut case.cost_model(), probe);
+            // One post-hoc sweep covers the horizon and every streamed
+            // slot past it.
+            let last = series.iter().fold(h, |last, &(t, _)| last.max(t));
+            let posthoc = lag_series(sys, &sched, last);
             for &(t, l) in &series {
-                let want = total_lag(sys, &sched, Rat::int(t));
+                let want = posthoc[usize::try_from(t).expect("streamed slots start at 0")];
                 if l != want {
                     return Err(format!(
                         "{label}: streaming LAG({t}) = {l:?}, post-hoc = {want:?}"
                     ));
                 }
             }
-            let want_max = max_lag_over_slots(sys, &sched, h);
+            let upto = usize::try_from(h).map_or(0, |h| h + 1);
+            let want_max = posthoc
+                .iter()
+                .take(upto)
+                .max()
+                .copied()
+                .unwrap_or(Rat::ZERO);
             if max != want_max {
                 return Err(format!(
                     "{label}: streaming max LAG {max:?} vs post-hoc {want_max:?}"

@@ -95,7 +95,7 @@ pub fn mutants() -> Vec<Mutant> {
         },
         Mutant {
             name: "bf-optional-by-id",
-            description: "Boundary-Fair that grants optional units in task-id order instead of largest-remainder urgency",
+            description: "Boundary-Fair that grants optional units in task-id order instead of by the PD² priority of the unit each grant hands out",
             engines: Engines {
                 name: "bf-optional-by-id",
                 bf: simulate_bf_optional_by_id,
@@ -565,7 +565,7 @@ fn simulate_dvq_cost_blind(
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BfOptionalPolicy {
     /// BUG: grant optional units in plain task-id order, discarding the
-    /// largest-remainder / next-own-boundary urgency.
+    /// PD² priority of the unit each grant would hand out.
     ByIdOrder,
     /// BUG: never grant optional units at all.
     Never,
@@ -605,7 +605,7 @@ fn bf_mutant_schedule(
         .collect();
     let mut placements = Vec::with_capacity(sys.num_subtasks());
     let mut a = vec![0i64; n_tasks];
-    let mut cands: Vec<(Rat, i64, usize)> = Vec::new();
+    let mut cands: Vec<usize> = Vec::new();
     for w in bounds.windows(2) {
         let (b, b2) = (w[0], w[1]);
         let len = b2 - b;
@@ -625,18 +625,17 @@ fn bf_mutant_schedule(
             let mand = pw.floor().min(len);
             a[k] = mand;
             used += mand;
-            let frac = pw - Rat::int(pw.floor());
-            if frac.is_positive() && mand < len {
-                let next_own = (b / task.weight.p() + 1) * task.weight.p();
-                cands.push((frac, next_own, k));
+            if pw > Rat::int(pw.floor()) && mand < len {
+                cands.push(k);
             }
         }
         let spare = (i64::from(m) * len - used).max(0);
         match policy {
-            BfOptionalPolicy::ByIdOrder => cands.sort_unstable_by_key(|c| c.2),
+            // Candidates are pushed in task-id order already.
+            BfOptionalPolicy::ByIdOrder => {}
             BfOptionalPolicy::Never => cands.clear(),
         }
-        for &(_, _, k) in cands
+        for &k in cands
             .iter()
             .take(usize::try_from(spare).expect("spare is nonnegative"))
         {

@@ -8,8 +8,11 @@ use pfair_taskmodel::TaskSystem;
 /// state proportional to the number of *active* windows and in-flight
 /// quanta instead of the whole trace.
 ///
-/// Replicates `pfair-analysis::lag::{total_lag, max_lag_over_slots}`
-/// exactly: the ideal allocation of a window `[r, d)` at integral `t` is
+/// Replicates the post-hoc sweep `pfair_analysis::lag::lag_series` (and so
+/// the definitions `total_lag` and `max_lag_over_slots`) exactly, with the
+/// same state. The two are written separately on purpose: the conformance
+/// invariant `streaming-posthoc-agreement` compares them on every fuzz
+/// case. The ideal allocation of a window `[r, d)` at integral `t` is
 /// `1` once `t ≥ d`, `(t − r)/(d − r)` while `r < t < d`, and `0` before;
 /// the received allocation of a quantum is `1` once `t ≥ completion` and
 /// `(t − start)/cost` while `start < t < completion`. Exact `Rat`

@@ -17,8 +17,20 @@
 //!   allocation `fluid_T(t) = min(wt(T)·t, n_T)` (`n_T` = released units),
 //!   computed in exact rational arithmetic; and
 //! * at most one **optional** unit, granted from the interval's spare
-//!   capacity `m·L − Σ m_T` in urgency order: largest fractional remainder
-//!   first, ties to the earlier next own-period boundary, then task id.
+//!   capacity `m·L − Σ m_T` to the tasks with a fractional remainder, in
+//!   the PD² order of the unit each grant would hand out (the task's
+//!   first unit past its allocated and mandatory ones).
+//!
+//! The optional rule is the Pfair reading of Zhu, Mossé & Melhem's rule,
+//! which ranks tasks by characteristic string: PF compares exactly those
+//! strings through its deadline / b-bit / successor chain, and PD² is the
+//! constant-time Pfair order that replaces the successor chain with the
+//! group deadline. Ranking the unit each grant hands out by PD² grants
+//! the most urgent future work first. Ranking by largest fractional
+//! remainder instead lets light tasks take an interval's spare and leaves
+//! heavier ones owing more mandatory units in a later interval than it
+//! has slots: m = 3, weights 1/9 ×3, 1/1, 1/2 ×2, 2/3 then over-commits
+//! `[5, 6)` at horizon 6 or 18 (`tests/bf_feasibility.rs`).
 //!
 //! Allocations are exact at each task's own period boundaries (the
 //! boundary lag lies in `(−1, 1)` and fluid is integral there), so every
@@ -36,6 +48,7 @@
 //! Like SFQ, BF is slot-based and non-work-conserving: the *schedule* is
 //! independent of the cost model; only completions and waste depend on it.
 
+use pfair_core::{Pd2, PriorityOrder};
 use pfair_numeric::Rat;
 use pfair_obs::{NoopObserver, Observer};
 use pfair_taskmodel::{SubtaskRef, TaskId, TaskSystem};
@@ -62,8 +75,13 @@ pub fn is_boundary_periodic(sys: &TaskSystem) -> bool {
 /// # Panics
 /// Panics unless `m ≥ 1` and `sys` is synchronous periodic
 /// ([`is_boundary_periodic`]), or if an interval's mandatory demand
-/// exceeds its capacity (impossible on feasible systems; kept as a hard
-/// diagnostic rather than a silent overrun).
+/// exceeds the interval or its capacity. With optional units granted in
+/// PD² order those two asserts cannot fire on a feasible system
+/// (`Σ wt ≤ m`), which is BF's optimality argument; they stay as checks
+/// of it. `tests/bf_feasibility.rs` runs every small system over periods
+/// {1, 2, 3, 9} at every horizon up to the hyperperiod, and the fuzz
+/// campaign's `bf-boundary-conservation` runs BF on every synchronous
+/// periodic case.
 #[must_use]
 pub fn simulate_bf(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
     simulate_bf_observed(sys, m, cost, &mut NoopObserver)
@@ -122,9 +140,9 @@ fn bf_slot_table(sys: &TaskSystem, m: u32) -> Vec<Cell> {
         .collect();
     let mut cells: Vec<Cell> = Vec::with_capacity(sys.num_subtasks());
     // Per-interval allocation `a[k]` and the optional-unit candidates
-    // `(fractional remainder, next own boundary, task)`.
+    // `(unit the optional grant would receive, task)`.
     let mut a: Vec<i64> = vec![0; n_tasks];
-    let mut candidates: Vec<(Rat, i64, u32)> = Vec::new();
+    let mut candidates: Vec<(SubtaskRef, usize)> = Vec::new();
 
     for w in bounds.windows(2) {
         let (b, b2) = (w[0], w[1]);
@@ -150,10 +168,11 @@ fn bf_slot_table(sys: &TaskSystem, m: u32) -> Vec<Cell> {
             );
             a[k] = mand;
             mandatory_total += mand;
-            let frac = pw - Rat::int(mand);
-            if frac.is_positive() && mand < len {
-                let next_own = (b / task.weight.p() + 1) * task.weight.p();
-                candidates.push((frac, next_own, k as u32));
+            if pw > Rat::int(mand) && mand < len {
+                // `pw ≤ n − alloc`, so a fractional remainder means the
+                // task has a unit beyond its mandatory ones.
+                let next = u32::try_from(mand).expect("mandatory units fit u32");
+                candidates.push((SubtaskRef(cursor[k] + next), k));
             }
         }
         let capacity = i64::from(m) * len;
@@ -163,11 +182,12 @@ fn bf_slot_table(sys: &TaskSystem, m: u32) -> Vec<Cell> {
              > capacity {capacity} (the system is infeasible on {m} processors)"
         );
         let spare = capacity - mandatory_total;
-        // Urgency order: largest fractional remainder, then earliest next
-        // own boundary, then task id — all exact comparisons.
-        candidates.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
-        for &(_, _, k) in candidates.iter().take(spare as usize) {
-            a[k as usize] += 1;
+        // Urgency order: the Pfair (PD²) priority of the unit each grant
+        // would hand out; `Pd2::cmp` is total, so the order is
+        // deterministic.
+        candidates.sort_unstable_by(|x, y| Pd2.cmp(sys, x.0, y.0));
+        for &(_, k) in candidates.iter().take(spare as usize) {
+            a[k] += 1;
         }
 
         // McNaughton wrap-around: concatenate the per-task allocations into

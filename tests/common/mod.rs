@@ -2,6 +2,9 @@
 //! sweep, and the quadratic priority-inversion predicate every inversion
 //! search is checked against.
 
+// Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
+
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
 
