@@ -96,37 +96,35 @@ impl CampaignOutcome {
 /// `"case-build"`; it cannot happen unless the generator itself is broken).
 /// The violation is boxed: it carries the whole generated spec.
 pub fn check_seed(gen: &GenConfig, seed: u64, engines: &Engines) -> Result<(), Box<Violation>> {
-    let spec = generate_case(gen, seed);
-    let case = match Case::build(spec.clone()) {
+    let violation = |invariant: &str, detail: String, original: CaseSpec| {
+        Box::new(Violation {
+            seed,
+            invariant: invariant.to_owned(),
+            detail,
+            original,
+            shrunk: None,
+        })
+    };
+    let case = match Case::build(generate_case(gen, seed)) {
         Ok(case) => case,
+        // The build consumed the spec; generation is deterministic, so
+        // the rare report regenerates it.
         Err(e) => {
-            return Err(Box::new(Violation {
-                seed,
-                invariant: "case-build".to_owned(),
-                detail: format!("generated spec does not rebuild: {e:?}"),
-                original: spec,
-                shrunk: None,
-            }))
+            return Err(violation(
+                "case-build",
+                format!("generated spec does not rebuild: {e:?}"),
+                generate_case(gen, seed),
+            ))
         }
     };
     if !case.is_feasible() {
-        return Err(Box::new(Violation {
-            seed,
-            invariant: "case-build".to_owned(),
-            detail: "generated case is infeasible".to_owned(),
-            original: spec,
-            shrunk: None,
-        }));
+        return Err(violation(
+            "case-build",
+            "generated case is infeasible".to_owned(),
+            case.spec,
+        ));
     }
-    check_case(&case, engines).map_err(|f| {
-        Box::new(Violation {
-            seed,
-            invariant: f.invariant.to_owned(),
-            detail: f.detail,
-            original: spec,
-            shrunk: None,
-        })
-    })
+    check_case(&case, engines).map_err(|f| violation(f.invariant, f.detail, case.spec))
 }
 
 /// Runs a campaign against `engines`.

@@ -4,11 +4,15 @@
 //! points the invariant bank calls. The default, [`REFERENCE`], is the
 //! production PD² stack; mutation tests substitute deliberately broken
 //! components to prove the bank detects them.
+//!
+//! The bank shares each plain engine's schedule between invariants
+//! ([`crate::invariant::Runs`]), and every streamed observer of one
+//! simulator shape rides a single [`Engines::stream_probe`] run.
 
 use pfair_core::priority::PriorityOrder;
 use pfair_core::Pd2;
 use pfair_numeric::Rat;
-use pfair_obs::{BlockingObserver, BlockingRecord, LagObserver};
+use pfair_obs::{BlockingObserver, BlockingRecord, LagObserver, MetricsObserver};
 use pfair_sim::{
     simulate_bf, simulate_dvq, simulate_dvq_observed, simulate_flow, simulate_sfq,
     simulate_sfq_observed, simulate_sfq_pdb, simulate_staggered, CostModel, Schedule,
@@ -21,12 +25,7 @@ pub type SimFn = fn(&TaskSystem, u32, &dyn PriorityOrder, &mut dyn CostModel) ->
 /// A PD^B simulator entry point (the selection procedure is built in).
 pub type PdbFn = fn(&TaskSystem, u32, &mut dyn CostModel) -> Schedule;
 
-/// A DVQ run with a streaming blocking detector attached: the schedule
-/// plus the inversion records the stream produced, sorted by victim.
-pub type ObservedDvqFn =
-    fn(&TaskSystem, u32, &dyn PriorityOrder, &mut dyn CostModel) -> (Schedule, Vec<BlockingRecord>);
-
-/// Which simulator shape a lag probe drives.
+/// Which simulator shape a stream probe drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProbeSim {
     /// Synchronized fixed quanta.
@@ -35,16 +34,26 @@ pub enum ProbeSim {
     Dvq,
 }
 
-/// An observed run with a streaming LAG accountant attached: the schedule
-/// plus the streamed per-slot series `(t, LAG(τ, t))` through the system
-/// horizon and its maximum.
-pub type LagProbeFn = fn(
-    &TaskSystem,
-    u32,
-    &dyn PriorityOrder,
-    &mut dyn CostModel,
-    ProbeSim,
-) -> (Schedule, Vec<(i64, Rat)>, Rat);
+/// What one observed run streamed, next to the schedule it produced.
+#[derive(Clone, Debug)]
+pub struct Streamed {
+    /// The observed run's schedule.
+    pub sched: Schedule,
+    /// Streamed priority inversions, sorted by victim (DVQ probes only;
+    /// empty for SFQ).
+    pub blocking: Vec<BlockingRecord>,
+    /// Streamed per-slot series `(t, LAG(τ, t))` through the system
+    /// horizon.
+    pub lag: Vec<(i64, Rat)>,
+    /// The streamed maximum of [`Self::lag`].
+    pub max_lag: Rat,
+    /// Streamed run metrics (tardiness tallies and histogram).
+    pub metrics: MetricsObserver,
+}
+
+/// An observed run with the streaming observers attached.
+pub type StreamProbeFn =
+    fn(&TaskSystem, u32, &dyn PriorityOrder, &mut dyn CostModel, ProbeSim) -> Streamed;
 
 /// The engines and priority orders one campaign checks against each other.
 #[derive(Clone, Copy, Debug)]
@@ -71,43 +80,43 @@ pub struct Engines {
     pub bf: PdbFn,
     /// Flow-network simulator.
     pub flow: PdbFn,
-    /// DVQ simulator with the streaming blocking detector attached.
-    pub streaming_blocking: ObservedDvqFn,
-    /// Observed run with the streaming LAG accountant attached.
-    pub lag_probe: LagProbeFn,
+    /// Observed run with the streaming observers attached.
+    pub stream_probe: StreamProbeFn,
 }
 
-/// The production streaming hook: the real observed DVQ driver with a
-/// [`BlockingObserver`] listening.
-fn dvq_streaming_blocking(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-) -> (Schedule, Vec<BlockingRecord>) {
-    let mut obs = BlockingObserver::new(sys, order);
-    let sched = simulate_dvq_observed(sys, m, order, cost, &mut obs);
-    let (records, _) = obs.into_parts();
-    (sched, records)
-}
-
-/// The production lag probe: the real observed drivers with a
-/// [`LagObserver`] listening, finished through the system horizon.
-fn streaming_lag_probe(
+/// The production stream probe: the real observed drivers with a
+/// [`LagObserver`] (finished through the system horizon) and a
+/// [`MetricsObserver`] listening, plus a [`BlockingObserver`] on DVQ. The
+/// observers sit side by side in one tuple, so the `Blocked` events the
+/// blocking detector synthesizes never reach the other two.
+fn observed_probe(
     sys: &TaskSystem,
     m: u32,
     order: &dyn PriorityOrder,
     cost: &mut dyn CostModel,
     sim: ProbeSim,
-) -> (Schedule, Vec<(i64, Rat)>, Rat) {
+) -> Streamed {
     let mut lag = LagObserver::new(sys);
-    let sched = match sim {
-        ProbeSim::Sfq => simulate_sfq_observed(sys, m, order, cost, &mut lag),
-        ProbeSim::Dvq => simulate_dvq_observed(sys, m, order, cost, &mut lag),
+    let mut metrics = MetricsObserver::new(m);
+    let (sched, blocking) = match sim {
+        ProbeSim::Sfq => {
+            let obs = &mut (&mut lag, &mut metrics);
+            (simulate_sfq_observed(sys, m, order, cost, obs), Vec::new())
+        }
+        ProbeSim::Dvq => {
+            let mut obs = (BlockingObserver::new(sys, order), (&mut lag, &mut metrics));
+            let sched = simulate_dvq_observed(sys, m, order, cost, &mut obs);
+            (sched, obs.0.into_parts().0)
+        }
     };
     lag.finish(sys.horizon());
-    let max = lag.max_lag();
-    (sched, lag.series().to_vec(), max)
+    Streamed {
+        sched,
+        blocking,
+        max_lag: lag.max_lag(),
+        lag: lag.series().to_vec(),
+        metrics,
+    }
 }
 
 /// The production engine set: PD² everywhere, the real simulators.
@@ -122,6 +131,5 @@ pub const REFERENCE: Engines = Engines {
     pdb: simulate_sfq_pdb,
     bf: simulate_bf,
     flow: simulate_flow,
-    streaming_blocking: dvq_streaming_blocking,
-    lag_probe: streaming_lag_probe,
+    stream_probe: observed_probe,
 };

@@ -6,7 +6,13 @@
 //! a tardiness bound that happens to hold on small systems) is usually
 //! caught by another (schedule equality across dispatch paths, or the
 //! maxflow oracle, which shares no code with the simulators).
+//!
+//! Laws read their schedules from a per-case [`Runs`] context, which runs
+//! each shared engine on first use. [`check_case`] hands one context to
+//! the whole bank; [`check_one`] builds its own, so a law checked alone
+//! (by the shrinker, or one at a time in a trace) runs everything itself.
 
+use std::cell::OnceCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pfair_analysis::{
@@ -17,15 +23,15 @@ use pfair_core::pdb;
 use pfair_core::priority::ComparatorOnly;
 use pfair_core::{KeyDispatch, Pd2, PriorityOrder};
 use pfair_numeric::Rat;
-use pfair_obs::{InversionKind, MetricsObserver, DEFAULT_BUCKETS};
+use pfair_obs::{InversionKind, DEFAULT_BUCKETS};
 use pfair_online::OnlineDvq;
-use pfair_sim::{simulate_dvq_observed, simulate_sfq_observed, FullQuantum, Schedule};
+use pfair_sim::{FullQuantum, Schedule};
 use pfair_taskmodel::hyperperiod::{hyperperiod_of_weights, subtasks_per_hyperperiod};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use pfair_workload::{releasegen, ReleaseConfig};
 
 use crate::case::Case;
-use crate::engines::{Engines, ProbeSim};
+use crate::engines::{Engines, PdbFn, ProbeSim, SimFn, Streamed};
 
 /// One checkable law drawn from the paper's theorems (or from an
 /// implementation-level agreement the repo guarantees).
@@ -40,11 +46,77 @@ pub trait Invariant: Sync {
         true
     }
 
-    /// Checks the law; `Err` carries a human-readable violation report.
+    /// Checks the law against [`Runs::case`], reading shared schedules
+    /// from `runs`; `Err` carries a human-readable violation report.
     ///
     /// # Errors
     /// A description of the violated law and the witnessing subtasks.
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String>;
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String>;
+}
+
+/// An engine run that more than one law reads, on the case's own costs.
+#[derive(Clone, Copy, Debug)]
+pub enum Run {
+    /// SFQ under [`Engines::sfq_order`].
+    Sfq,
+    /// SFQ under [`Engines::keyed_order`].
+    SfqKeyed,
+    /// DVQ under [`Engines::keyed_order`].
+    Dvq,
+    /// The staggered model under [`Engines::keyed_order`].
+    Staggered,
+    /// SFQ/PD^B.
+    Pdb,
+    /// Boundary-Fair (meaningful on synchronous periodic cases only).
+    Bf,
+    /// The flow-network engine.
+    Flow,
+}
+
+/// The per-case run context: the case, the engines under check, and one
+/// lazily filled schedule per [`Run`].
+///
+/// SFQ has two cells, told apart by the order's *role*
+/// ([`Engines::sfq_order`] or [`Engines::keyed_order`]), never by
+/// comparing the orders: a mutant may set the two apart. Comparator,
+/// full-quantum, online and hyperperiod runs each serve a single law,
+/// which runs them itself. An engine that panics leaves its cell empty, so
+/// the law that forced it reports the panic.
+pub struct Runs<'a> {
+    /// The case under check.
+    pub case: &'a Case,
+    /// The engines under check.
+    pub engines: &'a Engines,
+    cells: [OnceCell<Schedule>; 7],
+}
+
+impl<'a> Runs<'a> {
+    /// A context with every cell empty.
+    #[must_use]
+    pub fn new(case: &'a Case, engines: &'a Engines) -> Self {
+        Runs {
+            case,
+            engines,
+            cells: Default::default(),
+        }
+    }
+
+    /// The schedule of `run`, computed on first use.
+    pub fn get(&self, run: Run) -> &Schedule {
+        let (e, sys, m) = (self.engines, &self.case.sys, self.case.spec.m);
+        self.cells[run as usize].get_or_init(|| {
+            let cost = &mut self.case.cost_model();
+            match run {
+                Run::Sfq => (e.sfq)(sys, m, e.sfq_order, cost),
+                Run::SfqKeyed => (e.sfq)(sys, m, e.keyed_order, cost),
+                Run::Dvq => (e.dvq)(sys, m, e.keyed_order, cost),
+                Run::Staggered => (e.staggered)(sys, m, e.keyed_order, cost),
+                Run::Pdb => (e.pdb)(sys, m, cost),
+                Run::Bf => (e.bf)(sys, m, cost),
+                Run::Flow => (e.flow)(sys, m, cost),
+            }
+        })
+    }
 }
 
 /// An invariant violation (or an engine panic) on one case.
@@ -57,16 +129,14 @@ pub struct Failure {
     pub detail: String,
 }
 
-/// Runs every applicable invariant in [`bank`] against `case`, converting
-/// engine panics into failures.
+/// Runs every applicable invariant in [`bank`] against `case` over one
+/// shared [`Runs`] context, converting engine panics into failures.
 ///
 /// # Errors
 /// The first violated invariant, as a [`Failure`].
 pub fn check_case(case: &Case, engines: &Engines) -> Result<(), Failure> {
-    for inv in bank() {
-        check_one(inv.name(), case, engines)?;
-    }
-    Ok(())
+    let runs = Runs::new(case, engines);
+    bank().iter().try_for_each(|&inv| check_in(inv, &runs))
 }
 
 /// Runs the single invariant named `name` against `case` (panics from the
@@ -83,10 +153,15 @@ pub fn check_one(name: &str, case: &Case, engines: &Engines) -> Result<(), Failu
         .iter()
         .find(|i| i.name() == name)
         .unwrap_or_else(|| panic!("unknown invariant {name:?}"));
-    if !inv.applies(case) {
+    check_in(*inv, &Runs::new(case, engines))
+}
+
+/// Checks `inv` against the context's case, if it applies.
+fn check_in(inv: &dyn Invariant, runs: &Runs<'_>) -> Result<(), Failure> {
+    if !inv.applies(runs.case) {
         return Ok(());
     }
-    match catch_unwind(AssertUnwindSafe(|| inv.check(case, engines))) {
+    match catch_unwind(AssertUnwindSafe(|| inv.check(runs))) {
         Ok(Ok(())) => Ok(()),
         Ok(Err(detail)) => Err(Failure {
             invariant: inv.name(),
@@ -166,25 +241,15 @@ impl Invariant for StructuralValidity {
         "structural-validity"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m;
-        let runs: [(&str, Schedule); 4] = [
-            (
-                "sfq",
-                (engines.sfq)(sys, m, engines.sfq_order, &mut case.cost_model()),
-            ),
-            (
-                "dvq",
-                (engines.dvq)(sys, m, engines.keyed_order, &mut case.cost_model()),
-            ),
-            (
-                "staggered",
-                (engines.staggered)(sys, m, engines.keyed_order, &mut case.cost_model()),
-            ),
-            ("pdb", (engines.pdb)(sys, m, &mut case.cost_model())),
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let sys = &runs.case.sys;
+        let scheds = [
+            ("sfq", runs.get(Run::Sfq)),
+            ("dvq", runs.get(Run::Dvq)),
+            ("staggered", runs.get(Run::Staggered)),
+            ("pdb", runs.get(Run::Pdb)),
         ];
-        for (label, sched) in &runs {
+        for (label, sched) in scheds {
             if let Some(err) = check_structural(sys, sched).into_iter().next() {
                 return Err(format!("{label}: {err}"));
             }
@@ -203,20 +268,9 @@ impl Invariant for AllocationConservation {
         "allocation-conservation"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m;
-        let runs: [(&str, Schedule); 2] = [
-            (
-                "sfq",
-                (engines.sfq)(sys, m, engines.sfq_order, &mut case.cost_model()),
-            ),
-            (
-                "dvq",
-                (engines.dvq)(sys, m, engines.keyed_order, &mut case.cost_model()),
-            ),
-        ];
-        for (label, sched) in &runs {
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let (case, sys) = (runs.case, &runs.case.sys);
+        for (label, sched) in [("sfq", runs.get(Run::Sfq)), ("dvq", runs.get(Run::Dvq))] {
             for pl in sched.placements() {
                 let s = sys.subtask(pl.st);
                 let want = case.expected_cost(s.id.task, s.id.index);
@@ -243,14 +297,8 @@ impl Invariant for SfqZeroTardiness {
         "sfq-zero-tardiness"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sched = (engines.sfq)(
-            &case.sys,
-            case.spec.m,
-            engines.sfq_order,
-            &mut case.cost_model(),
-        );
-        let stats = tardiness_stats(&case.sys, &sched);
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let stats = tardiness_stats(&runs.case.sys, runs.get(Run::Sfq));
         if stats.max > Rat::ZERO {
             return Err(format!(
                 "SFQ tardiness {:?} > 0 ({} deadline misses)",
@@ -270,14 +318,8 @@ impl Invariant for DvqTardinessBound {
         "dvq-tardiness-bound"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sched = (engines.dvq)(
-            &case.sys,
-            case.spec.m,
-            engines.keyed_order,
-            &mut case.cost_model(),
-        );
-        let stats = tardiness_stats(&case.sys, &sched);
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let stats = tardiness_stats(&runs.case.sys, runs.get(Run::Dvq));
         if stats.max > Rat::ONE {
             return Err(format!(
                 "DVQ tardiness {:?} > 1 (Theorem 3 bound, {} misses)",
@@ -297,9 +339,8 @@ impl Invariant for PdbTardinessBound {
         "pdb-tardiness-bound"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sched = (engines.pdb)(&case.sys, case.spec.m, &mut case.cost_model());
-        let stats = tardiness_stats(&case.sys, &sched);
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let stats = tardiness_stats(&runs.case.sys, runs.get(Run::Pdb));
         if stats.max > Rat::ONE {
             return Err(format!(
                 "PD^B tardiness {:?} > 1 (Theorem 2 bound, {} misses)",
@@ -384,10 +425,10 @@ impl Invariant for BfBoundaryConservation {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m;
-        let sched = (engines.bf)(sys, m, &mut case.cost_model());
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let sys = &runs.case.sys;
+        let m = runs.case.spec.m;
+        let sched = runs.get(Run::Bf);
         if sched.placements().len() != sys.num_subtasks() {
             return Err(format!(
                 "BF placed {} of {} subtasks",
@@ -395,8 +436,8 @@ impl Invariant for BfBoundaryConservation {
                 sys.num_subtasks()
             ));
         }
-        check_slot_discipline(sys, &sched, m)?;
-        let slots = slot_of(&sched);
+        check_slot_discipline(sys, sched, m)?;
+        let slots = slot_of(sched);
         let mut slot = vec![0i64; sys.num_subtasks()];
         for &(st, t) in &slots {
             slot[st.idx()] = t;
@@ -527,10 +568,9 @@ impl Invariant for FlowSolutionValidity {
         "flow-solution-validity"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m;
-        let sched = (engines.flow)(sys, m, &mut case.cost_model());
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let sys = &runs.case.sys;
+        let sched = runs.get(Run::Flow);
         if sched.placements().len() != sys.num_subtasks() {
             return Err(format!(
                 "flow engine placed {} of {} subtasks",
@@ -538,8 +578,8 @@ impl Invariant for FlowSolutionValidity {
                 sys.num_subtasks()
             ));
         }
-        check_slot_discipline(sys, &sched, m)?;
-        let slots = slot_of(&sched);
+        check_slot_discipline(sys, sched, runs.case.spec.m)?;
+        let slots = slot_of(sched);
         let mut slot = vec![0i64; sys.num_subtasks()];
         for &(st, t) in &slots {
             slot[st.idx()] = t;
@@ -588,29 +628,21 @@ impl Invariant for Predictability {
         !case.spec.costs.is_empty()
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m;
-        let mut runs: Vec<(&str, Schedule, Schedule)> = vec![
-            (
-                "sfq",
-                (engines.sfq)(sys, m, engines.keyed_order, &mut case.cost_model()),
-                (engines.sfq)(sys, m, engines.keyed_order, &mut FullQuantum),
-            ),
-            (
-                "flow",
-                (engines.flow)(sys, m, &mut case.cost_model()),
-                (engines.flow)(sys, m, &mut FullQuantum),
-            ),
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let (case, e) = (runs.case, runs.engines);
+        let (sys, m) = (&case.sys, case.spec.m);
+        // Each actual run is forced before its worst-case twin, so a
+        // panicking engine is reported from the same run as by `check_one`.
+        let sfq = runs.get(Run::SfqKeyed);
+        let worst_case = |sim: PdbFn| sim(sys, m, &mut FullQuantum);
+        let mut pairs = vec![
+            ("sfq", sfq, (e.sfq)(sys, m, e.keyed_order, &mut FullQuantum)),
+            ("flow", runs.get(Run::Flow), worst_case(e.flow)),
         ];
         if is_sync_periodic(case) {
-            runs.push((
-                "bf",
-                (engines.bf)(sys, m, &mut case.cost_model()),
-                (engines.bf)(sys, m, &mut FullQuantum),
-            ));
+            pairs.push(("bf", runs.get(Run::Bf), worst_case(e.bf)));
         }
-        for (label, actual, worst) in &runs {
+        for (label, actual, worst) in &pairs {
             for (st, _) in sys.iter_refs() {
                 let a = actual.placement(st);
                 let b = worst.placement(st);
@@ -651,7 +683,8 @@ impl Invariant for MaxflowAgreement {
             .all(|t| t.subtasks.iter().all(|s| s.early == 0))
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let (case, engines) = (runs.case, runs.engines);
         let flow = flow_schedulable(&case.sys, case.spec.m, WindowMode::PfWindow);
         let sched = (engines.sfq)(&case.sys, case.spec.m, engines.sfq_order, &mut FullQuantum);
         let contained = check_window_containment(&case.sys, &sched).is_empty();
@@ -676,29 +709,18 @@ impl Invariant for KeyedComparatorEquality {
         "keyed-vs-comparator"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        if engines.keyed_order.key_dispatch() == KeyDispatch::Comparator {
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let (case, e) = (runs.case, runs.engines);
+        if e.keyed_order.key_dispatch() == KeyDispatch::Comparator {
             return Ok(());
         }
         let sys = &case.sys;
-        let m = case.spec.m;
-        let comparator = ComparatorOnly(engines.comparator_order);
+        let comparator = ComparatorOnly(e.comparator_order);
+        let scan = |sim: SimFn| sim(sys, case.spec.m, &comparator, &mut case.cost_model());
         for (label, keyed, scanned) in [
-            (
-                "sfq",
-                (engines.sfq)(sys, m, engines.keyed_order, &mut case.cost_model()),
-                (engines.sfq)(sys, m, &comparator, &mut case.cost_model()),
-            ),
-            (
-                "dvq",
-                (engines.dvq)(sys, m, engines.keyed_order, &mut case.cost_model()),
-                (engines.dvq)(sys, m, &comparator, &mut case.cost_model()),
-            ),
-            (
-                "staggered",
-                (engines.staggered)(sys, m, engines.keyed_order, &mut case.cost_model()),
-                (engines.staggered)(sys, m, &comparator, &mut case.cost_model()),
-            ),
+            ("sfq", runs.get(Run::SfqKeyed), scan(e.sfq)),
+            ("dvq", runs.get(Run::Dvq), scan(e.dvq)),
+            ("staggered", runs.get(Run::Staggered), scan(e.staggered)),
         ] {
             for (st, _) in sys.iter_refs() {
                 let a = keyed.placement(st);
@@ -733,9 +755,10 @@ impl Invariant for SfqDvqFullCostAgreement {
         case.spec.costs.is_empty()
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m;
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let engines = runs.engines;
+        let sys = &runs.case.sys;
+        let m = runs.case.spec.m;
         let sfq = (engines.sfq)(sys, m, engines.keyed_order, &mut FullQuantum);
         let dvq = (engines.dvq)(sys, m, engines.keyed_order, &mut FullQuantum);
         for (st, _) in sys.iter_refs() {
@@ -764,10 +787,10 @@ impl Invariant for PdbTable1Conformance {
         "pdb-table1-conformance"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m as usize;
-        let sched = (engines.pdb)(sys, case.spec.m, &mut FullQuantum);
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let sys = &runs.case.sys;
+        let m = runs.case.spec.m as usize;
+        let sched = (runs.engines.pdb)(sys, runs.case.spec.m, &mut FullQuantum);
         let slots = slot_of(&sched);
         let mut slot = vec![0i64; sys.num_subtasks()];
         let mut horizon = 0i64;
@@ -843,14 +866,9 @@ impl Invariant for OnlineOfflineEquivalence {
         case.is_whole_jobs()
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let offline = (engines.dvq)(
-            sys,
-            case.spec.m,
-            engines.keyed_order,
-            &mut case.cost_model(),
-        );
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let (case, sys) = (runs.case, &runs.case.sys);
+        let offline = runs.get(Run::Dvq);
 
         let mut online = OnlineDvq::new(case.spec.m);
         let mut ids = Vec::new();
@@ -902,7 +920,9 @@ impl Invariant for OnlineOfflineEquivalence {
 /// the same run: the engine's streaming blocking detector against
 /// `detect_blocking`, and the streaming lag/metrics observers against
 /// `lag_series` / `tardiness_stats` / `tardiness_histogram` — rational
-/// equality throughout, no tolerance. The post-hoc lag series is built
+/// equality throughout, no tolerance. Every streamed value of one engine
+/// comes from one observed run ([`Engines::stream_probe`]); the DVQ probe
+/// runs first, then the SFQ one. The post-hoc lag series is built
 /// once per probe, through the horizon and every streamed slot past it;
 /// each streamed `LAG(t)` is compared with its element `t`, and the
 /// streamed maximum with the series' maximum over `[0, horizon]` (what
@@ -913,15 +933,13 @@ impl Invariant for OnlineOfflineEquivalence {
 struct StreamingPosthocAgreement;
 
 impl StreamingPosthocAgreement {
-    fn check_blocking(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let (sched, records) = (engines.streaming_blocking)(
-            sys,
-            case.spec.m,
-            engines.keyed_order,
-            &mut case.cost_model(),
-        );
-        let posthoc = detect_blocking(sys, &sched, engines.keyed_order);
+    fn check_blocking(
+        sys: &TaskSystem,
+        dvq: &Streamed,
+        order: &dyn PriorityOrder,
+    ) -> Result<(), String> {
+        let records = &dvq.blocking;
+        let posthoc = detect_blocking(sys, &dvq.sched, order);
         if records.len() != posthoc.len() {
             return Err(format!(
                 "streaming blocking found {} inversions, post-hoc found {} (victims {:?} vs {:?})",
@@ -960,9 +978,7 @@ impl StreamingPosthocAgreement {
         Ok(())
     }
 
-    fn check_lag_and_metrics(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        let sys = &case.sys;
-        let m = case.spec.m;
+    fn check_lag_and_metrics(sys: &TaskSystem, label: &str, run: &Streamed) -> Result<(), String> {
         let h = sys.horizon();
         // Lag involves the division `(t − start) / cost`, whose exact-
         // rational denominators grow multiplicatively in the cost
@@ -970,79 +986,57 @@ impl StreamingPosthocAgreement {
         // models the reduced sums exceed i64 but stay far inside the
         // i128-backed `Rat`, so every generated case is compared — no
         // representability carve-out.
-        for (label, probe) in [("sfq", ProbeSim::Sfq), ("dvq", ProbeSim::Dvq)] {
-            let (sched, series, max) =
-                (engines.lag_probe)(sys, m, engines.keyed_order, &mut case.cost_model(), probe);
-            // One post-hoc sweep covers the horizon and every streamed
-            // slot past it.
-            let last = series.iter().fold(h, |last, &(t, _)| last.max(t));
-            let posthoc = lag_series(sys, &sched, last);
-            for &(t, l) in &series {
-                let want = posthoc[usize::try_from(t).expect("streamed slots start at 0")];
-                if l != want {
-                    return Err(format!(
-                        "{label}: streaming LAG({t}) = {l:?}, post-hoc = {want:?}"
-                    ));
-                }
-            }
-            let upto = usize::try_from(h).map_or(0, |h| h + 1);
-            let want_max = posthoc
-                .iter()
-                .take(upto)
-                .max()
-                .copied()
-                .unwrap_or(Rat::ZERO);
-            if max != want_max {
+        let (sched, series, max) = (&run.sched, &run.lag, run.max_lag);
+        // One post-hoc sweep covers the horizon and every streamed slot
+        // past it.
+        let last = series.iter().fold(h, |last, &(t, _)| last.max(t));
+        let posthoc = lag_series(sys, sched, last);
+        for &(t, l) in series {
+            let want = posthoc[usize::try_from(t).expect("streamed slots start at 0")];
+            if l != want {
                 return Err(format!(
-                    "{label}: streaming max LAG {max:?} vs post-hoc {want_max:?}"
+                    "{label}: streaming LAG({t}) = {l:?}, post-hoc = {want:?}"
                 ));
             }
-            // Metrics ride a separate observed run of the same
-            // deterministic engine (the probe already carries its own
-            // observer).
-            let mut metrics = MetricsObserver::new(m);
-            let sched = match probe {
-                ProbeSim::Sfq => simulate_sfq_observed(
-                    sys,
-                    m,
-                    engines.keyed_order,
-                    &mut case.cost_model(),
-                    &mut metrics,
-                ),
-                ProbeSim::Dvq => simulate_dvq_observed(
-                    sys,
-                    m,
-                    engines.keyed_order,
-                    &mut case.cost_model(),
-                    &mut metrics,
-                ),
-            };
-            let stats = tardiness_stats(sys, &sched);
-            let worst_id = stats.worst.map(|st| sys.subtask(st).id);
-            if metrics.deadline_misses() != stats.misses as u64
-                || metrics.total_tardiness() != stats.total
-                || metrics.max_tardiness() != stats.max
-                || metrics.worst() != worst_id
-            {
-                return Err(format!(
-                    "{label}: streaming tardiness (misses {}, total {:?}, max {:?}, worst {:?}) vs post-hoc (misses {}, total {:?}, max {:?}, worst {:?})",
-                    metrics.deadline_misses(),
-                    metrics.total_tardiness(),
-                    metrics.max_tardiness(),
-                    metrics.worst(),
-                    stats.misses,
-                    stats.total,
-                    stats.max,
-                    worst_id,
-                ));
-            }
-            let want_hist = tardiness_histogram(sys, &sched, DEFAULT_BUCKETS);
-            let got_hist: Vec<usize> = metrics.histogram().iter().map(|&c| c as usize).collect();
-            if got_hist != want_hist {
-                return Err(format!(
-                    "{label}: streaming histogram {got_hist:?} vs post-hoc {want_hist:?}"
-                ));
-            }
+        }
+        let upto = usize::try_from(h).map_or(0, |h| h + 1);
+        let want_max = posthoc
+            .iter()
+            .take(upto)
+            .max()
+            .copied()
+            .unwrap_or(Rat::ZERO);
+        if max != want_max {
+            return Err(format!(
+                "{label}: streaming max LAG {max:?} vs post-hoc {want_max:?}"
+            ));
+        }
+        let metrics = &run.metrics;
+        let stats = tardiness_stats(sys, sched);
+        let worst_id = stats.worst.map(|st| sys.subtask(st).id);
+        if metrics.deadline_misses() != stats.misses as u64
+            || metrics.total_tardiness() != stats.total
+            || metrics.max_tardiness() != stats.max
+            || metrics.worst() != worst_id
+        {
+            return Err(format!(
+                "{label}: streaming tardiness (misses {}, total {:?}, max {:?}, worst {:?}) vs post-hoc (misses {}, total {:?}, max {:?}, worst {:?})",
+                metrics.deadline_misses(),
+                metrics.total_tardiness(),
+                metrics.max_tardiness(),
+                metrics.worst(),
+                stats.misses,
+                stats.total,
+                stats.max,
+                worst_id,
+            ));
+        }
+        let want_hist = tardiness_histogram(sys, sched, DEFAULT_BUCKETS);
+        let got_hist: Vec<usize> = metrics.histogram().iter().map(|&c| c as usize).collect();
+        if got_hist != want_hist {
+            return Err(format!(
+                "{label}: streaming histogram {got_hist:?} vs post-hoc {want_hist:?}"
+            ));
         }
         Ok(())
     }
@@ -1053,9 +1047,14 @@ impl Invariant for StreamingPosthocAgreement {
         "streaming-posthoc-agreement"
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
-        self.check_blocking(case, engines)?;
-        self.check_lag_and_metrics(case, engines)
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let (case, e) = (runs.case, runs.engines);
+        let (sys, m) = (&case.sys, case.spec.m);
+        let probe = |sim| (e.stream_probe)(sys, m, e.keyed_order, &mut case.cost_model(), sim);
+        let dvq = probe(ProbeSim::Dvq);
+        Self::check_blocking(sys, &dvq, e.keyed_order)?;
+        Self::check_lag_and_metrics(sys, "sfq", &probe(ProbeSim::Sfq))?;
+        Self::check_lag_and_metrics(sys, "dvq", &dvq)
     }
 }
 
@@ -1075,7 +1074,8 @@ impl Invariant for HyperperiodPeriodicity {
         hyperperiod_of_weights(&case.weights()) <= 24
     }
 
-    fn check(&self, case: &Case, engines: &Engines) -> Result<(), String> {
+    fn check(&self, runs: &Runs<'_>) -> Result<(), String> {
+        let (case, engines) = (runs.case, runs.engines);
         let weights = case.weights();
         let h = hyperperiod_of_weights(&weights);
         let periodic = releasegen::generate(&weights, &ReleaseConfig::periodic(2 * h), 0);

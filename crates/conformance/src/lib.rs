@@ -56,7 +56,7 @@ pub use campaign::{check_seed, run_campaign, CampaignConfig, CampaignOutcome, Vi
 pub use case::{Case, CaseSpec, CostOverride, SubtaskSpec, TaskSpec};
 pub use engines::{Engines, REFERENCE};
 pub use gen::{generate_case, GenConfig};
-pub use invariant::{bank, check_case, check_one, Failure, Invariant};
+pub use invariant::{bank, check_case, check_one, Failure, Invariant, Run, Runs};
 pub use mutants::{mutants, runtime_mutants, Mutant, RuntimeMutant};
 pub use runtime::{
     check_runtime_run, generate_runtime_case, run_and_check, runtime_bank, RuntimeCase,

@@ -15,14 +15,11 @@ use pfair_core::priority::PriorityOrder;
 use pfair_core::{Pd2, Pd2NoGroupDeadline};
 use pfair_maxflow::{EdgeId, FlowNetwork};
 use pfair_numeric::{Rat, Time};
-use pfair_obs::{BlockingObserver, BlockingRecord};
 use pfair_sim::cost::checked_cost;
-use pfair_sim::{
-    simulate_dvq, simulate_dvq_observed, simulate_sfq, CostModel, Placement, QuantumModel, Schedule,
-};
+use pfair_sim::{simulate_dvq, CostModel, Placement, QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskId, TaskSystem};
 
-use crate::engines::{Engines, ProbeSim, REFERENCE};
+use crate::engines::{Engines, ProbeSim, Streamed, REFERENCE};
 
 /// One deliberately broken engine set.
 #[derive(Clone, Copy, Debug)]
@@ -143,7 +140,7 @@ pub fn mutants() -> Vec<Mutant> {
             description: "streaming blocking detector that silently drops inversions dispatched at non-integral times",
             engines: Engines {
                 name: "obs-drops-fractional-blocking",
-                streaming_blocking: streaming_blocking_integral_only,
+                stream_probe: probe_drops_fractional_blocking,
                 ..REFERENCE
             },
         },
@@ -152,7 +149,7 @@ pub fn mutants() -> Vec<Mutant> {
             description: "lag accountant whose rational arithmetic silently wraps at i64 instead of widening to i128",
             engines: Engines {
                 name: "rat-wraps-on-overflow",
-                lag_probe: wrapping_lag_probe,
+                stream_probe: wrapping_lag_probe,
                 ..REFERENCE
             },
         },
@@ -428,21 +425,20 @@ fn simulate_dvq_eager(
     Schedule::new(sys, QuantumModel::Dvq, m, placements)
 }
 
-/// Streaming blocking hook with the planted bug: inversions whose victim
-/// was dispatched at a non-integral time are silently dropped — exactly
-/// the fractional-time events that distinguish DVQ from SFQ, so a purely
+/// Stream probe with the planted bug: inversions whose victim was
+/// dispatched at a non-integral time are silently dropped — exactly the
+/// fractional-time events that distinguish DVQ from SFQ, so a purely
 /// slot-aligned test diet would never notice.
-fn streaming_blocking_integral_only(
+fn probe_drops_fractional_blocking(
     sys: &TaskSystem,
     m: u32,
     order: &dyn PriorityOrder,
     cost: &mut dyn CostModel,
-) -> (Schedule, Vec<BlockingRecord>) {
-    let mut obs = BlockingObserver::new(sys, order);
-    let sched = simulate_dvq_observed(sys, m, order, cost, &mut obs);
-    let (mut records, _) = obs.into_parts();
-    records.retain(|r| r.scheduled_at.den() == 1);
-    (sched, records)
+    sim: ProbeSim,
+) -> Streamed {
+    let mut run = (REFERENCE.stream_probe)(sys, m, order, cost, sim);
+    run.blocking.retain(|r| r.scheduled_at.den() == 1);
+    run
 }
 
 /// An i64-backed rational that silently wraps on overflow — the
@@ -529,25 +525,22 @@ fn wrap_total_lag(sys: &TaskSystem, sched: &Schedule, t: i64) -> WrapRat {
     total
 }
 
-/// Lag probe with the planted bug: the schedule is the real one, but the
-/// per-slot LAG series is accounted in [`WrapRat`], whose i64 arithmetic
-/// wraps silently where the widened [`Rat`] reduces or panics.
+/// Stream probe with the planted bug: the schedule is the real one, but
+/// the per-slot LAG series is accounted in [`WrapRat`], whose i64
+/// arithmetic wraps silently where the widened [`Rat`] reduces or panics.
 fn wrapping_lag_probe(
     sys: &TaskSystem,
     m: u32,
     order: &dyn PriorityOrder,
     cost: &mut dyn CostModel,
     sim: ProbeSim,
-) -> (Schedule, Vec<(i64, Rat)>, Rat) {
-    let sched = match sim {
-        ProbeSim::Sfq => simulate_sfq(sys, m, order, cost),
-        ProbeSim::Dvq => simulate_dvq(sys, m, order, cost),
-    };
-    let series: Vec<(i64, Rat)> = (0..=sys.horizon())
-        .map(|t| (t, wrap_total_lag(sys, &sched, t).to_rat()))
+) -> Streamed {
+    let mut run = (REFERENCE.stream_probe)(sys, m, order, cost, sim);
+    run.lag = (0..=sys.horizon())
+        .map(|t| (t, wrap_total_lag(sys, &run.sched, t).to_rat()))
         .collect();
-    let max = series.iter().map(|&(_, l)| l).max().unwrap_or(Rat::ZERO);
-    (sched, series, max)
+    run.max_lag = run.lag.iter().map(|&(_, l)| l).max().unwrap_or(Rat::ZERO);
+    run
 }
 
 /// DVQ driver with the planted bug: the caller's cost model is discarded
