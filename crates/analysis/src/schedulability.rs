@@ -21,10 +21,11 @@
 //! "the oracle says schedulable" and "PD² under SFQ misses nothing" is a
 //! genuine cross-check of both (exercised in `tests/oracle.rs`).
 
-use std::collections::BTreeMap;
-
 use pfair_maxflow::FlowNetwork;
-use pfair_taskmodel::{SubtaskRef, TaskSystem};
+use pfair_taskmodel::{Subtask, SubtaskRef, TaskSystem};
+
+/// A slot or (task, slot) pair no window touches.
+const UNSEEN: u32 = u32::MAX;
 
 /// Which window each subtask may be placed in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,11 +57,6 @@ pub fn flow_schedulable(sys: &TaskSystem, m: u32, mode: WindowMode) -> FlowSched
         };
     }
 
-    // Collect the slots any window touches (windows can be sparse, so use
-    // dense ids per distinct slot). Ordered maps keep the edge insertion
-    // order, and so the witness, the same on every run.
-    let mut slot_ids: BTreeMap<i64, usize> = BTreeMap::new();
-    let mut task_slot_ids: BTreeMap<(u32, i64), usize> = BTreeMap::new();
     let window = |st: SubtaskRef| {
         let s = sys.subtask(st);
         let lo = match mode {
@@ -69,21 +65,44 @@ pub fn flow_schedulable(sys: &TaskSystem, m: u32, mode: WindowMode) -> FlowSched
         };
         (lo, s.deadline)
     };
+
+    // Dense ids, assigned in first-seen order (windows can be sparse): one
+    // per slot any window touches, and one per touched (task, slot) pair in
+    // a task-major table over the same slot span.
+    let (mut slot_lo, mut slot_hi) = (i64::MAX, i64::MIN);
+    for (st, _) in sys.iter_refs() {
+        let (lo, hi) = window(st);
+        if lo < hi {
+            (slot_lo, slot_hi) = (slot_lo.min(lo), slot_hi.max(hi));
+        }
+    }
+    let width = usize::try_from(slot_hi.saturating_sub(slot_lo)).unwrap_or(0);
+    let cell = |t: i64| usize::try_from(t - slot_lo).expect("slot in span");
+    let ts_cell = |s: &Subtask, t: i64| s.id.task.idx() * width + cell(t);
+    let mut slot_ids = vec![UNSEEN; width];
+    let mut task_slot_ids = vec![UNSEEN; sys.num_tasks() * width];
+    let (mut n_slots, mut n_task_slots) = (0u32, 0u32);
     for (st, s) in sys.iter_refs() {
         let (lo, hi) = window(st);
         for t in lo..hi {
-            let next_slot = slot_ids.len();
-            slot_ids.entry(t).or_insert(next_slot);
-            let next_ts = task_slot_ids.len();
-            task_slot_ids.entry((s.id.task.0, t)).or_insert(next_ts);
+            let id = &mut slot_ids[cell(t)];
+            if *id == UNSEEN {
+                *id = n_slots;
+                n_slots += 1;
+            }
+            let id = &mut task_slot_ids[ts_cell(s, t)];
+            if *id == UNSEEN {
+                *id = n_task_slots;
+                n_task_slots += 1;
+            }
         }
     }
 
     // Node layout: 0 = source; 1..=n subtasks; then task-slot nodes; then
     // slot nodes; last = sink.
     let ts_base = 1 + n;
-    let slot_base = ts_base + task_slot_ids.len();
-    let sink = slot_base + slot_ids.len();
+    let slot_base = ts_base + n_task_slots as usize;
+    let sink = slot_base + n_slots as usize;
     let mut net = FlowNetwork::new(sink + 1);
 
     let mut subtask_edges = Vec::with_capacity(n);
@@ -92,16 +111,23 @@ pub fn flow_schedulable(sys: &TaskSystem, m: u32, mode: WindowMode) -> FlowSched
         net.add_edge(0, node, 1);
         let (lo, hi) = window(st);
         for t in lo..hi {
-            let ts = ts_base + task_slot_ids[&(s.id.task.0, t)];
+            let ts = ts_base + task_slot_ids[ts_cell(s, t)] as usize;
             let e = net.add_edge(node, ts, 1);
             subtask_edges.push((st, t, e));
         }
     }
-    for (&(_, t), &ts) in &task_slot_ids {
-        net.add_edge(ts_base + ts, slot_base + slot_ids[&t], 1);
+    // The remaining edges go in by key — (task, slot), then slot — so the
+    // network, and with it the witness, is the same on every run.
+    for (i, &ts) in task_slot_ids.iter().enumerate() {
+        if ts != UNSEEN {
+            let sl = slot_ids[i % width];
+            net.add_edge(ts_base + ts as usize, slot_base + sl as usize, 1);
+        }
     }
-    for &sl in slot_ids.values() {
-        net.add_edge(slot_base + sl, sink, i64::from(m));
+    for &sl in &slot_ids {
+        if sl != UNSEEN {
+            net.add_edge(slot_base + sl as usize, sink, i64::from(m));
+        }
     }
 
     let flow = net.max_flow(0, sink);
@@ -119,6 +145,8 @@ pub fn flow_schedulable(sys: &TaskSystem, m: u32, mode: WindowMode) -> FlowSched
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use pfair_taskmodel::release;
 

@@ -1,18 +1,35 @@
 //! Integer maximum flow via Dinic's algorithm.
 //!
 //! Substrate for the Pfair *schedulability oracle*
-//! (`pfair-analysis::schedulability`): the classical feasibility proofs for
-//! (G)IS task systems [Baruah et al.; Anderson & Srinivasan] reduce
-//! "a valid schedule exists" to "a bipartite flow saturates", with subtasks
-//! feeding per-(task, slot) exclusivity nodes feeding slot nodes of
-//! capacity `M`. That oracle cross-checks the simulators in this workspace
-//! without sharing any code with them, so it is deliberately a separate,
-//! dependency-free crate.
+//! (`pfair-analysis::schedulability`) and the flow-network scheduling
+//! engine (`pfair-sim::flow`): the classical feasibility proofs for (G)IS
+//! task systems [Baruah et al.; Anderson & Srinivasan] reduce "a valid
+//! schedule exists" to "a bipartite flow saturates", with subtasks feeding
+//! per-(task, slot) exclusivity nodes feeding slot nodes of capacity `M`.
+//! The oracle cross-checks the simulators without sharing any code with
+//! them, so this is deliberately a separate, dependency-free crate.
 //!
-//! The implementation is a standard adjacency-list Dinic: BFS level graph
-//! plus blocking-flow DFS with iteration pointers. On the unit-capacity
-//! bipartite graphs the oracle builds, Dinic runs in `O(E·√V)` — far below
-//! anything that matters at simulation scale.
+//! The implementation is Dinic: a BFS level graph, then a blocking flow
+//! found by repeated DFS with per-node arc iterators. Two details keep it
+//! cheap on the small, incrementally grown networks its users build:
+//!
+//! * **Flat arc lists.** Arcs live in one array; each node keeps its first
+//!   and last arc and each arc the next arc of its node. A new arc is
+//!   appended at its node's tail, so every node scans its arcs in
+//!   insertion order — the order that decides which of several maximum
+//!   flows Dinic returns, and so the schedules and witnesses its users
+//!   read off the flow.
+//! * **Reused scratch.** The levels, arc iterators, BFS queue and DFS path
+//!   live in the network and are reused across phases and across
+//!   incremental [`FlowNetwork::max_flow`] calls; a phase resets only the
+//!   levels its previous BFS labelled. The BFS stops expanding at the
+//!   sink's level: nodes at or past it cannot lie on a shortest path to
+//!   the sink, so the blocking flow is the same without them.
+//!
+//! Dinic runs in `O(E·√V)` on *unit* networks. The scheduling networks are
+//! unit except for the `slot → sink` arcs, which carry `M`; there the
+//! general `O(V²·E)` bound is what holds, though at simulation scale a
+//! solve takes a handful of phases.
 //!
 //! ```
 //! use pfair_maxflow::FlowNetwork;
@@ -27,18 +44,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// End of an arc list, and the level of a node the last BFS did not reach.
+const NIL: u32 = u32::MAX;
+
 /// A directed flow network with integer capacities.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
-    /// Per-node adjacency: indices into `edges`.
-    adj: Vec<Vec<u32>>,
-    /// Flat edge list; edge `2k+1` is the residual twin of edge `2k`.
-    edges: Vec<Edge>,
+    /// First arc out of each node (`NIL` when none).
+    head: Vec<u32>,
+    /// Last arc out of each node, where the next one is appended.
+    tail: Vec<u32>,
+    /// Flat arc list; arc `2k+1` is the residual twin of arc `2k`.
+    arcs: Vec<Arc>,
+    /// BFS level of each node in the current phase (`NIL` if unreached).
+    level: Vec<u32>,
+    /// Per-node DFS iterator: the next arc to try in this phase.
+    iter: Vec<u32>,
+    /// The nodes the last BFS labelled, in visit order (its queue).
+    queue: Vec<u32>,
+    /// The arcs of the DFS path from the source (empty between phases).
+    path: Vec<u32>,
 }
 
 #[derive(Clone, Copy, Debug)]
-struct Edge {
+struct Arc {
     to: u32,
+    /// Next arc out of the same node (`NIL` at the end of its list).
+    next: u32,
     cap: i64,
 }
 
@@ -48,47 +80,74 @@ pub struct EdgeId(u32);
 
 impl FlowNetwork {
     /// A network with `n` nodes and no edges.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32::MAX` (node ids are `u32`).
     #[must_use]
     pub fn new(n: usize) -> FlowNetwork {
+        u32::try_from(n).expect("flow network: at most u32::MAX nodes (node ids are u32)");
         FlowNetwork {
-            adj: vec![Vec::new(); n],
-            edges: Vec::new(),
+            head: vec![NIL; n],
+            tail: vec![NIL; n],
+            arcs: Vec::new(),
+            level: vec![NIL; n],
+            iter: vec![NIL; n],
+            queue: Vec::new(),
+            path: Vec::new(),
         }
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.head.len()
     }
 
     /// Adds a directed edge `from → to` with capacity `cap ≥ 0`; returns a
     /// handle for flow queries.
     ///
     /// # Panics
-    /// Panics on out-of-range endpoints or negative capacity.
+    /// Panics on out-of-range endpoints, negative capacity, or past
+    /// `u32::MAX` arcs (two per edge), where an [`EdgeId`] would alias.
     pub fn add_edge(&mut self, from: usize, to: usize, cap: i64) -> EdgeId {
-        assert!(
-            from < self.adj.len() && to < self.adj.len(),
-            "node out of range"
-        );
+        let n = self.head.len();
+        assert!(from < n && to < n, "node out of range");
         assert!(cap >= 0, "negative capacity");
-        let id = self.edges.len() as u32;
-        self.edges.push(Edge { to: to as u32, cap });
-        self.edges.push(Edge {
-            to: from as u32,
+        // Arc ids stay below `NIL`, so the end of the list never aliases one.
+        let end = u32::try_from(self.arcs.len() + 2)
+            .expect("flow network: at most u32::MAX arcs (two per edge; EdgeId is a u32)");
+        let id = end - 2;
+        // Node ids fit `u32`: `new` bounds the node count.
+        let (from_id, to_id) = (from as u32, to as u32);
+        self.arcs.push(Arc {
+            to: to_id,
+            next: NIL,
+            cap,
+        });
+        self.arcs.push(Arc {
+            to: from_id,
+            next: NIL,
             cap: 0,
         });
-        self.adj[from].push(id);
-        self.adj[to].push(id + 1);
+        self.append(from, id);
+        self.append(to, id + 1);
         EdgeId(id)
+    }
+
+    /// Appends arc `a` at the tail of `node`'s arc list.
+    fn append(&mut self, node: usize, a: u32) {
+        match self.tail[node] {
+            NIL => self.head[node] = a,
+            last => self.arcs[last as usize].next = a,
+        }
+        self.tail[node] = a;
     }
 
     /// Flow currently on an edge (meaningful after [`Self::max_flow`]).
     #[must_use]
     pub fn flow(&self, e: EdgeId) -> i64 {
         // Flow pushed = residual twin's capacity.
-        self.edges[e.0 as usize + 1].cap
+        self.arcs[e.0 as usize + 1].cap
     }
 
     /// Augments the `s → t` flow to its maximum (Dinic) and returns the
@@ -102,61 +161,98 @@ impl FlowNetwork {
     /// interrogated via [`Self::flow`].
     ///
     /// # Panics
-    /// Panics if `s == t`.
+    /// Panics if `s == t` or either is out of range.
     pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
         assert_ne!(s, t, "source equals sink");
-        let n = self.adj.len();
+        let n = self.head.len();
+        assert!(s < n && t < n, "node out of range");
         let mut total = 0i64;
-        let mut level = vec![-1i32; n];
-        let mut it = vec![0usize; n];
-        loop {
-            // BFS: build level graph.
-            level.iter_mut().for_each(|l| *l = -1);
-            level[s] = 0;
-            let mut queue = std::collections::VecDeque::from([s]);
-            while let Some(u) = queue.pop_front() {
-                for &eid in &self.adj[u] {
-                    let e = self.edges[eid as usize];
-                    if e.cap > 0 && level[e.to as usize] < 0 {
-                        level[e.to as usize] = level[u] + 1;
-                        queue.push_back(e.to as usize);
-                    }
-                }
-            }
-            if level[t] < 0 {
-                return total;
-            }
-            it.iter_mut().for_each(|i| *i = 0);
-            // Blocking flow via iterative DFS.
-            loop {
-                let pushed = self.dfs(s, t, i64::MAX, &level, &mut it);
-                if pushed == 0 {
-                    break;
-                }
-                total += pushed;
-            }
+        while self.bfs(s, t) {
+            total += self.blocking_flow(s, t);
         }
+        total
     }
 
-    fn dfs(&mut self, u: usize, t: usize, limit: i64, level: &[i32], it: &mut [usize]) -> i64 {
-        if u == t {
-            return limit;
+    /// Labels the level graph from `s`; `true` iff it reaches `t`.
+    fn bfs(&mut self, s: usize, t: usize) -> bool {
+        for &u in &self.queue {
+            self.level[u as usize] = NIL;
         }
-        while it[u] < self.adj[u].len() {
-            let eid = self.adj[u][it[u]] as usize;
-            let Edge { to, cap } = self.edges[eid];
-            let v = to as usize;
-            if cap > 0 && level[v] == level[u] + 1 {
-                let pushed = self.dfs(v, t, limit.min(cap), level, it);
-                if pushed > 0 {
-                    self.edges[eid].cap -= pushed;
-                    self.edges[eid ^ 1].cap += pushed;
-                    return pushed;
-                }
+        self.queue.clear();
+        self.level[s] = 0;
+        self.iter[s] = self.head[s];
+        self.queue.push(s as u32);
+        let mut front = 0;
+        while let Some(&u) = self.queue.get(front) {
+            front += 1;
+            let lu = self.level[u as usize];
+            // Levels pop in order: once at the sink's level, every node left
+            // is a dead end of the level graph.
+            if lu >= self.level[t] {
+                break;
             }
-            it[u] += 1;
+            let mut a = self.head[u as usize];
+            while a != NIL {
+                let Arc { to, next, cap } = self.arcs[a as usize];
+                if cap > 0 && self.level[to as usize] == NIL {
+                    self.level[to as usize] = lu + 1;
+                    self.iter[to as usize] = self.head[to as usize];
+                    self.queue.push(to);
+                }
+                a = next;
+            }
         }
-        0
+        self.level[t] != NIL
+    }
+
+    /// Saturates the level graph by repeated DFS from `s` along each
+    /// node's arc iterator; returns the flow pushed. An iterator moves past
+    /// an arc only when the DFS retreats through it, so the next search
+    /// from `s` resumes where the last one left off.
+    fn blocking_flow(&mut self, s: usize, t: usize) -> i64 {
+        let mut pushed = 0i64;
+        let mut u = s;
+        loop {
+            if u == t {
+                let bottleneck = self
+                    .path
+                    .iter()
+                    .map(|&a| self.arcs[a as usize].cap)
+                    .min()
+                    .expect("a path to the sink has an arc");
+                for &a in &self.path {
+                    let a = a as usize;
+                    self.arcs[a].cap -= bottleneck;
+                    self.arcs[a ^ 1].cap += bottleneck;
+                }
+                pushed += bottleneck;
+                self.path.clear();
+                u = s;
+                continue;
+            }
+            let want = self.level[u] + 1;
+            let mut a = self.iter[u];
+            while a != NIL {
+                let arc = self.arcs[a as usize];
+                if arc.cap > 0 && self.level[arc.to as usize] == want {
+                    break;
+                }
+                a = arc.next;
+            }
+            self.iter[u] = a;
+            if a == NIL {
+                // Dead end: retreat, and move the parent past this arc.
+                let Some(back) = self.path.pop() else {
+                    return pushed;
+                };
+                // The parent is the tail of `back`, the head of its twin.
+                u = self.arcs[back as usize ^ 1].to as usize;
+                self.iter[u] = self.arcs[back as usize].next;
+            } else {
+                self.path.push(a);
+                u = self.arcs[a as usize].to as usize;
+            }
+        }
     }
 }
 
@@ -299,7 +395,125 @@ mod tests {
         assert_eq!(net.max_flow(0, 7), 3);
     }
 
+    /// The adjacency-vector Dinic this crate shipped before the flat arc
+    /// lists: the reference the kernel must match arc for arc.
+    struct Reference {
+        adj: Vec<Vec<u32>>,
+        edges: Vec<(usize, i64)>,
+    }
+
+    impl Reference {
+        fn new(n: usize) -> Reference {
+            Reference {
+                adj: vec![Vec::new(); n],
+                edges: Vec::new(),
+            }
+        }
+
+        fn add_edge(&mut self, from: usize, to: usize, cap: i64) -> usize {
+            let id = self.edges.len();
+            self.edges.push((to, cap));
+            self.edges.push((from, 0));
+            self.adj[from].push(id as u32);
+            self.adj[to].push(id as u32 + 1);
+            id
+        }
+
+        fn flow(&self, e: usize) -> i64 {
+            self.edges[e + 1].1
+        }
+
+        fn max_flow(&mut self, s: usize, t: usize) -> i64 {
+            let n = self.adj.len();
+            let mut total = 0i64;
+            let mut level = vec![-1i32; n];
+            let mut it = vec![0usize; n];
+            loop {
+                level.iter_mut().for_each(|l| *l = -1);
+                level[s] = 0;
+                let mut queue = std::collections::VecDeque::from([s]);
+                while let Some(u) = queue.pop_front() {
+                    for &eid in &self.adj[u] {
+                        let (to, cap) = self.edges[eid as usize];
+                        if cap > 0 && level[to] < 0 {
+                            level[to] = level[u] + 1;
+                            queue.push_back(to);
+                        }
+                    }
+                }
+                if level[t] < 0 {
+                    return total;
+                }
+                it.iter_mut().for_each(|i| *i = 0);
+                loop {
+                    let pushed = self.dfs(s, t, i64::MAX, &level, &mut it);
+                    if pushed == 0 {
+                        break;
+                    }
+                    total += pushed;
+                }
+            }
+        }
+
+        fn dfs(&mut self, u: usize, t: usize, limit: i64, level: &[i32], it: &mut [usize]) -> i64 {
+            if u == t {
+                return limit;
+            }
+            while it[u] < self.adj[u].len() {
+                let eid = self.adj[u][it[u]] as usize;
+                let (v, cap) = self.edges[eid];
+                if cap > 0 && level[v] == level[u] + 1 {
+                    let pushed = self.dfs(v, t, limit.min(cap), level, it);
+                    if pushed > 0 {
+                        self.edges[eid].1 -= pushed;
+                        self.edges[eid ^ 1].1 += pushed;
+                        return pushed;
+                    }
+                }
+                it[u] += 1;
+            }
+            0
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Differential against the reference Dinic: over 1–4 rounds of
+        /// `add_edge` then `max_flow` on random graphs (parallel arcs,
+        /// self-loops and zero capacities included), every round returns
+        /// the same added flow and leaves the same flow on every edge; a
+        /// repeated solve of the saturated network adds 0 and moves none.
+        #[test]
+        fn prop_matches_reference_dinic(
+            n in 2usize..12,
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0usize..12, 0usize..12, 0i64..6, 0usize..3), 1..24),
+                1..5,
+            ),
+        ) {
+            let (s, t) = (0, n - 1);
+            let mut net = FlowNetwork::new(n);
+            let mut reference = Reference::new(n);
+            let mut ids = Vec::new();
+            for round in &rounds {
+                for &(a, b, c, copies) in round {
+                    // `copies` parallel arcs between the same endpoints.
+                    for _ in 0..=copies {
+                        ids.push((net.add_edge(a % n, b % n, c), reference.add_edge(a % n, b % n, c)));
+                    }
+                }
+                prop_assert_eq!(net.max_flow(s, t), reference.max_flow(s, t));
+                for &(e, r) in &ids {
+                    prop_assert_eq!(net.flow(e), reference.flow(r));
+                }
+                prop_assert_eq!(net.max_flow(s, t), 0);
+                for &(e, r) in &ids {
+                    prop_assert_eq!(net.flow(e), reference.flow(r));
+                }
+            }
+        }
+
         /// Max flow never exceeds the out-capacity of the source or the
         /// in-capacity of the sink, and equals the brute-force min cut on
         /// tiny random graphs.

@@ -10,12 +10,13 @@
 //! returns integral flow by construction.
 //!
 //! The engine builds this network **deterministically** (dense,
-//! insertion-ordered ids — unlike the schedulability oracle in
-//! `pfair-analysis`, whose witness assignment hashes and is only stable in
-//! its boolean verdict) and solves it *incrementally*: each task's demand
-//! is patched into the graph and re-augmented via
-//! [`FlowNetwork::max_flow`]'s residual state, rather than re-solving from
-//! scratch — the patching workflow the maxflow crate documents.
+//! insertion-ordered ids; Dinic scans each node's arcs in insertion order,
+//! so the same network always yields the same flow) and solves it
+//! *incrementally*: each task's demand is patched into the graph and
+//! re-augmented via [`FlowNetwork::max_flow`]'s residual state, rather
+//! than re-solving from scratch — the patching workflow the maxflow crate
+//! documents. The kernel keeps its scratch across those calls, so a
+//! re-augmentation allocates nothing beyond the new arcs.
 //!
 //! Every placement lands inside its PF-window, so on feasible systems the
 //! extracted schedule has zero tardiness and — unlike BF — satisfies the
