@@ -48,11 +48,11 @@ use core::ops::ControlFlow;
 use pfair_core::pdb;
 use pfair_core::priority::PriorityOrder;
 use pfair_core::StrictKeys;
-use pfair_numeric::{Rat, Time};
+use pfair_numeric::{Rat, Tier, Time};
 use pfair_sim::{QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
-use crate::grid::{with_times, Times};
+use crate::grid::{with_times, Grid};
 
 /// Which of the paper's two inversion kinds a blocking event is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -107,8 +107,8 @@ pub fn detect_blocking(
         |victim, ready_at, scheduled_at, kind, blockers| {
             events.push(BlockingEvent {
                 victim,
-                ready_at: tm.rat(ready_at),
-                scheduled_at: tm.rat(scheduled_at),
+                ready_at: tm.to_rat(ready_at),
+                scheduled_at: tm.to_rat(scheduled_at),
                 kind,
                 blockers: blockers.iter().map(|&i| placements[i].st).collect(),
             });
@@ -121,13 +121,13 @@ pub fn detect_blocking(
 /// ready_at, scheduled_at, kind, blockers)` for each inversion, in subtask
 /// order, with the blockers' placement indices in placement order — or,
 /// with `first_only`, just the first blocker, which is all a count needs.
-pub(crate) fn inversions_in<Tm: Times>(
+pub(crate) fn inversions_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
-    tm: &Tm,
+    tm: &Grid<K>,
     order: &dyn PriorityOrder,
     first_only: bool,
-    mut found: impl FnMut(SubtaskRef, Tm::T, Tm::T, BlockingKind, &[usize]),
+    mut found: impl FnMut(SubtaskRef, K::T, K::T, BlockingKind, &[usize]),
 ) {
     let placements = sched.placements();
     let starts = tm.starts();

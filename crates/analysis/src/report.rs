@@ -9,12 +9,12 @@
 use core::fmt;
 
 use pfair_core::priority::PriorityOrder;
-use pfair_numeric::Rat;
+use pfair_numeric::{Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::TaskSystem;
 
 use crate::blocking::{inversions_in, BlockingKind};
-use crate::grid::{with_times, Times};
+use crate::grid::{with_times, Grid};
 use crate::overhead::{migration_stats, MigrationStats};
 use crate::response::{response_in, ResponseStats};
 use crate::tardiness::{tardiness_in, TardinessStats};
@@ -56,10 +56,10 @@ pub fn schedule_report(
     with_times!(Some(sys), sched, |tm| report_in(sys, sched, tm, order))
 }
 
-fn report_in<Tm: Times>(
+fn report_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
-    tm: &Tm,
+    tm: &Grid<K>,
     order: &dyn PriorityOrder,
 ) -> ScheduleReport {
     let (mut eligibility_blocking, mut predecessor_blocking) = (0, 0);

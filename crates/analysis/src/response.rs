@@ -9,12 +9,12 @@
 //! paper credits as the "less-expensive and simpler alternative" to DFS's
 //! auxiliary scheduler (§1).
 
-use pfair_numeric::Rat;
+use pfair_numeric::{Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{with_times, Times};
+use crate::grid::{with_times, Grid};
 
 /// Response time of one subtask (from eligibility to completion).
 #[must_use]
@@ -52,7 +52,7 @@ pub fn response_stats(sys: &TaskSystem, sched: &Schedule) -> ResponseStats {
 }
 
 /// [`response_stats`] in the arithmetic of `tm`.
-pub(crate) fn response_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> ResponseStats {
+pub(crate) fn response_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>) -> ResponseStats {
     let mut max = tm.int(0);
     let mut total = tm.sum(max);
     for (st, s) in sys.iter_refs() {
@@ -61,7 +61,7 @@ pub(crate) fn response_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> ResponseStats
         total = total + tm.sum(r);
     }
     ResponseStats {
-        max: tm.rat(max),
+        max: tm.to_rat(max),
         total: tm.sum_rat(total),
         subtasks: sys.num_subtasks(),
     }

@@ -6,12 +6,12 @@
 //! bound it by one quantum for PD^B under SFQ (Theorem 2) and PD² under
 //! DVQ (Theorem 3).
 
-use pfair_numeric::Rat;
+use pfair_numeric::{Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{with_times, Times};
+use crate::grid::{with_times, Grid};
 
 /// Tardiness of one subtask in a schedule.
 #[must_use]
@@ -66,7 +66,7 @@ pub fn tardiness_stats(sys: &TaskSystem, sched: &Schedule) -> TardinessStats {
 }
 
 /// [`tardiness_stats`] in the arithmetic of `tm`.
-pub(crate) fn tardiness_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> TardinessStats {
+pub(crate) fn tardiness_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>) -> TardinessStats {
     let zero = tm.int(0);
     let (mut max, mut total) = (zero, tm.sum(zero));
     let mut misses = 0;
@@ -83,7 +83,7 @@ pub(crate) fn tardiness_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> TardinessSta
         }
     }
     TardinessStats {
-        max: tm.rat(max),
+        max: tm.to_rat(max),
         total: tm.sum_rat(total),
         subtasks: sys.num_subtasks(),
         misses,

@@ -21,11 +21,11 @@
 
 use core::fmt;
 
-use pfair_numeric::Time;
+use pfair_numeric::{Tier, Time};
 use pfair_sim::{QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
-use crate::grid::{with_times, Times};
+use crate::grid::{with_times, Grid};
 
 /// A violated schedule invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,17 +143,17 @@ pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError
 
 /// [`check_structural`] in the arithmetic of `tm`: one pass over the
 /// start-sorted placements per check.
-pub(crate) fn structural_in<Tm: Times>(
+pub(crate) fn structural_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
-    tm: &Tm,
+    tm: &Grid<K>,
 ) -> Vec<ValidityError> {
     let placements = sched.placements();
 
     // Per-processor exclusivity: each processor's latest quantum and the
     // instant it frees the processor. Placements on processors outside
     // `0..m` are not checked.
-    let mut last: Vec<Option<(SubtaskRef, Tm::T)>> = vec![None; sched.m() as usize];
+    let mut last: Vec<Option<(SubtaskRef, K::T)>> = vec![None; sched.m() as usize];
     let mut overlaps = Vec::new();
     for (i, p) in placements.iter().enumerate() {
         let Some(slot) = last.get_mut(p.proc as usize) else {
@@ -182,7 +182,7 @@ pub(crate) fn structural_in<Tm: Times>(
         if start < tm.int(s.eligible) {
             errors.push(ValidityError::BeforeEligibility {
                 st,
-                start: tm.rat(start),
+                start: tm.to_rat(start),
                 eligible: s.eligible,
             });
         }
@@ -191,8 +191,8 @@ pub(crate) fn structural_in<Tm: Times>(
             if start < pc {
                 errors.push(ValidityError::BeforePredecessor {
                     st,
-                    start: tm.rat(start),
-                    pred_completion: tm.rat(pc),
+                    start: tm.to_rat(start),
+                    pred_completion: tm.to_rat(pc),
                 });
             }
         }
@@ -203,7 +203,7 @@ pub(crate) fn structural_in<Tm: Times>(
             if !tm.is_integral(start) {
                 errors.push(ValidityError::NonIntegralStart {
                     st: p.st,
-                    start: tm.rat(start),
+                    start: tm.to_rat(start),
                 });
             }
         }
@@ -231,14 +231,14 @@ pub fn check_window_containment(sys: &TaskSystem, sched: &Schedule) -> Vec<Valid
 }
 
 /// [`check_window_containment`] in the arithmetic of `tm`.
-pub(crate) fn window_containment_in<Tm: Times>(sys: &TaskSystem, tm: &Tm) -> Vec<ValidityError> {
+pub(crate) fn window_containment_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>) -> Vec<ValidityError> {
     let mut errors = Vec::new();
     for (st, s) in sys.iter_refs() {
         let completion = tm.completion(tm.index(st));
         if completion > tm.int(s.deadline) {
             errors.push(ValidityError::DeadlineMiss {
                 st,
-                completion: tm.rat(completion),
+                completion: tm.to_rat(completion),
                 deadline: s.deadline,
             });
         }

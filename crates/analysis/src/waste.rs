@@ -9,11 +9,11 @@
 //! reclaims it. Experiment E5 sweeps the mean actual cost and reports
 //! these statistics for all three models.
 
-use pfair_numeric::Rat;
+use pfair_numeric::{Rat, Tier};
 use pfair_sim::Schedule;
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{with_times, Times};
+use crate::grid::{with_times, Grid};
 
 /// Aggregate processor-time accounting for one schedule.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,7 +68,7 @@ pub fn waste_stats(sched: &Schedule) -> WasteStats {
 }
 
 /// [`waste_stats`] in the arithmetic of `tm`.
-pub(crate) fn waste_in<Tm: Times>(sched: &Schedule, tm: &Tm) -> WasteStats {
+pub(crate) fn waste_in<K: Tier>(sched: &Schedule, tm: &Grid<K>) -> WasteStats {
     let n = tm.starts().len();
     let makespan = (0..n).map(|i| tm.completion(i)).max().unwrap_or(tm.int(0));
     let mut busy = tm.sum(tm.int(0));
@@ -86,7 +86,7 @@ pub(crate) fn waste_in<Tm: Times>(sched: &Schedule, tm: &Tm) -> WasteStats {
         busy: tm.sum_rat(busy),
         wasted: tm.sum_rat(wasted),
         idle: tm.sum_rat(capacity - busy - wasted),
-        makespan: tm.rat(makespan),
+        makespan: tm.to_rat(makespan),
         m: sched.m(),
     }
 }

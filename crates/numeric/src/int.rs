@@ -83,8 +83,8 @@ pub fn lcm(a: i64, b: i64) -> i64 {
 /// Least common multiple that reports overflow instead of panicking:
 /// `None` iff the exact lcm does not fit `i64`. Used where an oversized
 /// lcm is an expected outcome that callers degrade around (e.g. picking a
-/// fixed-point [`QScale`](crate::QScale) — an unrepresentable scale just
-/// means staying on exact [`Rat`](crate::Rat) arithmetic), in contrast to
+/// [`Ticks`](crate::Ticks) scale — an unrepresentable scale just means
+/// staying on exact [`Rat`](crate::Rat) arithmetic), in contrast to
 /// [`lcm`], whose panic marks a broken invariant.
 #[must_use]
 pub fn checked_lcm(a: i64, b: i64) -> Option<i64> {

@@ -17,11 +17,11 @@
 //!   lag sums on the 720720 cost grid never do);
 //! * [`Time`] — a transparent alias of [`Rat`] used for points on the real
 //!   time line, with slot helpers ([`slot_of`], [`is_slot_boundary`]);
-//! * [`QScale`] / [`QTime`] — the overflow-checked fixed-point fast path
-//!   for runs whose event times stay on a known rational grid: times as
-//!   `i64` tick counts that compare in one instruction, with every
-//!   conversion exact-or-`None` so callers fall back to [`Rat`] instead of
-//!   ever rounding (see the [`qtime`] module docs for the contract);
+//! * [`Tier`] — the arithmetic of a run's times, written once for two
+//!   tiers: [`Ticks`], `i64` tick counts that compare in one instruction,
+//!   and [`Exact`], `Rat`s. Every conversion into ticks is exact-or-`None`,
+//!   so callers fall back to [`Exact`] instead of ever rounding (see the
+//!   [`tier`] module docs for the contract);
 //! * integer helpers ([`gcd`], [`lcm`], [`checked_lcm`], [`floor_div`],
 //!   [`ceil_div`]) used by the Pfair window formulas
 //!   `r(T_i) = ⌊(i−1)p/e⌋`, `d(T_i) = ⌈ip/e⌉`.
@@ -34,13 +34,13 @@
 #![warn(missing_docs)]
 
 pub mod int;
-pub mod qtime;
 pub mod quantum;
 pub mod rational;
+pub mod tier;
 pub mod time;
 
 pub use int::{ceil_div, checked_lcm, floor_div, gcd, gcd_i128, lcm};
-pub use qtime::{QScale, QTime};
 pub use quantum::QuantumScale;
 pub use rational::Rat;
+pub use tier::{Exact, Ticks, Tier};
 pub use time::{is_slot_boundary, slot_of, Time};

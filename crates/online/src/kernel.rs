@@ -2,7 +2,7 @@
 //!
 //! [`DvqKernel`] owns the state of the DVQ model played forward online:
 //! every task's chain of not-yet-dispatched subtasks and its arming, the
-//! event queue (integer ticks with a lossless fall-back to exact
+//! event queue (on [`Ticks`] with a lossless fall-back to [`Exact`]
 //! rationals), the PD² ready heap and the per-processor quanta in flight.
 //! It exposes the loop as step functions, each generic over an
 //! [`Observer`] so emission compiles away under [`pfair_obs::NoopObserver`]:
@@ -27,10 +27,11 @@
 //! submits, so the runtime can serve keys from its `KeyCache` while the
 //! online schedulers build them from the window formulas.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use pfair_numeric::{QScale, QTime, Rat, Time};
+use pfair_numeric::{Exact, Rat, Ticks, Tier, Time};
 use pfair_obs::{Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, TaskId, Weight};
@@ -75,8 +76,8 @@ impl Chain {
     /// emitted for each.
     ///
     /// # Errors
-    /// [`OnlineError`] if `at` violates sporadic separation or precedes
-    /// `now`; nothing changes then.
+    /// [`OnlineError`] if `at` violates sporadic separation, precedes
+    /// `now` or puts the job's windows past `i64`; nothing changes then.
     fn submit<O: Observer>(
         &mut self,
         task: TaskId,
@@ -86,8 +87,9 @@ impl Chain {
         obs: &mut O,
     ) -> Result<(), OnlineError> {
         let w = self.weight;
+        let overflow = || OnlineError::ReleaseOverflow { requested: at };
         if let Some(prev) = self.last_release {
-            let earliest = prev + w.p();
+            let earliest = prev.checked_add(w.p()).ok_or_else(overflow)?;
             if at < earliest {
                 return Err(OnlineError::TooEarly {
                     earliest,
@@ -98,10 +100,8 @@ impl Chain {
         if Rat::int(at) < now {
             return Err(OnlineError::InThePast { now, requested: at });
         }
-        let theta = at - i64::try_from(self.count).expect("job count fits i64") * w.p();
-        let e = u64::try_from(w.e()).expect("execution requirement is positive");
-        let first = self.count * e + 1;
-        for index in first..first + e {
+        let (first, last, theta) = self.job_span(at).ok_or_else(overflow)?;
+        for index in first..=last {
             let id = SubtaskId { task, index };
             let eligible = theta + window::release(w, index);
             let spec = SubSpec {
@@ -119,6 +119,20 @@ impl Chain {
         self.last_release = Some(at);
         Ok(())
     }
+
+    /// The next job released at `at`: its first and last subtask index
+    /// and its shift `θ`, or `None` if any of its windows leaves `i64`.
+    fn job_span(&self, at: i64) -> Option<(u64, u64, i64)> {
+        let w = self.weight;
+        let e = u64::try_from(w.e()).expect("execution requirement is positive");
+        let first = self.count.checked_mul(e)?.checked_add(1)?;
+        let last = first.checked_add(e - 1)?;
+        let theta = at.checked_sub(i64::try_from(self.count).ok()?.checked_mul(w.p())?)?;
+        // Subtasks `count·e + 1 ..= (count + 1)·e` have their windows in
+        // `[θ + count·p, θ + (count + 1)·p] = [at, at + p]`.
+        at.checked_add(w.p())?;
+        Some((first, last, theta))
+    }
 }
 
 /// A queued event. At equal instants completions come before activations,
@@ -132,79 +146,109 @@ pub enum Event {
     Activate(TaskId),
 }
 
-/// Tick resolution of the event queue's fast mode: `lcm(1..13)`, the
+impl Event {
+    /// The 64-bit payload code for [`Tier::key`]. Code order equals the
+    /// derived `Ord` above: all `Free` codes (`< 2^32`, ascending by
+    /// processor) sort before all `Activate` codes (`2^32 | task`,
+    /// ascending by task).
+    fn code(self) -> u64 {
+        match self {
+            Event::Free(proc) => u64::from(proc),
+            Event::Activate(task) => (1 << 32) | u64::from(task.0),
+        }
+    }
+
+    /// Inverse of [`Event::code`].
+    fn from_code(code: u64) -> Event {
+        #[allow(clippy::cast_possible_truncation)]
+        let payload = code as u32;
+        if code >> 32 == 0 {
+            Event::Free(payload)
+        } else {
+            Event::Activate(TaskId(payload))
+        }
+    }
+}
+
+/// The event queue's fast tier: `lcm(1..13)` ticks per quantum, the
 /// workload generators' cost grid.
-const TICKS_PER_QUANTUM: i64 = 720_720;
+const GRID: Ticks = Ticks::new(720_720);
 
 /// The quantum occupying a processor: `(subtask, completion, deadline)`.
 type RunningQuantum = (SubtaskId, Time, i64);
 
-/// The event heap, in one of two arithmetic modes — the online analogue
-/// of `pfair-sim`'s two-tier time domains.
+/// The event heap, in one of two tiers. The kernel cannot know its costs
+/// before they arrive, so the tier is a run-time switch.
 ///
-/// `Ticks` orders the heap by [`QTime`] counts at a fixed [`QScale`]:
-/// every heap comparison is a single `i64` compare. Each entry also keeps
-/// its exact instant, so peeking never converts back (`(ticks, event)`
-/// pairs are unique, so the instant never decides an order). The first
-/// time the scale cannot represent (an off-grid cost or an out-of-range
-/// eligibility) pushes the queue permanently into `Exact` mode, losslessly,
-/// so schedules never depend on the mode.
+/// `Ticks` orders packed [`GRID`] keys: every heap comparison is a single
+/// `u128` compare. It also keeps the last instant peeked or popped, with
+/// its ticks, so a caller that peeks the same head again, or drains a
+/// batch at that instant, converts nothing. The first instant the grid
+/// cannot represent (an off-grid cost or an out-of-range eligibility)
+/// moves the queue to `Exact` for good, losslessly, so schedules never
+/// depend on the tier.
 #[derive(Debug)]
 enum EventQueue {
-    Ticks {
-        scale: QScale,
-        heap: BinaryHeap<Reverse<(QTime, Event, Time)>>,
-    },
-    Exact(BinaryHeap<Reverse<(Time, Event)>>),
+    Ticks(BinaryHeap<Reverse<u128>>, Cell<(i64, Rat)>),
+    Exact(BinaryHeap<Reverse<(Rat, u64)>>),
 }
 
 impl EventQueue {
     fn peek(&self) -> Option<(Time, Event)> {
-        match self {
-            EventQueue::Ticks { heap, .. } => heap.peek().map(|&Reverse((_, ev, at))| (at, ev)),
-            EventQueue::Exact(heap) => heap.peek().map(|&Reverse((at, ev))| (at, ev)),
-        }
+        let (at, code) = match self {
+            EventQueue::Ticks(heap, last) => {
+                let (t, code) = GRID.split(heap.peek()?.0);
+                if t != last.get().0 {
+                    last.set((t, GRID.to_rat(t)));
+                }
+                (last.get().1, code)
+            }
+            EventQueue::Exact(heap) => heap.peek()?.0,
+        };
+        Some((at, Event::from_code(code)))
     }
 
     /// Pops the next event if it is queued exactly at `at`.
     fn pop_at(&mut self, at: Time) -> Option<Event> {
-        let (t, ev) = self.peek()?;
-        if t != at {
-            return None;
-        }
-        match self {
-            EventQueue::Ticks { heap, .. } => drop(heap.pop()),
-            EventQueue::Exact(heap) => drop(heap.pop()),
-        }
-        Some(ev)
+        let code = match self {
+            EventQueue::Ticks(heap, last) => {
+                let (t, code) = GRID.split(heap.peek()?.0);
+                if (t, at) != last.get() && GRID.from_rat(at) != Some(t) {
+                    return None;
+                }
+                heap.pop();
+                last.set((t, at));
+                code
+            }
+            EventQueue::Exact(heap) => {
+                let (t, code) = heap.peek()?.0;
+                if t != at {
+                    return None;
+                }
+                heap.pop();
+                code
+            }
+        };
+        Some(Event::from_code(code))
     }
 
     fn push(&mut self, at: Time, ev: Event) {
-        if let EventQueue::Ticks { scale, heap } = self {
-            match scale.from_rat(at) {
-                Some(qt) => {
-                    heap.push(Reverse((qt, ev, at)));
-                    return;
-                }
-                None => self.migrate(),
+        if let EventQueue::Ticks(heap, _) = self {
+            if let Some(t) = GRID.from_rat(at) {
+                heap.push(Reverse(GRID.key(t, ev.code())));
+                return;
             }
-        }
-        let EventQueue::Exact(heap) = self else {
-            unreachable!("migrate leaves the queue in exact mode")
-        };
-        heap.push(Reverse((at, ev)));
-    }
-
-    /// Converts the queue to exact mode.
-    fn migrate(&mut self) {
-        if let EventQueue::Ticks { heap, .. } =
-            std::mem::replace(self, EventQueue::Exact(BinaryHeap::new()))
-        {
             let exact = heap
-                .into_iter()
-                .map(|Reverse((_, ev, at))| Reverse((at, ev)))
+                .drain()
+                .map(|Reverse(k)| {
+                    let (t, code) = GRID.split(k);
+                    Reverse(Exact.key(GRID.to_rat(t), code))
+                })
                 .collect();
             *self = EventQueue::Exact(exact);
+        }
+        if let EventQueue::Exact(heap) = self {
+            heap.push(Reverse(Exact.key(at, ev.code())));
         }
     }
 }
@@ -243,10 +287,7 @@ impl DvqKernel {
             now: Rat::ZERO,
             eager: eager_completions,
             chains: Vec::new(),
-            events: EventQueue::Ticks {
-                scale: QScale::new(TICKS_PER_QUANTUM),
-                heap: BinaryHeap::new(),
-            },
+            events: EventQueue::Ticks(BinaryHeap::new(), Cell::new((0, Rat::ZERO))),
             ready: BinaryHeap::new(),
             free: (0..m).map(Reverse).collect(),
             running: vec![None; m as usize],
@@ -288,7 +329,8 @@ impl DvqKernel {
     ///
     /// # Errors
     /// [`OnlineError`] if `task` is unknown, `at` violates sporadic
-    /// separation, or `at` precedes [`Self::now`]; nothing changes then.
+    /// separation, `at` precedes [`Self::now`], or the job's windows leave
+    /// `i64`; nothing changes then.
     pub fn submit_job<O: Observer>(
         &mut self,
         task: TaskId,
@@ -502,5 +544,71 @@ impl DvqKernel {
     #[must_use]
     pub fn is_drained(&self) -> bool {
         self.free.len() == self.running.len() && self.ready.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pfair_obs::RecordingObserver;
+
+    /// Submits periodic jobs of four tasks up to 30 and runs `kernel`
+    /// until idle, the `trip`-th cost drawn off the tick grid (1/17).
+    fn run_tripped(
+        kernel: &mut DvqKernel,
+        trip: usize,
+        obs: &mut RecordingObserver,
+    ) -> Vec<OnlineAssignment> {
+        for (e, p) in [(1, 2), (1, 3), (2, 5), (3, 4)] {
+            let task = kernel.add_task(Weight::new(e, p));
+            for j in 0..30 / p {
+                kernel
+                    .submit_job(
+                        task,
+                        j * p,
+                        |w, id, theta| Pd2Key::of(w, id, id.index, theta),
+                        obs,
+                    )
+                    .expect("periodic jobs are admissible");
+            }
+        }
+        let mut draws = 0;
+        let mut cost = |_, _| {
+            draws += 1;
+            if draws == trip {
+                Rat::new(1, 17)
+            } else {
+                Rat::new(1, 2)
+            }
+        };
+        let mut log = Vec::new();
+        while let Some((at, _)) = kernel.peek() {
+            kernel.open(at, obs);
+            while kernel.apply_at(at, obs) {}
+            kernel.dispatch(&mut cost, &mut log, obs);
+        }
+        log
+    }
+
+    #[test]
+    fn tier_migration_is_invisible_in_the_stream() {
+        // A queue that migrates to exact time at an off-grid cost must
+        // give the assignments and the event stream of one that starts
+        // exact.
+        for trip in [1usize, 3, 7, 20] {
+            let mut migrating = DvqKernel::new(2, true);
+            let mut migrating_obs = RecordingObserver::new();
+            let a = run_tripped(&mut migrating, trip, &mut migrating_obs);
+            assert!(
+                matches!(migrating.events, EventQueue::Exact(_)),
+                "trip = {trip}"
+            );
+            let mut exact = DvqKernel::new(2, true);
+            exact.events = EventQueue::Exact(BinaryHeap::new());
+            let mut exact_obs = RecordingObserver::new();
+            let b = run_tripped(&mut exact, trip, &mut exact_obs);
+            assert_eq!(a, b, "trip = {trip}");
+            assert_eq!(migrating_obs.events(), exact_obs.events(), "trip = {trip}");
+        }
     }
 }

@@ -72,6 +72,12 @@ pub enum OnlineError {
     },
     /// Unknown task id.
     UnknownTask,
+    /// A release or pseudo-deadline of the job would leave the `i64`
+    /// time range.
+    ReleaseOverflow {
+        /// Requested release.
+        requested: i64,
+    },
 }
 
 impl core::fmt::Display for OnlineError {
@@ -88,6 +94,10 @@ impl core::fmt::Display for OnlineError {
                 write!(f, "job released at {requested} but scheduler time is {now}")
             }
             OnlineError::UnknownTask => f.write_str("unknown task id"),
+            OnlineError::ReleaseOverflow { requested } => write!(
+                f,
+                "job released at {requested} has windows past the i64 time range"
+            ),
         }
     }
 }
@@ -143,7 +153,7 @@ impl OnlineDvq {
     /// release plus the task's period, and must not lie in the past.
     ///
     /// # Errors
-    /// [`OnlineError`] on separation/past/unknown-task violations.
+    /// [`OnlineError`] on separation, past, unknown-task or window-overflow violations.
     pub fn submit_job(&mut self, task: TaskId, at: i64) -> Result<(), OnlineError> {
         self.submit_job_observed(task, at, &mut NoopObserver)
     }
@@ -154,7 +164,7 @@ impl OnlineDvq {
     /// ordering).
     ///
     /// # Errors
-    /// [`OnlineError`] on separation/past/unknown-task violations.
+    /// [`OnlineError`] on separation, past, unknown-task or window-overflow violations.
     pub fn submit_job_observed<O: Observer>(
         &mut self,
         task: TaskId,
@@ -417,6 +427,30 @@ mod tests {
                 "{a:?}"
             );
         }
+    }
+
+    #[test]
+    fn release_overflow_is_rejected_without_state_change() {
+        // Weight 1/2 released at i64::MAX − 1 has its deadline past i64:
+        // both schedulers refuse the job, again on a retry, and keep the
+        // task's chain as it was.
+        let far = i64::MAX - 1;
+        let overflow = Err(OnlineError::ReleaseOverflow { requested: far });
+        let mut dvq = OnlineDvq::new(1);
+        let t = dvq.add_task(Weight::new(1, 2));
+        assert_eq!(dvq.submit_job(t, far), overflow);
+        assert_eq!(dvq.submit_job(t, far), overflow);
+        dvq.submit_job(t, 0).unwrap();
+        let log = dvq.run_until_idle(&mut unit_cost());
+        assert_eq!((log.len(), log[0].index, log[0].deadline), (1, 1, 2));
+
+        let mut sfq = crate::OnlineSfq::new(1);
+        let t = sfq.add_task(Weight::new(1, 2));
+        assert_eq!(sfq.submit_job(t, far), overflow);
+        assert_eq!(sfq.submit_job(t, far), overflow);
+        sfq.submit_job(t, 0).unwrap();
+        let picks = sfq.tick();
+        assert_eq!((picks.len(), picks[0].index, picks[0].deadline), (1, 1, 2));
     }
 
     #[test]

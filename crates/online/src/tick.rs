@@ -72,7 +72,7 @@ impl OnlineSfq {
     /// separation enforced; must not precede the next tick).
     ///
     /// # Errors
-    /// [`OnlineError`] on separation/past/unknown-task violations.
+    /// [`OnlineError`] on separation, past, unknown-task or window-overflow violations.
     pub fn submit_job(&mut self, task: TaskId, at: i64) -> Result<(), OnlineError> {
         self.submit_job_observed(task, at, &mut NoopObserver)
     }
@@ -82,7 +82,7 @@ impl OnlineSfq {
     /// contributes.
     ///
     /// # Errors
-    /// [`OnlineError`] on separation/past/unknown-task violations.
+    /// [`OnlineError`] on separation, past, unknown-task or window-overflow violations.
     pub fn submit_job_observed<O: Observer>(
         &mut self,
         task: TaskId,

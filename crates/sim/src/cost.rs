@@ -28,10 +28,10 @@ pub trait CostModel {
     /// reduced denominator dividing `d` — or `None` when no such bound is
     /// known (the default).
     ///
-    /// Purely **advisory**: the DVQ simulator uses it to pick the
-    /// fixed-point tick scale of its `QTime` fast path up front, but still
-    /// checks every drawn cost against the scale at dispatch time and
-    /// migrates the run to exact [`Rat`] arithmetic on the first mismatch. A wrong hint
+    /// Purely **advisory**: the DVQ simulator takes it up front as the
+    /// scale of its [`pfair_numeric::Ticks`] fast path, but still checks
+    /// every drawn cost against the scale at dispatch time and migrates the
+    /// run to exact [`Rat`] arithmetic on the first mismatch. A wrong hint
     /// therefore costs performance, never correctness — and `None` simply
     /// keeps the whole run on the exact path.
     fn denominator_hint(&self) -> Option<i64> {

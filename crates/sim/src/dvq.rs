@@ -28,27 +28,27 @@
 //! completes at `τ + c` and its processor is immediately reusable — no
 //! holds, no waste.
 //!
-//! # The two-tier time representation
+//! # The two time tiers
 //!
-//! The loop is written once, generic over a `TimeDomain` (see
-//! `tdomain.rs`). When the cost model publishes a denominator hint
-//! ([`crate::cost::CostModel::denominator_hint`])
-//! and the run's event span fits `i64` ticks at that scale, the loop runs
-//! in the `TickTimes` fast tier: event times are `QTime` tick counts,
-//! heap comparisons are single integer compares, and rational arithmetic
-//! disappears from the hot path. The first cost off the hinted grid (or any
-//! overflow) triggers a mid-batch **bail**: the loop converts its whole
-//! state to exact [`Rat`]s — losslessly, a tick count *is* a rational — and
-//! the `ExactTimes` tier resumes at the same instant with the already
-//! drawn cost, so RNG streams, observer streams, and schedules are
-//! bit-identical down both tiers (see `tick_times_match_exact_times` and
-//! `tests/keyed_equivalence.rs`).
+//! The loop is written once, generic over a [`Tier`]. When the cost model
+//! publishes a denominator hint
+//! ([`crate::cost::CostModel::denominator_hint`]) and the run's event span
+//! fits `i64` ticks at that scale, the loop runs on [`Ticks`]: event times
+//! are `i64` tick counts, heap entries are packed `u128` keys, and rational
+//! arithmetic disappears from the hot path. The first cost off the hinted
+//! grid triggers a mid-batch **bail**: the loop converts its whole state to
+//! exact [`Rat`]s — losslessly, a tick count *is* a rational — and resumes
+//! on [`Exact`] at the same instant with the already drawn cost, so RNG
+//! streams, observer streams, and schedules are bit-identical down both
+//! tiers (see `tick_times_match_exact_times` and
+//! `tests/keyed_equivalence.rs`). The bail contract that makes this hold
+//! is stated on `assign_batch`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use pfair_core::priority::PriorityOrder;
-use pfair_numeric::Rat;
+use pfair_numeric::{Exact, Rat, Ticks, Tier};
 use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
@@ -56,7 +56,6 @@ use crate::cost::{checked_cost, CostModel};
 use crate::emit::{emit_end, flush_ends};
 use crate::ready::{with_ready_set, ReadySet};
 use crate::schedule::{Placement, QuantumModel, Schedule};
-use crate::tdomain::{event_span, tick_scale, ExactTimes, TickTimes, TimeDomain};
 
 /// Event payloads, ordered so simultaneous batches drain deterministically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,7 +67,7 @@ enum Event {
 }
 
 impl Event {
-    /// The 64-bit payload code for [`TimeDomain::ev_key`]. Code order
+    /// The 64-bit payload code for [`Tier::key`]. Code order
     /// equals the derived `Ord` above: all `ProcFree` codes (`< 2^32`,
     /// ascending by processor) sort before all `Activate` codes
     /// (`2^32 | subtask`, ascending by subtask).
@@ -125,11 +124,11 @@ pub fn simulate_dvq_observed<O: Observer>(
     with_ready_set!(sys, order, |ready| run_dvq(sys, m, ready, cost, obs))
 }
 
-/// The loop state, generic over the time domain so a tick-tier run can
+/// The loop state, generic over the time tier so a tick-tier run can
 /// hand its whole progress to the exact tier on a bail.
-struct LoopState<D: TimeDomain> {
-    /// Min-heap of packed (time, event) keys ([`TimeDomain::ev_key`]).
-    events: BinaryHeap<Reverse<D::EvKey>>,
+struct LoopState<D: Tier> {
+    /// Min-heap of packed (time, event) keys ([`Tier::key`]).
+    events: BinaryHeap<Reverse<D::Key>>,
     /// Free processors as a min-heap, so `pop()` serves the lowest index
     /// first (the documented assignment order) in O(log M).
     free: BinaryHeap<Reverse<u32>>,
@@ -141,18 +140,17 @@ struct LoopState<D: TimeDomain> {
     placed: usize,
 }
 
-/// A fast-tier abort: the instant it happened, the dispatch it could not
-/// represent (cost already drawn — never redrawn, keeping RNG streams
+/// A fast-tier abort: the instant it happened with the dispatch it could
+/// not represent (cost already drawn — never redrawn, keeping RNG streams
 /// identical), and the whole loop state converted to exact rationals.
 struct Bail {
-    now: Rat,
-    pending: (SubtaskRef, Rat),
-    state: LoopState<ExactTimes>,
+    resume: (Rat, (SubtaskRef, Rat)),
+    state: LoopState<Exact>,
 }
 
-/// The initial loop state in domain `dom`: every chain head activates at
+/// The initial loop state in tier `dom`: every chain head activates at
 /// its eligibility time; every processor is free at time 0.
-fn seed_dvq<D: TimeDomain>(dom: &D, sys: &TaskSystem, m: u32) -> LoopState<D> {
+fn seed_dvq<D: Tier>(dom: &D, sys: &TaskSystem, m: u32) -> LoopState<D> {
     let mut events = BinaryHeap::new();
     for task in sys.tasks() {
         if let Some(head) = sys.task_subtask_refs(task.id).next() {
@@ -160,12 +158,12 @@ fn seed_dvq<D: TimeDomain>(dom: &D, sys: &TaskSystem, m: u32) -> LoopState<D> {
             let t = dom
                 .int(e)
                 .expect("seed eligibility is within the pre-checked event span");
-            events.push(Reverse(dom.ev_key(t, Event::Activate(head).code())));
+            events.push(Reverse(dom.key(t, Event::Activate(head).code())));
         }
     }
     let zero = dom.int(0).expect("time zero is within the event span");
     for k in 0..m {
-        events.push(Reverse(dom.ev_key(zero, Event::ProcFree(k).code())));
+        events.push(Reverse(dom.key(zero, Event::ProcFree(k).code())));
     }
     LoopState {
         events,
@@ -177,14 +175,14 @@ fn seed_dvq<D: TimeDomain>(dom: &D, sys: &TaskSystem, m: u32) -> LoopState<D> {
 }
 
 /// Lossless state conversion to the exact tier (`to_rat` is total).
-fn migrate_dvq<D: TimeDomain>(dom: &D, s: &mut LoopState<D>) -> LoopState<ExactTimes> {
+fn migrate_dvq<D: Tier>(dom: &D, s: &mut LoopState<D>) -> LoopState<Exact> {
     LoopState {
         events: s
             .events
             .drain()
             .map(|Reverse(k)| {
-                let (t, code) = dom.ev_split(k);
-                Reverse(ExactTimes.ev_key(dom.to_rat(t), code))
+                let (t, code) = dom.split(k);
+                Reverse((dom.to_rat(t), code))
             })
             .collect(),
         free: std::mem::take(&mut s.free),
@@ -198,14 +196,9 @@ fn migrate_dvq<D: TimeDomain>(dom: &D, s: &mut LoopState<D>) -> LoopState<ExactT
     }
 }
 
-/// Converts `t` to a rational at most once per batch, memoized in `slot`.
-fn lazy_rat<D: TimeDomain>(dom: &D, t: D::T, slot: &mut Option<Rat>) -> Rat {
-    *slot.get_or_insert_with(|| dom.to_rat(t))
-}
-
 /// The borrows one event-loop run needs, bundled so the tick and exact
 /// tiers can take them in turn.
-struct DvqLoop<'a, D: TimeDomain, R: ReadySet, O: Observer> {
+struct DvqLoop<'a, D: Tier, R: ReadySet, O: Observer> {
     dom: &'a D,
     sys: &'a TaskSystem,
     m: u32,
@@ -214,7 +207,7 @@ struct DvqLoop<'a, D: TimeDomain, R: ReadySet, O: Observer> {
     obs: &'a mut O,
 }
 
-impl<D: TimeDomain, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
+impl<D: Tier, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
     /// Runs the event loop to completion in this tier's arithmetic, or
     /// bails with the exact-tier state. `resume` re-enters a batch that a
     /// previous tier abandoned: its `Tick` was already emitted, and the
@@ -229,7 +222,7 @@ impl<D: TimeDomain, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
             let now = self
                 .dom
                 .from_rat(now_r)
-                .expect("a bail instant is representable in the resuming domain");
+                .expect("a bail instant is representable in the resuming tier");
             self.assign_batch(&mut s, now, Some(pending))?;
         }
         while s.placed < total {
@@ -245,7 +238,7 @@ impl<D: TimeDomain, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
                     placed = s.placed
                 );
             };
-            let (now, _) = self.dom.ev_split(head);
+            let (now, _) = self.dom.split(head);
             if O::ENABLED {
                 self.obs.on_event(&SchedEvent::Tick {
                     at: self.dom.to_rat(now),
@@ -255,7 +248,7 @@ impl<D: TimeDomain, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
             // ascending by processor, then Activate) makes the emitted
             // stream deterministic too.
             while let Some(&Reverse(k)) = s.events.peek() {
-                let (t, code) = self.dom.ev_split(k);
+                let (t, code) = self.dom.split(k);
                 if t != now {
                     break;
                 }
@@ -348,24 +341,24 @@ impl<D: TimeDomain, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
             };
             // Fallible conversions first (completion, successor
             // eligibility); side effects only once both are in hand.
-            let conv =
-                self.dom
-                    .add_cost(now, c)
-                    .and_then(|completion| match self.sys.subtask(st).succ {
-                        None => Some((completion, None)),
-                        Some(succ) => self
-                            .dom
-                            .int(self.sys.subtask(succ).eligible)
-                            .map(|e| (completion, Some((succ, e)))),
-                    });
+            let conv = self
+                .dom
+                .from_rat(c)
+                .and_then(|c| self.dom.add(now, c))
+                .and_then(|completion| match self.sys.subtask(st).succ {
+                    None => Some((completion, None)),
+                    Some(succ) => self
+                        .dom
+                        .int(self.sys.subtask(succ).eligible)
+                        .map(|e| (completion, Some((succ, e)))),
+                });
             let Some((completion, succ_at)) = conv else {
                 return Err(Box::new(Bail {
-                    now: lazy_rat(self.dom, now, &mut now_r_slot),
-                    pending: (st, c),
+                    resume: (self.dom.to_rat(now), (st, c)),
                     state: migrate_dvq(self.dom, s),
                 }));
             };
-            let now_r = lazy_rat(self.dom, now, &mut now_r_slot);
+            let now_r = *now_r_slot.get_or_insert_with(|| self.dom.to_rat(now));
             let Reverse(proc) = s.free.pop().expect("free nonempty in the assignment loop");
             s.placements.push(Placement {
                 st,
@@ -390,20 +383,20 @@ impl<D: TimeDomain, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
                 s.running[proc as usize] = Some((st, completion));
             }
             s.events.push(Reverse(
-                self.dom.ev_key(completion, Event::ProcFree(proc).code()),
+                self.dom.key(completion, Event::ProcFree(proc).code()),
             ));
             // The successor becomes ready once both eligible and its
             // predecessor (this subtask) has completed.
             if let Some((succ, e)) = succ_at {
                 s.events.push(Reverse(
                     self.dom
-                        .ev_key(e.max(completion), Event::Activate(succ).code()),
+                        .key(e.max(completion), Event::Activate(succ).code()),
                 ));
             }
         }
         if O::ENABLED && !s.free.is_empty() {
             self.obs.on_event(&SchedEvent::Idle {
-                at: lazy_rat(self.dom, now, &mut now_r_slot),
+                at: *now_r_slot.get_or_insert_with(|| self.dom.to_rat(now)),
                 procs: s.free.len() as u32,
             });
         }
@@ -423,36 +416,26 @@ fn run_dvq<R: ReadySet, O: Observer>(
     obs: &mut O,
 ) -> Schedule {
     assert!(m >= 1, "need at least one processor");
-    let scale = event_span(sys).and_then(|span| tick_scale(cost.denominator_hint(), span));
-    let bail = if let Some(scale) = scale {
-        let dom = TickTimes { scale };
-        let state = seed_dvq(&dom, sys, m);
-        let mut fast = DvqLoop {
-            dom: &dom,
-            sys,
-            m,
-            ready: &mut ready,
-            cost,
-            obs,
-        };
-        match fast.run_dvq_tier(state, None) {
-            Ok(sched) => return sched,
-            Err(bail) => Some(*bail),
+    let ticks = event_span(sys).and_then(|span| tick_scale(cost.denominator_hint(), span));
+    let (state, resume) = match ticks {
+        Some(dom) => {
+            let mut fast = DvqLoop {
+                dom: &dom,
+                sys,
+                m,
+                ready: &mut ready,
+                cost,
+                obs,
+            };
+            match fast.run_dvq_tier(seed_dvq(&dom, sys, m), None) {
+                Ok(sched) => return sched,
+                Err(bail) => (bail.state, Some(bail.resume)),
+            }
         }
-    } else {
-        None
-    };
-    let dom = ExactTimes;
-    let (state, resume) = match bail {
-        Some(Bail {
-            now,
-            pending,
-            state,
-        }) => (state, Some((now, pending))),
-        None => (seed_dvq(&dom, sys, m), None),
+        None => (seed_dvq(&Exact, sys, m), None),
     };
     let mut exact = DvqLoop {
-        dom: &dom,
+        dom: &Exact,
         sys,
         m,
         ready: &mut ready,
@@ -461,8 +444,37 @@ fn run_dvq<R: ReadySet, O: Observer>(
     };
     match exact.run_dvq_tier(state, resume) {
         Ok(sched) => sched,
-        Err(_) => unreachable!("the exact time domain never bails"),
+        Err(_) => unreachable!("the exact tier never bails"),
     }
+}
+
+/// An upper bound on every integral instant a DVQ run over `sys` can
+/// produce, or `None` on overflow (which simply keeps the run exact).
+/// Each dispatch pushes a completion `≤ now + 1` and an activation
+/// `≤ max(eligible, now + 1)`, so by induction every event time is at most
+/// `max |eligible| + num_subtasks + 2`.
+fn event_span(sys: &TaskSystem) -> Option<i64> {
+    let max_e = sys
+        .iter_refs()
+        .map(|(_, s)| s.eligible.unsigned_abs())
+        .max()
+        .unwrap_or(0);
+    i64::try_from(max_e)
+        .ok()?
+        .checked_add(i64::try_from(sys.num_subtasks()).ok()?)?
+        .checked_add(2)
+}
+
+/// The tick tier for a run over `sys`-like event times, or `None` to stay
+/// exact: requires a positive denominator hint, whose value is the scale,
+/// and headroom for every time the run can produce. `max_int` must bound
+/// every integral instant the loop will convert ([`event_span`]); with
+/// that guarantee, in-run bails can only come from costs off the hinted
+/// grid, never from overflow.
+fn tick_scale(hint: Option<i64>, max_int: i64) -> Option<Ticks> {
+    let ticks = Ticks::new(hint.filter(|&d| d > 0)?);
+    ticks.int(max_int)?;
+    Some(ticks)
 }
 
 #[cfg(test)]
@@ -617,6 +629,16 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(procs, sorted, "batch at {start:?} assigned out of order");
         }
+    }
+
+    #[test]
+    fn tick_scale_requires_hint_and_headroom() {
+        assert_eq!(tick_scale(None, 100), None);
+        assert_eq!(tick_scale(Some(0), 100), None);
+        let s = tick_scale(Some(720_720), 1_000_000).expect("plenty of headroom");
+        assert_eq!(s.per_quantum(), 720_720);
+        // A span too wide for i64 ticks keeps the run exact.
+        assert_eq!(tick_scale(Some(720_720), i64::MAX / 2), None);
     }
 
     #[test]

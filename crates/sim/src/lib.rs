@@ -17,9 +17,9 @@
 //!
 //! The two event-driven engines share one ready set (`ready.rs`: a
 //! deadline-bucketed key queue for keyed orders, a comparator scan
-//! otherwise). Only the DVQ loop, the hot path, also runs on integer ticks
-//! when the cost model allows (`tdomain.rs`); the staggered loop runs on
-//! exact rationals.
+//! otherwise). Only the DVQ loop, the hot path, also runs on
+//! [`pfair_numeric::Ticks`] when the cost model allows; the staggered loop
+//! runs on exact rationals.
 //!
 //! Two further engine *families* compete with the Pfair variants under the
 //! same conformance roof (both slot-based, replayed through the shared
@@ -61,7 +61,6 @@ pub mod schedule;
 pub mod sfq;
 mod slotplay;
 pub mod staggered;
-mod tdomain;
 
 pub use bf::{bf_boundaries, is_boundary_periodic, simulate_bf, simulate_bf_observed};
 pub use cost::{CostModel, ExactOnly, FixedCosts, FullQuantum, ScaledCost};

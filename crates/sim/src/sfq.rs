@@ -22,11 +22,11 @@
 //! [`simulate_sfq_observed`] and [`simulate_sfq_pdb`] are its common
 //! shapes.
 //!
-//! In the workspace's two-tier time representation (see the `dvq` module
-//! docs and `crate::tdomain`), SFQ *is* the integer tier by construction:
-//! every decision instant is an `i64` slot number, so there is no `QTime`
-//! scaling and no bail-out — only placement and completion bookkeeping
-//! ever touch rationals. The hot loop iterates a retained list of tasks
+//! In the workspace's two time tiers (see [`pfair_numeric::Tier`] and the
+//! `dvq` module docs), SFQ *is* the integer tier by construction: every
+//! decision instant is an `i64` slot number, so there is no tick scaling
+//! and no bail-out — only placement and completion bookkeeping ever touch
+//! rationals. The hot loop iterates a retained list of tasks
 //! with unfinished chains rather than rescanning every cursor each slot.
 
 use pfair_core::key::{EpdfKey, KeyCache, KeyDispatch, Pd2Key, PdKey, SubtaskKey};

@@ -52,7 +52,7 @@ struct Digests {
 }
 
 impl Digests {
-    fn add(&mut self, sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) {
+    fn record(&mut self, sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) {
         flow_placements(&mut self.flow, sys, m, cost);
         oracle_answer(&mut self.pf, sys, m, WindowMode::PfWindow);
         oracle_answer(&mut self.is, sys, m, WindowMode::IsWindow);
@@ -75,7 +75,7 @@ fn fuzz_case_flow_outputs_are_pinned() {
         let case = Case::build(generate_case(&GenConfig::default(), seed)).expect("case builds");
         // The engine asserts saturation; the generator targets U ≤ m.
         assert!(case.is_feasible(), "seed {seed}: infeasible case");
-        d.add(&case.sys, case.spec.m, &mut case.cost_model());
+        d.record(&case.sys, case.spec.m, &mut case.cost_model());
     }
     d.assert_pinned(["449b883a465963cb", "ae5bc9755960fd99", "2584713608ff8877"]);
 }
@@ -86,7 +86,7 @@ fn oracle_bench_system_flow_outputs_are_pinned() {
     for (m, horizon) in [(2u32, 16i64), (4, 24), (8, 32)] {
         let ws = random_weights(&TaskGenConfig::full(m, 10), 7_700 + u64::from(m));
         let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(horizon), 7);
-        d.add(&sys, m, &mut FullQuantum);
+        d.record(&sys, m, &mut FullQuantum);
     }
     // Periodic releases without early release: both window modes coincide.
     d.assert_pinned(["af7c1e06ba28c43f", "54c8699e96f0e0e7", "54c8699e96f0e0e7"]);
