@@ -186,7 +186,8 @@ impl Graph {
         for (fi, f) in files.iter().enumerate() {
             parse_file(&mut g, fi, &f.tokens);
         }
-        g.resolve();
+        let leaf: Vec<bool> = files.iter().map(|f| is_leaf_target(&f.path)).collect();
+        g.resolve(&leaf);
         g
     }
 
@@ -243,7 +244,10 @@ impl Graph {
         names.join(" → ")
     }
 
-    fn resolve(&mut self) {
+    /// Resolves every call site to its candidate functions. `leaf[file]`
+    /// marks files no library code can call ([`is_leaf_target`]): calls
+    /// from outside them get no edge into them.
+    fn resolve(&mut self, leaf: &[bool]) {
         // Known workspace types: impl targets plus declared type names.
         let mut type_names: BTreeSet<&str> = BTreeSet::new();
         for it in &self.pub_items {
@@ -313,10 +317,31 @@ impl Graph {
                     }
                 }
             }
+            if !leaf[f.file] {
+                out.retain(|&c| !leaf[self.fns[c].file]);
+            }
             edges.push(out.into_iter().collect());
         }
         self.edges = edges;
     }
+}
+
+/// Whether `path` lies in a `tests/`, `examples/` or `benches/` tree
+/// outside any `src/`: each such file builds its own crate on top of the
+/// libraries, so nothing in a library can call into it. Name-resolved
+/// method calls would otherwise route an engine's reach through a test
+/// helper that merely shares a method name.
+fn is_leaf_target(path: &str) -> bool {
+    let mut dirs = path.split('/');
+    dirs.next_back();
+    for dir in dirs {
+        match dir {
+            "src" => return false,
+            "tests" | "examples" | "benches" => return true,
+            _ => {}
+        }
+    }
+    false
 }
 
 fn buf_has_ident(toks: &[Tok], buf: &[usize], name: &str) -> bool {
@@ -870,6 +895,26 @@ mod tests {
             .position(|f| f.name == "free_helper" && f.impl_ty.is_some())
             .expect("method twin exists");
         assert!(!reached.contains_key(&unrelated));
+    }
+
+    #[test]
+    fn leaf_targets_are_the_test_example_and_bench_trees() {
+        for path in [
+            "tests/flow_identity.rs",
+            "tests/common/mod.rs",
+            "examples/online_server.rs",
+            "crates/lint/tests/rules.rs",
+            "crates/bench/benches/throughput.rs",
+        ] {
+            assert!(is_leaf_target(path), "{path}");
+        }
+        for path in [
+            "crates/sim/src/dvq.rs",
+            "src/main.rs",
+            "crates/x/src/tests/a.rs",
+        ] {
+            assert!(!is_leaf_target(path), "{path}");
+        }
     }
 
     #[test]

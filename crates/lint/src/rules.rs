@@ -460,14 +460,16 @@ struct EngineSpec {
 
 /// The engines and their declared exemptions. The offline simulators
 /// never see a release (their input is the full release sequence), so
-/// `Released` is exempt there. The two online schedulers are drivers of
-/// one kernel (`pfair_online::DvqKernel`): their `tick*` and `run_until*`
-/// entries reach the same emission sites in its step functions. They
-/// emit `Released` on job submission, which no engine entry reaches, so
-/// it needs no exemption there. `Blocked` appears in no engine set by
-/// construction: it is synthesized by `BlockingObserver`, and the
-/// collection below is restricted to the emitting crates (`sim`,
-/// `online`).
+/// `Released` is exempt there. `dvq`, `online-dvq` and `online-sfq` are
+/// drivers of one kernel (`pfair_sim::kernel::DvqKernel`): their
+/// `simulate_dvq*`, `run_until*` and `tick*` entries reach the same
+/// emission sites in its step functions. The kernel constructs
+/// `Released` only on online job submission, which no engine entry
+/// reaches; `simulate_dvq` loads its chains without it, so the `dvq`
+/// exemption stays live, and the online engines need none. `Blocked`
+/// appears in no engine set by construction: it is synthesized by
+/// `BlockingObserver`, and the collection below is restricted to the
+/// emitting crates (`sim`, `online`).
 const ENGINES: [EngineSpec; 7] = [
     EngineSpec {
         name: "sfq",

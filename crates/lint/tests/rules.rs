@@ -144,6 +144,33 @@ fn emission_parity_flags_an_engine_missing_a_variant() {
 }
 
 #[test]
+fn emission_parity_is_not_masked_by_test_helpers_sharing_a_method_name() {
+    // `dvq` calls a method named `record`, and so does a helper in a root
+    // integration test, which drives the SFQ engine. Library code cannot
+    // call into a test crate, so that name match must not lend `dvq`
+    // SFQ's `QuantumEnd`.
+    let sfq = "pub fn simulate_sfq_fix(log: &mut Vec<SchedEvent>) {\n    log.push(SchedEvent::Tick { at: 0 });\n    log.push(SchedEvent::QuantumEnd { at: 1 });\n}\n";
+    let dvq = "fn simulate_dvq_fix(log: &mut Vec<SchedEvent>, tier: &Tier) {\n    log.push(SchedEvent::Tick { at: 0 });\n    tier.record(0);\n}\npub struct Tier;\n";
+    let helper = "struct Digests;\nimpl Digests {\n    fn record(&mut self, log: &mut Vec<SchedEvent>) {\n        simulate_sfq_fix(log);\n    }\n}\n";
+    let d = lint_files(&[
+        ("crates/sim/src/sfq.rs".to_string(), sfq.to_string()),
+        ("crates/sim/src/dvq.rs".to_string(), dvq.to_string()),
+        ("tests/identity.rs".to_string(), helper.to_string()),
+    ]);
+    assert_eq!(rules_of(&d), ["emission-parity"], "{d:?}");
+    assert_eq!(
+        (d[0].path.as_str(), d[0].line),
+        ("crates/sim/src/dvq.rs", 1)
+    );
+    assert!(
+        d[0].message
+            .contains("`dvq` never constructs `SchedEvent::QuantumEnd`"),
+        "{}",
+        d[0].message
+    );
+}
+
+#[test]
 fn emission_parity_honors_exemptions_and_flags_stale_ones() {
     // `Released` is exempt for the offline engines: only the online
     // engine constructing it is NOT a parity break…

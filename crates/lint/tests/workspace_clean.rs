@@ -40,30 +40,29 @@ fn the_workspace_lints_clean() {
 
 /// Removing DVQ's terminal-event emission must fail emission-parity.
 ///
-/// The real `dvq.rs` emits `QuantumEnd`/`DeadlineHit`/`DeadlineMiss`
-/// through the shared `emit_end`/`flush_ends` helpers in `emit.rs`. We
-/// rename those calls in DVQ's source (in memory only) so they resolve
-/// to nothing — exactly what an engine refactor that forgot the
-/// deadline bookkeeping would look like — and assert the linter notices
-/// DVQ no longer reaches a `DeadlineMiss` construction while SFQ and
-/// the staggered engine still do.
+/// Every DVQ driver (`simulate_dvq`, the online schedulers, the runtime)
+/// runs the one kernel in `crates/sim/src/kernel.rs`, which emits
+/// `QuantumEnd`/`DeadlineHit`/`DeadlineMiss` at its terminal-event site
+/// through the shared `emit_end` helper in `emit.rs`. We rename that call
+/// in the kernel's source (in memory only) so it resolves to nothing —
+/// exactly what a refactor that forgot the deadline bookkeeping would
+/// look like — and assert the linter notices DVQ no longer reaches a
+/// `DeadlineMiss` construction while SFQ and the staggered engine still
+/// do.
 #[test]
 fn removing_dvq_deadline_emission_fails_emission_parity() {
     let root = workspace_root();
     let mut files = collect_workspace_files(&root).expect("workspace sources are readable");
-    let dvq = files
+    let kernel = files
         .iter_mut()
-        .find(|(path, _)| path.ends_with("crates/sim/src/dvq.rs"))
-        .expect("the DVQ engine exists");
+        .find(|(path, _)| path.ends_with("crates/sim/src/kernel.rs"))
+        .expect("the DVQ kernel exists");
     assert!(
-        dvq.1.contains("emit_end") && dvq.1.contains("flush_ends"),
-        "dvq.rs emits terminal events via emit_end/flush_ends — update this \
+        kernel.1.contains("emit_end("),
+        "the DVQ kernel emits terminal events via emit_end — update this \
          test if that plumbing moves"
     );
-    dvq.1 = dvq
-        .1
-        .replace("emit_end", "emit_end_gone")
-        .replace("flush_ends", "flush_ends_gone");
+    kernel.1 = kernel.1.replace("emit_end(", "emit_end_gone(");
     let diags = lint_files(&files);
     let parity: Vec<_> = diags
         .iter()

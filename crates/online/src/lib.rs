@@ -12,19 +12,18 @@
 //!   re-exported from `pfair-core`, where it is proven equivalent to the
 //!   comparator, so a ready queue can be a binary heap with `O(log n)`
 //!   dispatch instead of an `O(n)` scan;
-//! * [`kernel::DvqKernel`] — the one online PD² event loop ("a new
-//!   quantum begins immediately" when a subtask yields): per-task chains,
-//!   the tick/exact event queue, the PD² ready heap and the processors,
-//!   advanced by step functions (open a batch, apply an event, free a
-//!   processor, dispatch). It has three drivers:
+//! * two drivers of `pfair_sim::kernel::DvqKernel`, the one DVQ event
+//!   loop ("a new quantum begins immediately" when a subtask yields),
+//!   over its PD² key heap:
 //!   * [`scheduler::OnlineDvq`] — sporadic job submissions and a
 //!     caller-supplied cost source, run to a horizon or until idle;
 //!   * [`tick::OnlineSfq`] — the SFQ counterpart as a kernel would host
 //!     it: a `tick()` per slot boundary steps the loop with every quantum
 //!     at full length (where DVQ and SFQ decide alike) and returns the
-//!     ≤ M subtasks to run;
-//!   * `pfair_runtime::DispatchCore` — the same steps behind a delegation
-//!     lock, gated on real worker threads' completion reports.
+//!     ≤ M subtasks to run.
+//!
+//!   `pfair_sim::simulate_dvq` and `pfair_runtime::DispatchCore` drive
+//!   the same kernel.
 //!
 //! Both schedulers also come in `*_observed` variants that stream
 //! [`pfair_obs::SchedEvent`]s to a [`pfair_obs::Observer`] — see
@@ -41,11 +40,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernel;
 pub mod scheduler;
 pub mod tick;
 
-pub use kernel::DvqKernel;
 pub use pfair_core::key::Pd2Key;
-pub use scheduler::{OnlineAssignment, OnlineDvq, OnlineError};
+pub use pfair_sim::kernel::{OnlineAssignment, OnlineError};
+pub use scheduler::OnlineDvq;
 pub use tick::{OnlineSfq, TickAssignment};

@@ -1,5 +1,5 @@
 //! The online DVQ scheduler: the single-threaded driver of the
-//! [`DvqKernel`] event loop.
+//! [`DvqKernel`] event loop (`pfair_sim::kernel`).
 //!
 //! [`OnlineDvq`] accepts **sporadic job arrivals** at runtime and plays
 //! the DVQ model forward: at every instant a processor frees (a quantum
@@ -29,80 +29,10 @@
 
 use pfair_numeric::{Rat, Time};
 use pfair_obs::{NoopObserver, Observer};
+use pfair_sim::kernel::DvqKernel;
 use pfair_taskmodel::{TaskId, Weight};
 
-use crate::kernel::DvqKernel;
-use crate::Pd2Key;
-
-/// A dispatched quantum, as reported by the scheduler.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OnlineAssignment {
-    /// The task.
-    pub task: TaskId,
-    /// The subtask index within the task.
-    pub index: u64,
-    /// Processor the quantum runs on.
-    pub proc: u32,
-    /// Commencement time.
-    pub start: Time,
-    /// Actual cost (from the caller's cost source).
-    pub cost: Rat,
-    /// The subtask's pseudo-deadline (for the caller's tardiness
-    /// accounting).
-    pub deadline: i64,
-}
-
-/// Errors from job submission.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OnlineError {
-    /// Job release precedes the previous job's release plus the period
-    /// (sporadic separation violated).
-    TooEarly {
-        /// Earliest admissible release.
-        earliest: i64,
-        /// Requested release.
-        requested: i64,
-    },
-    /// Job release lies in the scheduler's past.
-    InThePast {
-        /// Current scheduler time.
-        now: Time,
-        /// Requested release.
-        requested: i64,
-    },
-    /// Unknown task id.
-    UnknownTask,
-    /// A release or pseudo-deadline of the job would leave the `i64`
-    /// time range.
-    ReleaseOverflow {
-        /// Requested release.
-        requested: i64,
-    },
-}
-
-impl core::fmt::Display for OnlineError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            OnlineError::TooEarly {
-                earliest,
-                requested,
-            } => write!(
-                f,
-                "sporadic separation violated: job released at {requested}, earliest {earliest}"
-            ),
-            OnlineError::InThePast { now, requested } => {
-                write!(f, "job released at {requested} but scheduler time is {now}")
-            }
-            OnlineError::UnknownTask => f.write_str("unknown task id"),
-            OnlineError::ReleaseOverflow { requested } => write!(
-                f,
-                "job released at {requested} has windows past the i64 time range"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for OnlineError {}
+use crate::{OnlineAssignment, OnlineError, Pd2Key};
 
 /// An online, heap-based PD² scheduler for the DVQ model: a driver of
 /// the [`DvqKernel`] that keys subtasks from the window formulas and costs
@@ -115,11 +45,11 @@ pub struct OnlineDvq {
 impl OnlineDvq {
     /// A scheduler over `m ≥ 1` processors, starting at time 0.
     ///
-    /// The event queue starts in its integer-tick fast mode at the
-    /// workload cost grid's resolution (`lcm(1..13)` ticks per quantum)
-    /// and falls back to exact rational times automatically on the first
-    /// off-grid value. The mode never affects the schedule — only how much
-    /// of the run enjoys integer heap comparisons.
+    /// The kernel's clock starts on integer ticks at the workload cost
+    /// grid's resolution (`lcm(1..13)` ticks per quantum) and falls back
+    /// to exact rational times automatically on the first off-grid value.
+    /// The tier never affects the schedule — only how much of the run
+    /// enjoys integer arithmetic.
     ///
     /// # Panics
     /// Panics if `m == 0`.
@@ -216,16 +146,7 @@ impl OnlineDvq {
         obs: &mut O,
     ) -> Vec<OnlineAssignment> {
         let mut log = Vec::new();
-        while let Some((at, _)) = self.kernel.peek() {
-            if horizon.is_some_and(|h| at > h) {
-                break;
-            }
-            self.kernel.open(at, obs);
-            // Drain the batch (`apply_at` matches the instant even if an
-            // arm within the batch migrates the queue to exact mode).
-            while self.kernel.apply_at(at, obs) {}
-            self.kernel.dispatch(&mut *cost, &mut log, obs);
-        }
+        while self.kernel.step(horizon, &mut *cost, &mut log, obs) {}
         if let Some(h) = horizon {
             self.kernel.wait_until(h);
         }

@@ -10,7 +10,8 @@
 //! the scheduler needs no mid-slot upcalls at all (that simplicity is
 //! exactly what the paper's §1 trades against the wasted yield tails).
 //!
-//! [`OnlineSfq`] is a unit-cost driver of the [`DvqKernel`]: when every
+//! [`OnlineSfq`] is a unit-cost driver of the [`DvqKernel`]
+//! (`pfair_sim::kernel`): when every
 //! quantum runs its full length the DVQ model makes exactly the SFQ
 //! model's decisions. A tick at slot `t` opens the kernel's batch at `t`,
 //! applies the chain activations queued there, dispatches with every cost
@@ -23,7 +24,8 @@ use pfair_numeric::Rat;
 use pfair_obs::{NoopObserver, Observer};
 use pfair_taskmodel::{TaskId, Weight};
 
-use crate::kernel::DvqKernel;
+use pfair_sim::kernel::DvqKernel;
+
 use crate::{OnlineError, Pd2Key};
 
 /// A subtask handed out by [`OnlineSfq::tick`].

@@ -3,10 +3,10 @@
 //! [`DispatchCore`] is the single-threaded heart of the runtime: whichever
 //! worker currently holds the combiner role drains the request slots and
 //! drives this state machine. It is the second driver of
-//! [`pfair_online::DvqKernel`], the online PD²-DVQ event loop that
-//! [`pfair_online::OnlineDvq`] also drives: chain arming, the tick/exact
-//! event queue, the PD² ready heap, deadline verdicts and the
-//! ascending-processor dispatch pass all live there. What stays here is
+//! [`pfair_sim::kernel::DvqKernel`], the DVQ event loop that
+//! [`pfair_online::OnlineDvq`] and `simulate_dvq` also drive: chain
+//! arming, the tick/exact clock, the PD² ready heap, deadline verdicts and
+//! the ascending-processor dispatch pass all live there. What stays here is
 //! what belongs to the runtime:
 //!
 //! * every submission is checked against the core's own [`TaskSystem`],
@@ -43,8 +43,8 @@
 use pfair_core::key::{KeyCache, Pd2Key};
 use pfair_numeric::Time;
 use pfair_obs::{Observer, RecordingObserver, SchedEvent};
-use pfair_online::kernel::{DvqKernel, Event};
 use pfair_online::OnlineAssignment;
+use pfair_sim::kernel::{DvqKernel, Event};
 use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskId, TaskSystem};
 
 use crate::jitter::{quantum_cost, JitterRegime};

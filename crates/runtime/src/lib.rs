@@ -11,7 +11,7 @@
 //! slots, and whichever worker holds the combiner role drains the batch
 //! into the deterministic core ([`core`]), which drives the same online
 //! PD²-DVQ event loop as [`pfair_online::OnlineDvq`]
-//! ([`pfair_online::DvqKernel`]) with KeyCache-served keys.
+//! ([`pfair_sim::kernel::DvqKernel`]) with KeyCache-served keys.
 //!
 //! Correctness is *proven per run*, two ways ([`exec`]):
 //!

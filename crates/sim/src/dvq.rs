@@ -16,79 +16,34 @@
 //!
 //! # Mechanics
 //!
-//! Event-driven simulation over exact rational times:
+//! [`simulate_dvq`] drives [`crate::kernel::DvqKernel`], the DVQ event
+//! loop the online schedulers and the runtime run too. A subtask becomes
+//! *ready* at `max(e(T_i), completion of predecessor)`; all events at an
+//! instant are drained before free processors (ascending index) take ready
+//! subtasks in priority order; a subtask placed at `τ` with actual cost
+//! `c` frees its processor at `τ + c` — no holds, no waste. The driver
+//! loads each task's chain straight from the [`TaskSystem`] (GIS, IS and
+//! early releases as released; no `Released` events), opens the batch at
+//! time 0 even when nothing is eligible then, and stops at the last
+//! placement, announcing the ends of quanta still in flight in completion
+//! order.
 //!
-//! * `Activate(st)` events fire when a subtask becomes *ready* — at
-//!   `max(e(T_i), completion of predecessor)`;
-//! * `ProcFree(k)` events fire when a quantum completes.
-//!
-//! All events at the same instant are drained before any assignment; then
-//! free processors (ascending index) are matched with ready subtasks in
-//! priority order. A subtask scheduled at time `τ` with actual cost `c`
-//! completes at `τ + c` and its processor is immediately reusable — no
-//! holds, no waste.
-//!
-//! # The two time tiers
-//!
-//! The loop is written once, generic over a [`Tier`]. When the cost model
-//! publishes a denominator hint
-//! ([`crate::cost::CostModel::denominator_hint`]) and the run's event span
-//! fits `i64` ticks at that scale, the loop runs on [`Ticks`]: event times
-//! are `i64` tick counts, heap entries are packed `u128` keys, and rational
-//! arithmetic disappears from the hot path. The first cost off the hinted
-//! grid triggers a mid-batch **bail**: the loop converts its whole state to
-//! exact [`Rat`]s — losslessly, a tick count *is* a rational — and resumes
-//! on [`Exact`] at the same instant with the already drawn cost, so RNG
-//! streams, observer streams, and schedules are bit-identical down both
-//! tiers (see `tick_times_match_exact_times` and
-//! `tests/keyed_equivalence.rs`). The bail contract that makes this hold
-//! is stated on `assign_batch`.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! With a cost model's denominator hint
+//! ([`crate::cost::CostModel::denominator_hint`]) the kernel's clock runs
+//! on `i64` ticks at that scale; the first cost off that grid moves it to
+//! exact rationals mid-batch, losslessly, so schedules and observer
+//! streams are identical down both tiers (`tick_times_match_exact_times`,
+//! `mid_run_migration_is_invisible`, `tests/keyed_equivalence.rs`).
 
 use pfair_core::priority::PriorityOrder;
-use pfair_numeric::{Exact, Rat, Ticks, Tier};
-use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
+use pfair_numeric::{Rat, Ticks};
+use pfair_obs::{NoopObserver, Observer};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
 use crate::cost::{checked_cost, CostModel};
-use crate::emit::{emit_end, flush_ends};
+use crate::kernel::{DvqKernel, Placed, SubSpec};
 use crate::ready::{with_ready_set, ReadySet};
 use crate::schedule::{Placement, QuantumModel, Schedule};
-
-/// Event payloads, ordered so simultaneous batches drain deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    /// A processor completed its quantum.
-    ProcFree(u32),
-    /// A subtask became ready.
-    Activate(SubtaskRef),
-}
-
-impl Event {
-    /// The 64-bit payload code for [`Tier::key`]. Code order
-    /// equals the derived `Ord` above: all `ProcFree` codes (`< 2^32`,
-    /// ascending by processor) sort before all `Activate` codes
-    /// (`2^32 | subtask`, ascending by subtask).
-    fn code(self) -> u64 {
-        match self {
-            Event::ProcFree(k) => u64::from(k),
-            Event::Activate(st) => (1 << 32) | u64::from(st.0),
-        }
-    }
-
-    /// Inverse of [`Event::code`].
-    fn from_code(code: u64) -> Event {
-        #[allow(clippy::cast_possible_truncation)]
-        let payload = code as u32;
-        if code >> 32 == 0 {
-            Event::ProcFree(payload)
-        } else {
-            Event::Activate(SubtaskRef(payload))
-        }
-    }
-}
 
 /// Simulates `sys` on `m` processors under the DVQ model with priority
 /// order `order` (the paper analyzes PD²-DVQ; any order is accepted so the
@@ -124,357 +79,66 @@ pub fn simulate_dvq_observed<O: Observer>(
     with_ready_set!(sys, order, |ready| run_dvq(sys, m, ready, cost, obs))
 }
 
-/// The loop state, generic over the time tier so a tick-tier run can
-/// hand its whole progress to the exact tier on a bail.
-struct LoopState<D: Tier> {
-    /// Min-heap of packed (time, event) keys ([`Tier::key`]).
-    events: BinaryHeap<Reverse<D::Key>>,
-    /// Free processors as a min-heap, so `pop()` serves the lowest index
-    /// first (the documented assignment order) in O(log M).
-    free: BinaryHeap<Reverse<u32>>,
-    /// Observability state: the in-flight quantum on each processor
-    /// `(subtask, completion)`, for `QuantumEnd` emission at its
-    /// `ProcFree`. Written only when the observer is enabled.
-    running: Vec<Option<(SubtaskRef, D::T)>>,
-    placements: Vec<Placement>,
-    placed: usize,
-}
-
-/// A fast-tier abort: the instant it happened with the dispatch it could
-/// not represent (cost already drawn — never redrawn, keeping RNG streams
-/// identical), and the whole loop state converted to exact rationals.
-struct Bail {
-    resume: (Rat, (SubtaskRef, Rat)),
-    state: LoopState<Exact>,
-}
-
-/// The initial loop state in tier `dom`: every chain head activates at
-/// its eligibility time; every processor is free at time 0.
-fn seed_dvq<D: Tier>(dom: &D, sys: &TaskSystem, m: u32) -> LoopState<D> {
-    let mut events = BinaryHeap::new();
-    for task in sys.tasks() {
-        if let Some(head) = sys.task_subtask_refs(task.id).next() {
-            let e = sys.subtask(head).eligible;
-            let t = dom
-                .int(e)
-                .expect("seed eligibility is within the pre-checked event span");
-            events.push(Reverse(dom.key(t, Event::Activate(head).code())));
-        }
-    }
-    let zero = dom.int(0).expect("time zero is within the event span");
-    for k in 0..m {
-        events.push(Reverse(dom.key(zero, Event::ProcFree(k).code())));
-    }
-    LoopState {
-        events,
-        free: BinaryHeap::with_capacity(m as usize),
-        running: vec![None; m as usize],
-        placements: Vec::with_capacity(sys.num_subtasks()),
-        placed: 0,
-    }
-}
-
-/// Lossless state conversion to the exact tier (`to_rat` is total).
-fn migrate_dvq<D: Tier>(dom: &D, s: &mut LoopState<D>) -> LoopState<Exact> {
-    LoopState {
-        events: s
-            .events
-            .drain()
-            .map(|Reverse(k)| {
-                let (t, code) = dom.split(k);
-                Reverse((dom.to_rat(t), code))
-            })
-            .collect(),
-        free: std::mem::take(&mut s.free),
-        running: s
-            .running
-            .iter_mut()
-            .map(|slot| slot.take().map(|(st, t)| (st, dom.to_rat(t))))
-            .collect(),
-        placements: std::mem::take(&mut s.placements),
-        placed: s.placed,
-    }
-}
-
-/// The borrows one event-loop run needs, bundled so the tick and exact
-/// tiers can take them in turn.
-struct DvqLoop<'a, D: Tier, R: ReadySet, O: Observer> {
-    dom: &'a D,
-    sys: &'a TaskSystem,
-    m: u32,
-    ready: &'a mut R,
-    cost: &'a mut dyn CostModel,
-    obs: &'a mut O,
-}
-
-impl<D: Tier, R: ReadySet, O: Observer> DvqLoop<'_, D, R, O> {
-    /// Runs the event loop to completion in this tier's arithmetic, or
-    /// bails with the exact-tier state. `resume` re-enters a batch that a
-    /// previous tier abandoned: its `Tick` was already emitted, and the
-    /// first dispatch reuses the carried-over cost.
-    fn run_dvq_tier(
-        &mut self,
-        mut s: LoopState<D>,
-        resume: Option<(Rat, (SubtaskRef, Rat))>,
-    ) -> Result<Schedule, Box<Bail>> {
-        let total = self.sys.num_subtasks();
-        if let Some((now_r, pending)) = resume {
-            let now = self
-                .dom
-                .from_rat(now_r)
-                .expect("a bail instant is representable in the resuming tier");
-            self.assign_batch(&mut s, now, Some(pending))?;
-        }
-        while s.placed < total {
-            let Some(&Reverse(head)) = s.events.peek() else {
-                // Every unplaced subtask owes the queue either an Activate
-                // or the ProcFree that will trigger one, so an empty queue
-                // here is a lost-event bug in this driver — abort loudly
-                // (also in release builds) rather than looping forever on
-                // `placed < total`.
-                panic!(
-                    "DVQ event queue drained with only {placed}/{total} subtasks placed: \
-                     an Activate/ProcFree event was lost (broken successor chain?)",
-                    placed = s.placed
-                );
-            };
-            let (now, _) = self.dom.split(head);
-            if O::ENABLED {
-                self.obs.on_event(&SchedEvent::Tick {
-                    at: self.dom.to_rat(now),
-                });
-            }
-            // Drain the batch at `now`. The event ordering (ProcFree
-            // ascending by processor, then Activate) makes the emitted
-            // stream deterministic too.
-            while let Some(&Reverse(k)) = s.events.peek() {
-                let (t, code) = self.dom.split(k);
-                if t != now {
-                    break;
-                }
-                s.events.pop();
-                match Event::from_code(code) {
-                    Event::ProcFree(k) => {
-                        if O::ENABLED {
-                            if let Some((st, completion)) = s.running[k as usize].take() {
-                                emit_end(
-                                    self.sys,
-                                    st,
-                                    k,
-                                    self.dom.to_rat(completion),
-                                    Rat::ZERO,
-                                    self.obs,
-                                );
-                            }
-                        }
-                        s.free.push(Reverse(k));
-                    }
-                    Event::Activate(st) => {
-                        if O::ENABLED {
-                            let sub = self.sys.subtask(st);
-                            let cause = if self.dom.int(sub.eligible) == Some(now) {
-                                ReadyCause::Eligibility
-                            } else {
-                                ReadyCause::Predecessor
-                            };
-                            self.obs.on_event(&SchedEvent::Ready {
-                                id: sub.id,
-                                at: self.dom.to_rat(now),
-                                cause,
-                            });
-                        }
-                        self.ready.push(st);
-                    }
-                }
-            }
-            self.assign_batch(&mut s, now, None)?;
-        }
-
-        if O::ENABLED {
-            // Quanta still in flight when the last subtask was placed:
-            // announce their ends in completion order.
-            let mut pending: Vec<crate::emit::PendingEnd> = s
-                .running
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(k, slot)| {
-                    slot.take().map(|(st, completion)| {
-                        (self.dom.to_rat(completion), k as u32, st, Rat::ZERO)
-                    })
-                })
-                .collect();
-            flush_ends(self.sys, &mut pending, self.obs);
-        }
-
-        Ok(Schedule::new(
-            self.sys,
-            QuantumModel::Dvq,
-            self.m,
-            s.placements,
-        ))
-    }
-
-    /// Assigns free processors to ready subtasks in priority order, then
-    /// announces residual idleness. Honors the bail-out contract: for each
-    /// dispatch, every fallible time conversion runs *before* any side
-    /// effect, so an unrepresentable value aborts with nothing half-done.
-    fn assign_batch(
-        &mut self,
-        s: &mut LoopState<D>,
-        now: D::T,
-        mut carried: Option<(SubtaskRef, Rat)>,
-    ) -> Result<(), Box<Bail>> {
-        // The rational value of `now` is only needed once something is
-        // emitted at this instant (a placement, a bail, an idle report);
-        // pure-drain batches skip the conversion entirely.
-        let mut now_r_slot: Option<Rat> = None;
-        loop {
-            let (st, c) = match carried.take() {
-                Some(p) => p,
-                None => {
-                    if s.free.is_empty() || self.ready.is_empty() {
-                        break;
-                    }
-                    let st = self.ready.pop_best().expect("ready nonempty");
-                    (st, checked_cost(self.cost.cost(self.sys, st), st))
-                }
-            };
-            // Fallible conversions first (completion, successor
-            // eligibility); side effects only once both are in hand.
-            let conv = self
-                .dom
-                .from_rat(c)
-                .and_then(|c| self.dom.add(now, c))
-                .and_then(|completion| match self.sys.subtask(st).succ {
-                    None => Some((completion, None)),
-                    Some(succ) => self
-                        .dom
-                        .int(self.sys.subtask(succ).eligible)
-                        .map(|e| (completion, Some((succ, e)))),
-                });
-            let Some((completion, succ_at)) = conv else {
-                return Err(Box::new(Bail {
-                    resume: (self.dom.to_rat(now), (st, c)),
-                    state: migrate_dvq(self.dom, s),
-                }));
-            };
-            let now_r = *now_r_slot.get_or_insert_with(|| self.dom.to_rat(now));
-            let Reverse(proc) = s.free.pop().expect("free nonempty in the assignment loop");
-            s.placements.push(Placement {
-                st,
-                proc,
-                start: now_r,
-                cost: c,
-                holds_until: self.dom.to_rat(completion),
-            });
-            s.placed += 1;
-            if O::ENABLED {
-                let sub = self.sys.subtask(st);
-                self.obs.on_event(&SchedEvent::QuantumStart {
-                    id: sub.id,
-                    proc,
-                    start: now_r,
-                    cost: c,
-                    holds_until: self.dom.to_rat(completion),
-                    deadline: sub.deadline,
-                    bbit: sub.bbit,
-                    group_deadline: sub.group_deadline,
-                });
-                s.running[proc as usize] = Some((st, completion));
-            }
-            s.events.push(Reverse(
-                self.dom.key(completion, Event::ProcFree(proc).code()),
-            ));
-            // The successor becomes ready once both eligible and its
-            // predecessor (this subtask) has completed.
-            if let Some((succ, e)) = succ_at {
-                s.events.push(Reverse(
-                    self.dom
-                        .key(e.max(completion), Event::Activate(succ).code()),
-                ));
-            }
-        }
-        if O::ENABLED && !s.free.is_empty() {
-            self.obs.on_event(&SchedEvent::Idle {
-                at: *now_r_slot.get_or_insert_with(|| self.dom.to_rat(now)),
-                procs: s.free.len() as u32,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// The shared DVQ event loop, generic over the ready-set implementation.
-/// Picks the time tier: tick arithmetic when the cost model's denominator
-/// hint and the event span allow it, exact rationals otherwise — and
-/// migrates tick → exact mid-run on the first unrepresentable value.
-fn run_dvq<R: ReadySet, O: Observer>(
+/// The driver over the ready set `ready`: loads the chains, runs the
+/// kernel batch by batch until the last placement, then flushes the
+/// quanta still in flight.
+fn run_dvq<R: ReadySet<Key = SubtaskRef>, O: Observer>(
     sys: &TaskSystem,
     m: u32,
-    mut ready: R,
+    ready: R,
     cost: &mut dyn CostModel,
     obs: &mut O,
 ) -> Schedule {
-    assert!(m >= 1, "need at least one processor");
-    let ticks = event_span(sys).and_then(|span| tick_scale(cost.denominator_hint(), span));
-    let (state, resume) = match ticks {
-        Some(dom) => {
-            let mut fast = DvqLoop {
-                dom: &dom,
-                sys,
-                m,
-                ready: &mut ready,
-                cost,
-                obs,
-            };
-            match fast.run_dvq_tier(seed_dvq(&dom, sys, m), None) {
-                Ok(sched) => return sched,
-                Err(bail) => (bail.state, Some(bail.resume)),
-            }
+    let scale = cost.denominator_hint().filter(|&d| d > 0).map(Ticks::new);
+    let mut kernel = DvqKernel::with_ready(m, true, ready, scale);
+    for task in sys.tasks() {
+        let id = kernel.add_task(task.weight);
+        if let Some(head) = sys.task_subtask_refs(task.id).next() {
+            kernel.load(id, SubSpec::of(sys, head));
         }
-        None => (seed_dvq(&Exact, sys, m), None),
-    };
-    let mut exact = DvqLoop {
-        dom: &Exact,
-        sys,
-        m,
-        ready: &mut ready,
-        cost,
-        obs,
-    };
-    match exact.run_dvq_tier(state, resume) {
-        Ok(sched) => sched,
-        Err(_) => unreachable!("the exact tier never bails"),
     }
+    let total = sys.num_subtasks();
+    let mut placements: Vec<Placement> = Vec::with_capacity(total);
+    let mut draw = |_, spec: &SubSpec<SubtaskRef>| checked_cost(cost.cost(sys, spec.key), spec.key);
+    if total > 0 {
+        // Every processor is free at time 0, so the batch there opens
+        // even when nothing is eligible yet.
+        kernel.open(Rat::ZERO, obs);
+        kernel.run_batch(&mut draw, &mut |p| placements.push(placement(&p)), obs);
+    }
+    while placements.len() < total {
+        // Every unplaced subtask owes the queue either an activation or
+        // the completion that will trigger one, so an empty queue here is
+        // a lost-event bug — abort loudly (also in release builds) rather
+        // than looping forever.
+        let stepped = kernel.step_with(
+            None,
+            &mut draw,
+            &mut |p| placements.push(placement(&p)),
+            obs,
+        );
+        assert!(
+            stepped,
+            "DVQ event queue drained with only {placed}/{total} subtasks placed: \
+             an activation or completion event was lost (broken successor chain?)",
+            placed = placements.len()
+        );
+    }
+    if O::ENABLED {
+        kernel.free_in_flight(obs);
+    }
+    Schedule::new(sys, QuantumModel::Dvq, m, placements)
 }
 
-/// An upper bound on every integral instant a DVQ run over `sys` can
-/// produce, or `None` on overflow (which simply keeps the run exact).
-/// Each dispatch pushes a completion `≤ now + 1` and an activation
-/// `≤ max(eligible, now + 1)`, so by induction every event time is at most
-/// `max |eligible| + num_subtasks + 2`.
-fn event_span(sys: &TaskSystem) -> Option<i64> {
-    let max_e = sys
-        .iter_refs()
-        .map(|(_, s)| s.eligible.unsigned_abs())
-        .max()
-        .unwrap_or(0);
-    i64::try_from(max_e)
-        .ok()?
-        .checked_add(i64::try_from(sys.num_subtasks()).ok()?)?
-        .checked_add(2)
-}
-
-/// The tick tier for a run over `sys`-like event times, or `None` to stay
-/// exact: requires a positive denominator hint, whose value is the scale,
-/// and headroom for every time the run can produce. `max_int` must bound
-/// every integral instant the loop will convert ([`event_span`]); with
-/// that guarantee, in-run bails can only come from costs off the hinted
-/// grid, never from overflow.
-fn tick_scale(hint: Option<i64>, max_int: i64) -> Option<Ticks> {
-    let ticks = Ticks::new(hint.filter(|&d| d > 0)?);
-    ticks.int(max_int)?;
-    Some(ticks)
+/// The schedule's record of a placement.
+fn placement(p: &Placed<'_, SubtaskRef>) -> Placement {
+    Placement {
+        st: p.spec.key,
+        proc: p.proc,
+        start: p.start,
+        cost: p.cost,
+        holds_until: p.completion,
+    }
 }
 
 #[cfg(test)]
@@ -483,6 +147,7 @@ mod tests {
     use pfair_core::key::{KeyCache, Pd2Key};
     use pfair_core::Pd2;
     use pfair_numeric::{Rat, Time};
+    use pfair_obs::SchedEvent;
     use pfair_taskmodel::{release, SubtaskId, TaskId};
 
     use crate::cost::{ExactOnly, FixedCosts, FullQuantum};
@@ -629,16 +294,6 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(procs, sorted, "batch at {start:?} assigned out of order");
         }
-    }
-
-    #[test]
-    fn tick_scale_requires_hint_and_headroom() {
-        assert_eq!(tick_scale(None, 100), None);
-        assert_eq!(tick_scale(Some(0), 100), None);
-        let s = tick_scale(Some(720_720), 1_000_000).expect("plenty of headroom");
-        assert_eq!(s.per_quantum(), 720_720);
-        // A span too wide for i64 ticks keeps the run exact.
-        assert_eq!(tick_scale(Some(720_720), i64::MAX / 2), None);
     }
 
     #[test]

@@ -2,43 +2,43 @@
 
 use pfair_numeric::Rat;
 use pfair_obs::{Observer, SchedEvent};
-use pfair_taskmodel::{SubtaskRef, TaskSystem};
+use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskSystem};
 
 /// A quantum whose end has not been announced yet:
 /// `(completion, proc, subtask, waste)`.
 pub(crate) type PendingEnd = (Rat, u32, SubtaskRef, Rat);
 
-/// Emits `QuantumEnd` followed by the deadline verdict for one quantum.
+/// Emits `QuantumEnd` followed by the deadline verdict for one quantum of
+/// subtask `id`, whose pseudo-deadline is `deadline`.
 pub(crate) fn emit_end<O: Observer>(
-    sys: &TaskSystem,
-    st: SubtaskRef,
+    id: SubtaskId,
+    deadline: i64,
     proc: u32,
     completion: Rat,
     waste: Rat,
     obs: &mut O,
 ) {
     if O::ENABLED {
-        let s = sys.subtask(st);
         obs.on_event(&SchedEvent::QuantumEnd {
-            id: s.id,
+            id,
             proc,
             completion,
-            deadline: s.deadline,
+            deadline,
             waste,
         });
-        let d = Rat::int(s.deadline);
+        let d = Rat::int(deadline);
         if completion > d {
             obs.on_event(&SchedEvent::DeadlineMiss {
-                id: s.id,
+                id,
                 completion,
-                deadline: s.deadline,
+                deadline,
                 tardiness: completion - d,
             });
         } else {
             obs.on_event(&SchedEvent::DeadlineHit {
-                id: s.id,
+                id,
                 completion,
-                deadline: s.deadline,
+                deadline,
             });
         }
     }
@@ -54,7 +54,8 @@ pub(crate) fn flush_ends<O: Observer>(
 ) {
     pending.sort_unstable_by_key(|&(completion, proc, _, _)| (completion, proc));
     for &(completion, proc, st, waste) in pending.iter() {
-        emit_end(sys, st, proc, completion, waste, obs);
+        let s = sys.subtask(st);
+        emit_end(s.id, s.deadline, proc, completion, waste, obs);
     }
     pending.clear();
 }

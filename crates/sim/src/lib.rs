@@ -10,16 +10,18 @@
 //!   event-driven; a processor whose subtask completes at any rational time
 //!   immediately begins a new quantum with the highest-priority *ready*
 //!   subtask (work-conserving). This is where the paper's priority
-//!   inversions arise.
+//!   inversions arise. [`simulate_dvq`] is a driver of [`kernel`], the one
+//!   DVQ event loop, which `pfair-online`'s schedulers and
+//!   `pfair-runtime`'s dispatch core drive too.
 //! * [`staggered`] — the staggered model of Holman & Anderson: fixed-size
 //!   quanta whose boundaries on processor `k` are offset by `k/M`;
 //!   synchronized but not aligned, still non-work-conserving.
 //!
 //! The two event-driven engines share one ready set (`ready.rs`: a
 //! deadline-bucketed key queue for keyed orders, a comparator scan
-//! otherwise). Only the DVQ loop, the hot path, also runs on
-//! [`pfair_numeric::Ticks`] when the cost model allows; the staggered loop
-//! runs on exact rationals.
+//! otherwise; online, a PD² key heap). Only the DVQ kernel, the hot path,
+//! also runs on [`pfair_numeric::Ticks`] when its driver's scale allows;
+//! the staggered loop runs on exact rationals.
 //!
 //! Two further engine *families* compete with the Pfair variants under the
 //! same conformance roof (both slot-based, replayed through the shared
@@ -56,6 +58,7 @@ pub mod cost;
 pub mod dvq;
 mod emit;
 pub mod flow;
+pub mod kernel;
 mod ready;
 pub mod schedule;
 pub mod sfq;

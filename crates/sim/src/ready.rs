@@ -1,26 +1,61 @@
-//! The ready set shared by the event-driven simulators ([`crate::dvq`]
-//! and [`crate::staggered`]).
+//! The ready sets of the event-driven simulators ([`crate::kernel`] and
+//! [`crate::staggered`]): push an entry with the set's [`ReadySet::Key`]
+//! and a tag of the loop's choosing, pop the tag of the best entry.
 //!
-//! A loop pushes subtasks as they become ready and pops the
-//! highest-priority one at each dispatch. `with_ready_set!` picks the
-//! implementation from [`PriorityOrder::key_dispatch`]: orders with a
-//! precomputed-key type (EPDF, PD², PD) get the deadline-bucketed
-//! [`BucketReady`], every other order the comparator scan
-//! [`ComparatorReady`]. Both pop in the same total order, so a loop
-//! produces the same schedule over either.
+//! Over a [`TaskSystem`], `with_ready_set!` keys subtasks by
+//! [`SubtaskRef`] into the deadline-bucketed [`BucketReady`] when
+//! [`PriorityOrder::key_dispatch`] names a key type (EPDF, PD², PD), and
+//! into the comparator scan [`ComparatorReady`] otherwise; both pop in the
+//! same total order. Online, [`KeyHeap`] orders the PD² keys its driver
+//! supplies.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-use pfair_core::key::{KeyCache, SubtaskKey};
+use pfair_core::key::{Pd2Key, SubtaskKey};
 use pfair_core::priority::PriorityOrder;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
+use crate::kernel::SubSpec;
+
 /// The ready set of an event loop: push activated subtasks, pop the
 /// highest-priority one.
-pub(crate) trait ReadySet {
-    fn push(&mut self, st: SubtaskRef);
-    fn pop_best(&mut self) -> Option<SubtaskRef>;
+pub trait ReadySet {
+    /// What an entry is ranked by.
+    type Key: Copy + std::fmt::Debug;
+    /// Adds the entry `key`, returned by a later pop as `tag`.
+    fn push(&mut self, key: Self::Key, tag: u32);
+    /// Removes the highest-priority entry and returns its tag.
+    fn pop_best(&mut self) -> Option<u32>;
+    /// Whether nothing is ready.
     fn is_empty(&self) -> bool;
+    /// The subtask after `key`'s in its chain, for a set that knows the
+    /// chains (one over a [`TaskSystem`]); `None` for one that does not.
+    fn successor(&self, _key: Self::Key) -> Option<SubSpec<Self::Key>> {
+        None
+    }
+}
+
+/// The PD² ready heap of the online drivers: entries ordered by the
+/// [`Pd2Key`] their driver supplies, a total order, so ties never reach
+/// the tags.
+#[derive(Debug, Default)]
+pub struct KeyHeap(BinaryHeap<Reverse<(Pd2Key, u32)>>);
+
+impl ReadySet for KeyHeap {
+    type Key = Pd2Key;
+
+    fn push(&mut self, key: Pd2Key, tag: u32) {
+        self.0.push(Reverse((key, tag)));
+    }
+
+    fn pop_best(&mut self) -> Option<u32> {
+        self.0.pop().map(|Reverse((_, tag))| tag)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// Hard cap on the number of deadline buckets: beyond this, the far tail
@@ -35,13 +70,13 @@ const MAX_BUCKETS: usize = 1 << 16;
 /// Every priority order in `pfair-core` compares deadlines first
 /// ([`SubtaskKey::deadline`]), so the bucket index alone decides most pops;
 /// the remaining stages (b-bit, group deadline, weight, id) are evaluated
-/// only on bucket collisions, via a per-bucket binary heap. Keys are
-/// computed once in the [`KeyCache`] slab and copied inline into the
-/// bucket entries, so sift comparisons read contiguous bucket memory
-/// instead of chasing the slab on every step.
-pub(crate) struct BucketReady<K: SubtaskKey> {
-    cache: KeyCache<K>,
-    buckets: Vec<Vec<(K, SubtaskRef)>>,
+/// only on bucket collisions, via a per-bucket binary heap. Each key is
+/// built from the system when its subtask is pushed and stored inline in
+/// the bucket entry, so sift comparisons read contiguous bucket memory and
+/// a run allocates no key slab.
+pub(crate) struct BucketReady<'a, K: SubtaskKey> {
+    sys: &'a TaskSystem,
+    buckets: Vec<Vec<(K, u32)>>,
     /// Deadline of bucket 0.
     base: i64,
     /// First bucket that may be nonempty (monotone within a pop run;
@@ -50,14 +85,12 @@ pub(crate) struct BucketReady<K: SubtaskKey> {
     len: usize,
 }
 
-impl<K: SubtaskKey> BucketReady<K> {
-    pub(crate) fn new(sys: &TaskSystem) -> BucketReady<K> {
-        let cache: KeyCache<K> = KeyCache::build(sys);
+impl<'a, K: SubtaskKey> BucketReady<'a, K> {
+    pub(crate) fn new(sys: &'a TaskSystem) -> BucketReady<'a, K> {
         let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        for (st, _) in sys.iter_refs() {
-            let d = cache.key(st).deadline();
-            lo = lo.min(d);
-            hi = hi.max(d);
+        for (_, s) in sys.iter_refs() {
+            lo = lo.min(s.deadline);
+            hi = hi.max(s.deadline);
         }
         let width = if lo > hi {
             1 // no subtasks; keep one bucket so indexing stays total
@@ -68,7 +101,7 @@ impl<K: SubtaskKey> BucketReady<K> {
                 .min(MAX_BUCKETS)
         };
         BucketReady {
-            cache,
+            sys,
             buckets: vec![Vec::new(); width],
             base: if lo > hi { 0 } else { lo },
             cursor: 0,
@@ -79,23 +112,25 @@ impl<K: SubtaskKey> BucketReady<K> {
     fn bucket_index(&self, d: i64) -> usize {
         let off = i128::from(d) - i128::from(self.base);
         usize::try_from(off)
-            .expect("deadline below the bucket base: key cache and task system disagree")
+            .expect("deadline below the bucket base: a key and the task system disagree")
             .min(self.buckets.len() - 1)
     }
 }
 
-impl<K: SubtaskKey> ReadySet for BucketReady<K> {
-    fn push(&mut self, st: SubtaskRef) {
-        let key = self.cache.key(st);
+impl<K: SubtaskKey> ReadySet for BucketReady<'_, K> {
+    type Key = SubtaskRef;
+
+    fn push(&mut self, st: SubtaskRef, tag: u32) {
+        let key = K::of_subtask(self.sys, st);
         let idx = self.bucket_index(key.deadline());
         if idx < self.cursor {
             self.cursor = idx;
         }
-        heap_push(&mut self.buckets[idx], key, st);
+        heap_push(&mut self.buckets[idx], key, tag);
         self.len += 1;
     }
 
-    fn pop_best(&mut self) -> Option<SubtaskRef> {
+    fn pop_best(&mut self) -> Option<u32> {
         if self.len == 0 {
             return None;
         }
@@ -109,11 +144,15 @@ impl<K: SubtaskKey> ReadySet for BucketReady<K> {
     fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    fn successor(&self, st: SubtaskRef) -> Option<SubSpec<SubtaskRef>> {
+        Some(SubSpec::of(self.sys, self.sys.subtask(st).succ?))
+    }
 }
 
 /// Sift-up push into a min-heap of inline-keyed entries.
-fn heap_push<K: SubtaskKey>(bucket: &mut Vec<(K, SubtaskRef)>, key: K, st: SubtaskRef) {
-    bucket.push((key, st));
+fn heap_push<K: SubtaskKey>(bucket: &mut Vec<(K, u32)>, key: K, tag: u32) {
+    bucket.push((key, tag));
     let mut i = bucket.len() - 1;
     while i > 0 {
         let parent = (i - 1) / 2;
@@ -127,7 +166,7 @@ fn heap_push<K: SubtaskKey>(bucket: &mut Vec<(K, SubtaskRef)>, key: K, st: Subta
 }
 
 /// Sift-down pop of the key-minimal entry; callers guarantee nonempty.
-fn heap_pop<K: SubtaskKey>(bucket: &mut Vec<(K, SubtaskRef)>) -> SubtaskRef {
+fn heap_pop<K: SubtaskKey>(bucket: &mut Vec<(K, u32)>) -> u32 {
     let last = bucket.len() - 1;
     bucket.swap(0, last);
     let (_, best) = bucket.pop().expect("heap_pop on an empty bucket");
@@ -157,7 +196,7 @@ fn heap_pop<K: SubtaskKey>(bucket: &mut Vec<(K, SubtaskRef)>) -> SubtaskRef {
 pub(crate) struct ComparatorReady<'a> {
     sys: &'a TaskSystem,
     order: &'a dyn PriorityOrder,
-    items: Vec<SubtaskRef>,
+    items: Vec<(SubtaskRef, u32)>,
 }
 
 impl<'a> ComparatorReady<'a> {
@@ -171,17 +210,19 @@ impl<'a> ComparatorReady<'a> {
 }
 
 impl ReadySet for ComparatorReady<'_> {
-    fn push(&mut self, st: SubtaskRef) {
-        self.items.push(st);
+    type Key = SubtaskRef;
+
+    fn push(&mut self, st: SubtaskRef, tag: u32) {
+        self.items.push((st, tag));
     }
 
-    fn pop_best(&mut self) -> Option<SubtaskRef> {
+    fn pop_best(&mut self) -> Option<u32> {
         let (best_pos, _) = self
             .items
             .iter()
             .enumerate()
-            .min_by(|(_, &a), (_, &b)| self.order.cmp(self.sys, a, b))?;
-        let best = self.items.swap_remove(best_pos);
+            .min_by(|(_, a), (_, b)| self.order.cmp(self.sys, a.0, b.0))?;
+        let (best, tag) = self.items.swap_remove(best_pos);
         // The keyed path breaks every tie by subtask id (the keys' last
         // stage); a comparator that leaves ties unresolved would silently
         // pop in scan order instead and diverge from it. Surface that here
@@ -189,16 +230,20 @@ impl ReadySet for ComparatorReady<'_> {
         debug_assert!(
             self.items
                 .iter()
-                .all(|&o| self.order.cmp(self.sys, best, o) != Ordering::Equal),
+                .all(|&(o, _)| self.order.cmp(self.sys, best, o) != Ordering::Equal),
             "comparator {} left a tie unresolved at pop ({best:?} ties another ready \
              subtask): ComparatorReady needs a total order — pin ties by subtask id",
             self.order.name()
         );
-        Some(best)
+        Some(tag)
     }
 
     fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    fn successor(&self, st: SubtaskRef) -> Option<SubSpec<SubtaskRef>> {
+        Some(SubSpec::of(self.sys, self.sys.subtask(st).succ?))
     }
 }
 
@@ -256,8 +301,8 @@ mod tests {
             items: Vec::new(),
         };
         for (st, _) in sys.iter_refs() {
-            a.push(st);
-            b.push(st);
+            a.push(st, st.0);
+            b.push(st, st.0);
         }
         while !a.is_empty() {
             assert_eq!(a.pop_best(), b.pop_best());
@@ -309,16 +354,16 @@ mod tests {
             for &op in &ops {
                 if op == 1 {
                     if let Some(st) = pending.pop() {
-                        bucket.push(st);
-                        scan.push(st);
+                        bucket.push(st, st.0);
+                        scan.push(st, st.0);
                     }
                 } else {
                     prop_assert_eq!(bucket.pop_best(), scan.pop_best());
                 }
             }
             for st in pending {
-                bucket.push(st);
-                scan.push(st);
+                bucket.push(st, st.0);
+                scan.push(st, st.0);
             }
             drain_and_compare(&mut bucket, &mut scan);
         }
@@ -344,8 +389,8 @@ mod tests {
                 items: Vec::new(),
             };
             for (st, _) in sys.iter_refs() {
-                bucket.push(st);
-                scan.push(st);
+                bucket.push(st, st.0);
+                scan.push(st, st.0);
             }
             drain_and_compare(&mut bucket, &mut scan);
         }
@@ -373,16 +418,16 @@ mod tests {
             for &op in &ops {
                 if op == 1 {
                     if let Some(st) = pending.pop() {
-                        bucket.push(st);
-                        scan.push(st);
+                        bucket.push(st, st.0);
+                        scan.push(st, st.0);
                     }
                 } else {
                     prop_assert_eq!(bucket.pop_best(), scan.pop_best());
                 }
             }
             for st in pending {
-                bucket.push(st);
-                scan.push(st);
+                bucket.push(st, st.0);
+                scan.push(st, st.0);
             }
             drain_and_compare(&mut bucket, &mut scan);
         }
@@ -402,8 +447,8 @@ mod tests {
             items: Vec::new(),
         };
         for (st, _) in sys.iter_refs() {
-            ready.push(st);
-            scan.push(st);
+            ready.push(st, st.0);
+            scan.push(st, st.0);
         }
         drain_and_compare(&mut ready, &mut scan);
     }
@@ -423,8 +468,8 @@ mod tests {
             items: Vec::new(),
         };
         for (st, _) in sys.iter_refs() {
-            ready.push(st);
-            scan.push(st);
+            ready.push(st, st.0);
+            scan.push(st, st.0);
         }
         while !ready.is_empty() {
             assert_eq!(ready.pop_best(), scan.pop_best());

@@ -87,7 +87,7 @@ pub fn simulate_staggered_observed<O: Observer>(
 }
 
 /// The staggered event loop over the ready set `ready`.
-fn run_staggered<R: ReadySet, O: Observer>(
+fn run_staggered<R: ReadySet<Key = SubtaskRef>, O: Observer>(
     sys: &TaskSystem,
     m: u32,
     mut ready: R,
@@ -154,7 +154,7 @@ fn run_staggered<R: ReadySet, O: Observer>(
                             cause,
                         });
                     }
-                    ready.push(st);
+                    ready.push(st, st.0);
                 }
             }
         }
@@ -164,7 +164,7 @@ fn run_staggered<R: ReadySet, O: Observer>(
         let next_b = now + Rat::ONE;
         let mut idle_procs = 0u32;
         for &proc in &boundaries {
-            if let Some(st) = ready.pop_best() {
+            if let Some(st) = ready.pop_best().map(SubtaskRef) {
                 let c = checked_cost(cost.cost(sys, st), st);
                 placements.push(Placement {
                     st,

@@ -1,9 +1,13 @@
 //! Shared by the oracle tests: the seeded systems and cost regimes they
-//! sweep, and the quadratic priority-inversion predicate every inversion
-//! search is checked against.
+//! sweep, the quadratic priority-inversion predicate every inversion
+//! search is checked against, and the exact-time comparator-scan DVQ loop
+//! every DVQ driver is checked against.
 
 // Each test binary compiles this module and uses only part of it.
 #![allow(dead_code)]
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
@@ -82,4 +86,67 @@ pub fn random_system(seed: u64, m: u32, light: bool, gis: bool, horizon: i64) ->
         ReleaseConfig::periodic(horizon)
     };
     releasegen::generate(&ws, &rel, seed)
+}
+
+/// The DVQ reference: a plain event loop on exact [`Rat`] times that scans
+/// the ready subtasks with `order`'s comparator at every pick. It shares
+/// no code with the library's DVQ kernel. Every processor frees at time 0
+/// and every chain head becomes ready at its eligibility; all events at an
+/// instant are drained (frees first, ascending) before free processors,
+/// lowest index first, go to ready subtasks in priority order. A subtask
+/// placed at `τ` with cost `c` frees its processor at `τ + c` and readies
+/// its successor at `max(e, τ + c)`.
+pub fn scan_dvq(
+    sys: &TaskSystem,
+    m: u32,
+    order: &dyn PriorityOrder,
+    cost: &mut dyn CostModel,
+) -> Schedule {
+    // `(instant, 0 = processor frees | 1 = subtask becomes ready, id)`.
+    let mut events: BinaryHeap<Reverse<(Rat, u8, u32)>> = BinaryHeap::new();
+    for proc in 0..m {
+        events.push(Reverse((Rat::ZERO, 0, proc)));
+    }
+    for t in sys.tasks() {
+        if let Some(head) = sys.task_subtask_refs(t.id).next() {
+            events.push(Reverse((Rat::int(sys.subtask(head).eligible), 1, head.0)));
+        }
+    }
+    let (mut free, mut ready, mut placements) = (Vec::new(), Vec::new(), Vec::new());
+    while placements.len() < sys.num_subtasks() {
+        let Reverse((now, _, _)) = *events.peek().expect("unplaced subtasks have an event");
+        while let Some(&Reverse((t, kind, id))) = events.peek() {
+            if t != now {
+                break;
+            }
+            events.pop();
+            if kind == 0 {
+                free.push(id);
+            } else {
+                ready.push(SubtaskRef(id));
+            }
+        }
+        free.sort_unstable_by(|a, b| b.cmp(a)); // `pop` serves the lowest index
+        while !free.is_empty() && !ready.is_empty() {
+            let best = (0..ready.len())
+                .min_by(|&a, &b| order.cmp(sys, ready[a], ready[b]))
+                .expect("ready is nonempty");
+            let st = ready.swap_remove(best);
+            let c = cost.cost(sys, st);
+            let proc = free.pop().expect("free is nonempty");
+            placements.push(Placement {
+                st,
+                proc,
+                start: now,
+                cost: c,
+                holds_until: now + c,
+            });
+            events.push(Reverse((now + c, 0, proc)));
+            if let Some(succ) = sys.subtask(st).succ {
+                let at = Rat::int(sys.subtask(succ).eligible).max(now + c);
+                events.push(Reverse((at, 1, succ.0)));
+            }
+        }
+    }
+    Schedule::new(sys, QuantumModel::Dvq, m, placements)
 }

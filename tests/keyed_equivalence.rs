@@ -5,6 +5,8 @@
 //! `ComparatorOnly` forces the fallback path for the same order, so each
 //! test literally runs both implementations and diffs the placements.
 
+mod common;
+
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
 use proptest::prelude::*;
@@ -218,6 +220,29 @@ fn fig3_tick_path_matches_exact_path() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `simulate_dvq` places every subtask exactly where the independent
+    /// exact-time comparator scan (`common::scan_dvq`) does, on random
+    /// periodic, GIS and early-release systems under every priority order
+    /// and seeded early-yield costs.
+    #[test]
+    fn prop_simulate_dvq_matches_the_scan_reference(seed in 0u64..10_000, m in 1u32..4) {
+        let ws = random_weights(&TaskGenConfig::full(m, 5), seed);
+        let releases = [
+            ReleaseConfig::periodic(10),
+            ReleaseConfig::gis(10),
+            ReleaseConfig { early: 1, ..ReleaseConfig::gis(10) },
+        ];
+        for rel in &releases {
+            let sys = releasegen::generate(&ws, rel, seed);
+            for order in [&Pd2 as &dyn PriorityOrder, &Epdf, &Pd, &Pf] {
+                let mk = || UniformCost::new(Rat::new(1, 4), seed);
+                let got = simulate_dvq(&sys, m, order, &mut mk());
+                let want = common::scan_dvq(&sys, m, order, &mut mk());
+                prop_assert_eq!(got.placements(), want.placements(), "{} {:?}", order.name(), rel);
+            }
+        }
+    }
 
     /// KeyCache pairwise ordering matches each comparator on random GIS
     /// systems (random weights, IS delays, dropped subtasks, early

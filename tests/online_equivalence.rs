@@ -1,11 +1,14 @@
-//! Cross-check: the online heap-based schedulers must produce *exactly*
-//! the schedules of the offline simulators on identical workloads —
-//! `OnlineDvq` against the DVQ simulator, `OnlineSfq` against the SFQ one.
+//! Cross-check: the online schedulers must produce *exactly* the
+//! schedules of independent references on identical workloads —
+//! `OnlineDvq` against `common::scan_dvq` (an exact-time comparator scan
+//! that shares no code with the DVQ kernel) and against `simulate_dvq`
+//! (which drives the same kernel), `OnlineSfq` against the SFQ simulator.
 //!
-//! The implementations share the window formulas and nothing else — the
-//! offline simulators scan a ready vector, the online ones pop a binary
-//! heap of static keys — so agreement here certifies both the `Pd2Key`
-//! encoding and the event-loop semantics.
+//! The online schedulers pop a binary heap of static PD² keys; the scan
+//! reference calls the PD² comparator at every pick, so agreement here
+//! certifies both the `Pd2Key` encoding and the event-loop semantics.
+
+mod common;
 
 use std::collections::HashMap;
 
@@ -78,7 +81,9 @@ fn check_equivalence(weights: &[Weight], jobs: u64, m: u32, seed: u64) {
         );
     }
 
-    let offline = simulate_dvq(&sys, m, &Pd2, &mut offline_costs);
+    let offline = common::scan_dvq(&sys, m, &Pd2, &mut offline_costs.clone());
+    let kernel = simulate_dvq(&sys, m, &Pd2, &mut offline_costs);
+    assert_eq!(kernel.placements(), offline.placements(), "seed {seed}");
     let online = run_online(weights, &releases, &cost_map, m);
 
     assert_eq!(online.len(), sys.num_subtasks(), "assignment counts differ");

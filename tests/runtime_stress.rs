@@ -2,8 +2,9 @@
 //!
 //! Every combination of worker count × jitter regime × seed is executed
 //! twice — once in deterministic mode (proof: bit-equality against the
-//! single-threaded `OnlineDvq`, plus placement-equality against the
-//! offline `simulate_dvq`, a separate implementation of the DVQ loop) and
+//! single-threaded `OnlineDvq`, plus placement-equality against
+//! `common::scan_dvq`, an exact-time comparator scan that shares no code
+//! with the DVQ kernel, and against the offline `simulate_dvq`) and
 //! once free-running (proof: the recorded event stream replays through
 //! `slotplay` into the conformance bank clean) — and the three planted
 //! concurrency mutants must each be caught by the bank, with the
@@ -12,6 +13,8 @@
 //! Failures print the `(workers, regime, seed)` triple; re-run any single
 //! seed across the whole sweep with
 //! `PFAIR_PROPTEST_SEED=<seed> cargo test --test runtime_stress`.
+
+mod common;
 
 use std::time::Duration;
 
@@ -53,11 +56,12 @@ fn config(m: u32, regime: JitterRegime, seed: u64, mode: Mode) -> RuntimeConfig 
     cfg
 }
 
-/// Deterministic mode against the offline reference: `simulate_dvq` on
+/// Deterministic mode against the independent reference: `scan_dvq` on
 /// the case's system, each quantum costed by the run's seeded jitter draw,
 /// must place every subtask at the same start on the same processor as
-/// the run's log. `OnlineDvq` shares its event loop with the runtime, so
-/// this is the check that still compares against separate code.
+/// the run's log. `OnlineDvq` and `simulate_dvq` share the runtime's event
+/// loop, so the scan is the check that compares against separate code;
+/// `simulate_dvq` must agree too.
 fn assert_matches_offline(case: &RuntimeCase, cfg: &RuntimeConfig, run: &RuntimeRun) {
     let mut costs = FixedCosts::new(Rat::ONE);
     for (_, s) in case.sys.iter_refs() {
@@ -66,15 +70,21 @@ fn assert_matches_offline(case: &RuntimeCase, cfg: &RuntimeConfig, run: &Runtime
             quantum_cost(cfg.seed, cfg.regime, s.id.task, s.id.index),
         );
     }
+    let reference = common::scan_dvq(&case.sys, cfg.m, &Pd2, &mut costs.clone());
     let offline = simulate_dvq(&case.sys, cfg.m, &Pd2, &mut costs);
     let ctx = format!(
         "workers={} regime={:?} seed={}",
         cfg.m, cfg.regime, cfg.seed
     );
     assert_eq!(
+        offline.placements(),
+        reference.placements(),
+        "{ctx}: simulate_dvq differs from the scan reference"
+    );
+    assert_eq!(
         run.log.len(),
         case.sys.num_subtasks(),
-        "{ctx}: log length differs from the offline schedule"
+        "{ctx}: log length differs from the reference schedule"
     );
     for a in &run.log {
         let st = case
@@ -84,11 +94,11 @@ fn assert_matches_offline(case: &RuntimeCase, cfg: &RuntimeConfig, run: &Runtime
                 index: a.index,
             })
             .expect("every logged subtask is in the system");
-        let want = offline.placement(st);
+        let want = reference.placement(st);
         assert_eq!(
             (a.start, a.proc),
             (want.start, want.proc),
-            "{ctx}: T{}_{} placed differently from simulate_dvq",
+            "{ctx}: T{}_{} placed differently from the scan reference",
             a.task.0,
             a.index
         );
