@@ -7,16 +7,43 @@
 //! mutation test suite asserts that a seeded campaign catches every one
 //! and shrinks its counterexample to a handful of tasks on ≤ 2
 //! processors.
+//!
+//! Wherever the production engine has a seam for the bug, the mutant runs
+//! the production engine with one planted difference, so the bank is
+//! proven against the code that ships:
+//!
+//! * the priority-order mutants hand a broken [`PriorityOrder`] to the
+//!   real SFQ and DVQ engines;
+//! * `pdb-eb-before-db` runs [`simulate_sfq_with`] with a
+//!   [`PdbLinearization`] that Table 1 forbids (EB always before DB);
+//! * `flow-overfull-slot` is [`simulate_flow`] on `m + 1` processors, and
+//!   `flow-window-slip` is [`simulate_flow`] on the system right-shifted by
+//!   one slot (§3.3's shift where it does not belong), each reported
+//!   against the case's own system and `m`;
+//! * `dvq-cost-blind` and the two stream mutants wrap the real drivers.
+//!
+//! Two engines are copies, each for a stated reason:
+//!
+//! * the DVQ loop of `dvq-eager-successor`: the DVQ kernel has no seam for
+//!   when a successor is armed, and adding one would make the shared loop
+//!   branch on its caller;
+//! * the Boundary-Fair allocation of the BF mutants (which takes its
+//!   boundaries from [`bf_boundaries`]): the production table asserts
+//!   exactly where a broken allocation must be clamped instead, so that it
+//!   reaches the schedule and the conservation invariant can see it.
 
 use core::cmp::Ordering;
 
-use pfair_core::pdb;
+use pfair_core::pdb::PdbLinearization;
 use pfair_core::priority::PriorityOrder;
 use pfair_core::{Pd2, Pd2NoGroupDeadline};
-use pfair_maxflow::{EdgeId, FlowNetwork};
 use pfair_numeric::{Rat, Time};
+use pfair_obs::NoopObserver;
 use pfair_sim::cost::checked_cost;
-use pfair_sim::{simulate_dvq, CostModel, Placement, QuantumModel, Schedule};
+use pfair_sim::{
+    bf_boundaries, simulate_dvq, simulate_flow, simulate_sfq_with, AffinityMode, CostModel,
+    Placement, QuantumModel, Schedule, SfqPolicy,
+};
 use pfair_taskmodel::{SubtaskRef, TaskId, TaskSystem};
 
 use crate::engines::{Engines, ProbeSim, Streamed, REFERENCE};
@@ -119,7 +146,7 @@ pub fn mutants() -> Vec<Mutant> {
         },
         Mutant {
             name: "flow-window-slip",
-            description: "flow engine whose subtask windows extend one slot past the deadline (deadline inclusive instead of exclusive)",
+            description: "flow engine whose subtask windows sit one slot late (the system right-shifted by one slot)",
             engines: Engines {
                 name: "flow-window-slip",
                 flow: simulate_flow_window_slip,
@@ -218,129 +245,27 @@ impl PriorityOrder for LatestDeadlineFirst {
     }
 }
 
-/// [`pdb::select_slot`] with the planted bug: in the first `M − p`
-/// decisions, EB is taken before DB whenever both are nonempty (the
-/// reference resolves DB-vs-EB per its linearization; always preferring EB
-/// lets a lower-priority eligibility-blocked subtask jump a deadline-based
-/// one that Table 1 ranks strictly higher at every decision index).
-fn select_slot_eb_first(sys: &TaskSystem, m: usize, part: &pdb::Partition) -> Vec<SubtaskRef> {
-    let p = part.p().min(m);
-    let mut eb = part.eb.as_slice();
-    let mut pb = part.pb.as_slice();
-    let mut db = part.db.as_slice();
-    let mut picked = Vec::with_capacity(m.min(part.len()));
+/// The PD^B tie rule with the planted bug: in the first `M − p`
+/// decisions, EB is taken before DB whenever both are nonempty. Table 1
+/// lets a `DB` subtask pass a higher-priority `EB` one there, never the
+/// reverse, so always preferring EB lets a lower-priority
+/// eligibility-blocked subtask jump a deadline-based one that the table
+/// ranks strictly higher at every decision index.
+const EB_FIRST: PdbLinearization = PdbLinearization {
+    name: "EbFirst",
+    db_first: |_, _, _| false,
+};
 
-    while picked.len() < m - p {
-        let take_db = match (db.first(), eb.first()) {
-            (Some(_), None) => true,
-            (None, Some(_)) | (Some(_), Some(_)) => false,
-            (None, None) => {
-                if let Some((&head, rest)) = pb.split_first() {
-                    picked.push(head);
-                    pb = rest;
-                    continue;
-                }
-                return picked;
-            }
-        };
-        if take_db {
-            let (&head, rest) = db.split_first().expect("checked");
-            picked.push(head);
-            db = rest;
-        } else {
-            let (&head, rest) = eb.split_first().expect("checked");
-            picked.push(head);
-            eb = rest;
-        }
-    }
-
-    while picked.len() < m {
-        let candidates = [db.first(), eb.first(), pb.first()];
-        let best = candidates
-            .into_iter()
-            .flatten()
-            .copied()
-            .min_by(|&a, &b| Pd2.cmp(sys, a, b));
-        let Some(best) = best else { break };
-        if db.first() == Some(&best) {
-            db = &db[1..];
-        } else if eb.first() == Some(&best) {
-            eb = &eb[1..];
-        } else {
-            pb = &pb[1..];
-        }
-        picked.push(best);
-    }
-    picked
-}
-
-/// SFQ/PD^B driver wired to [`select_slot_eb_first`].
+/// The production SFQ/PD^B driver under [`EB_FIRST`].
 fn simulate_pdb_eb_first(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
-    assert!(m >= 1, "need at least one processor");
-    let total = sys.num_subtasks();
-    let mut placements = Vec::with_capacity(total);
-    let mut slot_of: Vec<Option<i64>> = vec![None; total];
-    let mut cursor: Vec<(u32, u32)> = (0..sys.num_tasks())
-        .map(|k| sys.task_span(TaskId(k as u32)))
-        .collect();
-    let mut placed = 0usize;
-    let mut t = 0i64;
-    let mut ready: Vec<SubtaskRef> = Vec::with_capacity(sys.num_tasks());
-
-    while placed < total {
-        ready.clear();
-        let mut next_interesting = i64::MAX;
-        for &(cur, hi) in &cursor {
-            if cur >= hi {
-                continue;
-            }
-            let st = SubtaskRef(cur);
-            let s = sys.subtask(st);
-            let pred_done_at = match s.pred {
-                None => i64::MIN,
-                Some(p) => slot_of[p.idx()].expect("cursor implies pred scheduled") + 1,
-            };
-            let ready_at = s.eligible.max(pred_done_at);
-            if ready_at <= t {
-                ready.push(st);
-            } else {
-                next_interesting = next_interesting.min(ready_at);
-            }
-        }
-        if ready.is_empty() {
-            assert!(next_interesting < i64::MAX, "mutant PD^B driver stuck");
-            assert!(next_interesting > t, "mutant PD^B driver stuck");
-            t = next_interesting;
-            continue;
-        }
-        let readiness: Vec<pdb::Ready> = ready
-            .iter()
-            .map(|&st| pdb::Ready {
-                st,
-                pred_holds_until_t: sys
-                    .subtask(st)
-                    .pred
-                    .is_some_and(|p| slot_of[p.idx()] == Some(t - 1)),
-            })
-            .collect();
-        let part = pdb::classify(sys, t, &readiness);
-        let picked = select_slot_eb_first(sys, m as usize, &part);
-        for (k, &st) in picked.iter().enumerate() {
-            let c = checked_cost(cost.cost(sys, st), st);
-            placements.push(Placement {
-                st,
-                proc: k as u32,
-                start: Rat::int(t),
-                cost: c,
-                holds_until: Rat::int(t + 1),
-            });
-            slot_of[st.idx()] = Some(t);
-            cursor[sys.subtask(st).id.task.idx()].0 += 1;
-            placed += 1;
-        }
-        t += 1;
-    }
-    Schedule::new(sys, QuantumModel::Sfq, m, placements)
+    simulate_sfq_with(
+        sys,
+        m,
+        SfqPolicy::PdB(EB_FIRST),
+        AffinityMode::ByDecision,
+        cost,
+        &mut NoopObserver,
+    )
 }
 
 /// DVQ driver with the planted bug: a successor activates at
@@ -564,11 +489,12 @@ enum BfOptionalPolicy {
     Never,
 }
 
-/// The Boundary-Fair chassis both BF mutants share: boundaries, exact
-/// fluid pending work, mandatory floors and McNaughton wrap-around exactly
-/// as the reference, with the optional-unit stage swapped for `policy`.
-/// Overruns are clamped instead of asserted so the broken allocation flows
-/// through to the schedule, where the conservation invariant can see it.
+/// The Boundary-Fair chassis both BF mutants share: the production
+/// boundaries, and exact fluid pending work, mandatory floors and
+/// McNaughton wrap-around exactly as the reference, with the optional-unit
+/// stage swapped for `policy`. Overruns are clamped instead of asserted so
+/// the broken allocation flows through to the schedule, where the
+/// conservation invariant can see it.
 fn bf_mutant_schedule(
     sys: &TaskSystem,
     m: u32,
@@ -576,19 +502,6 @@ fn bf_mutant_schedule(
     policy: BfOptionalPolicy,
 ) -> Schedule {
     let n_tasks = sys.num_tasks();
-    let mut bounds = vec![0i64];
-    for task in sys.tasks() {
-        let n = sys.task_subtasks(task.id).len() as i64;
-        if n == 0 {
-            continue;
-        }
-        let (e, p) = (task.weight.e(), task.weight.p());
-        let jobs = (n + e - 1) / e;
-        bounds.extend((1..=jobs).map(|k| k * p));
-    }
-    bounds.sort_unstable();
-    bounds.dedup();
-
     let mut alloc = vec![0i64; n_tasks];
     let mut cursor: Vec<u32> = (0..n_tasks)
         .map(|k| {
@@ -599,7 +512,7 @@ fn bf_mutant_schedule(
     let mut placements = Vec::with_capacity(sys.num_subtasks());
     let mut a = vec![0i64; n_tasks];
     let mut cands: Vec<usize> = Vec::new();
-    for w in bounds.windows(2) {
+    for w in bf_boundaries(sys).windows(2) {
         let (b, b2) = (w[0], w[1]);
         let len = b2 - b;
         a.iter_mut().for_each(|x| *x = 0);
@@ -679,127 +592,19 @@ fn simulate_bf_mandatory_only(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel
     bf_mutant_schedule(sys, m, cost, BfOptionalPolicy::Never)
 }
 
-/// Which capacity bug a flow mutant plants in the PF-window network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FlowBug {
-    /// BUG: slot → sink edges carry `m + 1`, so a slot can overfill.
-    OverfullSlot,
-    /// BUG: window edges extend through the deadline slot (inclusive), so
-    /// a subtask can land one slot late.
-    WindowSlip,
-}
-
-/// The flow-network chassis both flow mutants share: the same
-/// deterministic PF-window network as the reference engine, built in one
-/// pass and solved with a single Dinic run, with `bug` planted. The
-/// extraction skips the reference's per-slot capacity assert so the
-/// broken solution flows through to the schedule.
-fn flow_mutant_schedule(
-    sys: &TaskSystem,
-    m: u32,
-    cost: &mut dyn CostModel,
-    bug: FlowBug,
-) -> Schedule {
-    let n = sys.num_subtasks();
-    if n == 0 {
-        return Schedule::new(sys, QuantumModel::Flow, m, Vec::new());
-    }
-    let slip = i64::from(bug == FlowBug::WindowSlip);
-    let horizon = sys.max_deadline() + slip;
-    let slot_cap = i64::from(m) + i64::from(bug == FlowBug::OverfullSlot);
-
-    let n_tasks = sys.num_tasks();
-    let mut ts_base = vec![0usize; n_tasks];
-    let mut task_lo = vec![0i64; n_tasks];
-    let mut task_hi = vec![0i64; n_tasks];
-    let mut next = 1 + n;
-    for (k, task) in sys.tasks().iter().enumerate() {
-        let subs = sys.task_subtasks(task.id);
-        ts_base[k] = next;
-        if subs.is_empty() {
-            continue;
-        }
-        task_lo[k] = subs.iter().map(|s| s.release).min().expect("nonempty");
-        task_hi[k] = subs.iter().map(|s| s.deadline).max().expect("nonempty") + slip;
-        next += usize::try_from(task_hi[k] - task_lo[k]).expect("window span fits usize");
-    }
-    let slot_base = next;
-    let horizon_len = usize::try_from(horizon).expect("horizon fits usize");
-    let sink = slot_base + horizon_len;
-    let mut net = FlowNetwork::new(sink + 1);
-
-    for t in 0..horizon_len {
-        net.add_edge(slot_base + t, sink, slot_cap);
-    }
-    let mut window_edges: Vec<(EdgeId, SubtaskRef, i64)> = Vec::new();
-    for (k, task) in sys.tasks().iter().enumerate() {
-        for st in sys.task_subtask_refs(task.id) {
-            let s = sys.subtask(st);
-            net.add_edge(0, 1 + st.idx(), 1);
-            for slot in s.release..s.deadline + slip {
-                let ts = ts_base[k] + usize::try_from(slot - task_lo[k]).expect("in range");
-                let eid = net.add_edge(1 + st.idx(), ts, 1);
-                window_edges.push((eid, st, slot));
-            }
-        }
-        for slot in task_lo[k]..task_hi[k] {
-            let ts = ts_base[k] + usize::try_from(slot - task_lo[k]).expect("in range");
-            let slot_idx = usize::try_from(slot).expect("in range");
-            net.add_edge(ts, slot_base + slot_idx, 1);
-        }
-    }
-    let saturated = net.max_flow(0, sink);
-    assert!(
-        saturated == i64::try_from(n).expect("subtask count fits i64"),
-        "flow mutant: max flow {saturated} < {n} subtasks"
-    );
-
-    let mut slot_of: Vec<Option<i64>> = vec![None; n];
-    for &(eid, st, slot) in &window_edges {
-        if net.flow(eid) == 1 {
-            slot_of[st.idx()] = Some(slot);
-        }
-    }
-    let mut by_slot: Vec<(i64, SubtaskRef)> = slot_of
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let i_u32 = u32::try_from(i).expect("subtask count fits u32");
-            (
-                s.expect("saturation places every subtask"),
-                SubtaskRef(i_u32),
-            )
-        })
-        .collect();
-    by_slot.sort_unstable();
-    let mut placements = Vec::with_capacity(n);
-    let mut i = 0;
-    while i < by_slot.len() {
-        let slot = by_slot[i].0;
-        let run = by_slot[i..].iter().take_while(|x| x.0 == slot).count();
-        for (proc, &(_, st)) in by_slot[i..i + run].iter().enumerate() {
-            let c = checked_cost(cost.cost(sys, st), st);
-            placements.push(Placement {
-                st,
-                proc: u32::try_from(proc).expect("proc fits u32"),
-                start: Rat::int(slot),
-                cost: c,
-                holds_until: Rat::int(slot + 1),
-            });
-        }
-        i += run;
-    }
-    Schedule::new(sys, QuantumModel::Flow, m, placements)
-}
-
-/// Flow engine with per-slot capacity `m + 1`.
+/// Flow engine with per-slot capacity `m + 1`: the production engine on
+/// one processor too many, reported on the case's `m`.
 fn simulate_flow_overfull(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
-    flow_mutant_schedule(sys, m, cost, FlowBug::OverfullSlot)
+    let sched = simulate_flow(sys, m + 1, cost);
+    Schedule::new(sys, QuantumModel::Flow, m, sched.placements().to_vec())
 }
 
-/// Flow engine whose windows include the deadline slot.
+/// Flow engine whose windows sit one slot late: the production engine on
+/// the system right-shifted by one slot, reported against the unshifted
+/// system (the shift keeps every subtask ref).
 fn simulate_flow_window_slip(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
-    flow_mutant_schedule(sys, m, cost, FlowBug::WindowSlip)
+    let sched = simulate_flow(&sys.shifted(1, 0), m, cost);
+    Schedule::new(sys, QuantumModel::Flow, m, sched.placements().to_vec())
 }
 
 /// One deliberately planted concurrency bug in the real runtime.

@@ -135,24 +135,45 @@ pub fn classify(sys: &TaskSystem, t: i64, ready: &[Ready]) -> Partition {
 }
 
 /// How the two-way ties Table 1 leaves open are resolved in the first
-/// `M − p` scheduling decisions.
+/// `M − p` scheduling decisions: the rule that decides, given the
+/// PD²-first heads of `DB` and `EB`, whether the `DB` subtask goes first.
 ///
 /// Table 1 permits either order between a `DB` subtask and a
 /// higher-priority `EB` subtask during the early decisions. PD^B is a
-/// *worst-case* construction, so the default resolves every such tie in
-/// favour of `DB` ([`MaxBlocking`](PdbLinearization::MaxBlocking) —
-/// maximizing eligibility blocking). [`MinBlocking`](PdbLinearization::MinBlocking)
+/// *worst-case* construction, so its rule resolves every such tie in
+/// favour of `DB` ([`MAX_BLOCKING`](PdbLinearization::MAX_BLOCKING) —
+/// maximizing eligibility blocking). [`MIN_BLOCKING`](PdbLinearization::MIN_BLOCKING)
 /// resolves them by strict PD² instead (still excluding `PB`, as the
 /// table requires); comparing the two isolates how much of the
 /// one-quantum bound is due to the adversarial resolution rather than the
-/// partition itself.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PdbLinearization {
+/// partition itself. The rule is a plain function, so a test harness can
+/// substitute one the table forbids.
+#[derive(Clone, Copy)]
+pub struct PdbLinearization {
+    /// Name shown in debug output.
+    pub name: &'static str,
+    /// `db_first(sys, d, e)`: does `d`, the head of `DB`, go before `e`,
+    /// the head of `EB`?
+    pub db_first: fn(&TaskSystem, SubtaskRef, SubtaskRef) -> bool,
+}
+
+impl PdbLinearization {
     /// DB before EB regardless of PD² priority (the paper's worst case).
-    #[default]
-    MaxBlocking,
+    pub const MAX_BLOCKING: PdbLinearization = PdbLinearization {
+        name: "MaxBlocking",
+        db_first: |_, _, _| true,
+    };
     /// Strict PD² between DB and EB (benign resolution).
-    MinBlocking,
+    pub const MIN_BLOCKING: PdbLinearization = PdbLinearization {
+        name: "MinBlocking",
+        db_first: |sys, d, e| Pd2.cmp(sys, d, e) == core::cmp::Ordering::Less,
+    };
+}
+
+impl core::fmt::Debug for PdbLinearization {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(self.name)
+    }
 }
 
 /// One slot's worth of PD^B scheduling decisions (maximally blocking
@@ -162,7 +183,7 @@ pub enum PdbLinearization {
 /// (`r = 1, 2, …`); fewer than `m` entries means idle processors.
 #[must_use]
 pub fn select_slot(sys: &TaskSystem, m: usize, part: &Partition) -> Vec<SubtaskRef> {
-    select_slot_with(sys, m, part, PdbLinearization::MaxBlocking)
+    select_slot_with(sys, m, part, PdbLinearization::MAX_BLOCKING)
 }
 
 /// [`select_slot`] with an explicit tie linearization.
@@ -185,10 +206,7 @@ pub fn select_slot_with(
         let take_db = match (db.first(), eb.first()) {
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (Some(&d), Some(&e)) => match lin {
-                PdbLinearization::MaxBlocking => true,
-                PdbLinearization::MinBlocking => Pd2.cmp(sys, d, e) == core::cmp::Ordering::Less,
-            },
+            (Some(&d), Some(&e)) => (lin.db_first)(sys, d, e),
             (None, None) => {
                 if let Some((&head, rest)) = pb.split_first() {
                     // Only PB subtasks remain: idling a processor while

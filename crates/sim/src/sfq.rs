@@ -94,13 +94,13 @@ pub fn simulate_sfq_observed<O: Observer>(
 
 /// Simulates `sys` on `m` processors under the SFQ model with the PD^B
 /// selection procedure, resolving Table 1's two-way ties the paper's
-/// worst-case way ([`pdb::PdbLinearization::MaxBlocking`]).
+/// worst-case way ([`pdb::PdbLinearization::MAX_BLOCKING`]).
 #[must_use]
 pub fn simulate_sfq_pdb(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> Schedule {
     simulate_sfq_with(
         sys,
         m,
-        SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
+        SfqPolicy::PdB(pdb::PdbLinearization::MAX_BLOCKING),
         AffinityMode::ByDecision,
         cost,
         &mut NoopObserver,

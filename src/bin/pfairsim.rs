@@ -9,18 +9,21 @@
 //! Positional arguments are task weights (`e/p`); `run` names the default
 //! mode explicitly. Options:
 //!
-//! * `--m <n>`        processors (default 2)
+//! * `--m <n>`        processors, at least 1 (default 2)
 //! * `--model <x>`    `sfq` | `dvq` | `staggered` | `pdb` | `bf` | `flow` (default `sfq`)
 //! * `--alg <x>`      `epdf` | `pd2` | `pf` | `pd` (default `pd2`; ignored for
 //!   `pdb`, `bf` and `flow`, whose selection procedures are built in)
-//! * `--cost <r>`     fixed actual cost for every subtask, e.g. `7/8` (default 1)
+//! * `--cost <r>`     fixed actual cost in `(0, 1]` for every subtask, e.g. `7/8`
+//!   (default 1)
 //! * `--horizon <n>`  generate subtasks while `r < horizon` (default one hyperperiod-ish 24)
 //! * `--res <n>`      Gantt cells per slot (default 4)
 //! * `--json`         emit the trace bundle as JSON instead of text
 //! * `--metrics`      attach the streaming observers and print their summary
 //! * `--events <p>`   write the streamed event log to `p` as JSON Lines
 //!
-//! Exit code 0 always; scheduling outcomes are printed, not judged.
+//! Exit code 0 on every run; scheduling outcomes are printed, not judged.
+//! Bad arguments (an invalid weight, `--m 0`, a cost outside `(0, 1]`)
+//! exit 2 before anything runs.
 //!
 //! The `fuzz` subcommand runs a differential conformance campaign against
 //! the reference engines (see `pfair::conformance`) and exits non-zero if
@@ -84,6 +87,40 @@ fn require_boundary_periodic(sys: &TaskSystem) {
              no IS offsets, no early releases); use sfq/dvq/flow for GIS workloads"
         );
         std::process::exit(2);
+    }
+}
+
+/// Runs `model` on `sys` with `obs` listening. With [`NoopObserver`] each
+/// arm monomorphizes to its engine's unobserved entry point.
+fn run_model<O: Observer>(
+    model: &str,
+    sys: &TaskSystem,
+    m: u32,
+    order: &dyn PriorityOrder,
+    costs: &mut dyn CostModel,
+    obs: &mut O,
+) -> Schedule {
+    match model {
+        "sfq" => simulate_sfq_observed(sys, m, order, costs, obs),
+        "dvq" => simulate_dvq_observed(sys, m, order, costs, obs),
+        "staggered" => simulate_staggered_observed(sys, m, order, costs, obs),
+        "pdb" => simulate_sfq_with(
+            sys,
+            m,
+            SfqPolicy::PdB(pdb::PdbLinearization::MAX_BLOCKING),
+            AffinityMode::ByDecision,
+            costs,
+            obs,
+        ),
+        "bf" => {
+            require_boundary_periodic(sys);
+            simulate_bf_observed(sys, m, costs, obs)
+        }
+        "flow" => simulate_flow_observed(sys, m, costs, obs),
+        other => {
+            eprintln!("unknown model {other:?}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -654,6 +691,14 @@ fn main() {
             std::process::exit(2);
         }
     }
+    if m == 0 {
+        eprintln!("invalid --m 0: need at least one processor");
+        std::process::exit(2);
+    }
+    if !cost.is_positive() || cost > Rat::ONE {
+        eprintln!("invalid --cost {cost}: need 0 < cost <= 1");
+        std::process::exit(2);
+    }
 
     let sys = release::periodic(&weights, horizon);
     println!(
@@ -671,45 +716,16 @@ fn main() {
     let mut jsonl = JsonlObserver::new();
     let mut tracked = BlockingObserver::with_inner(&sys, order, MetricsObserver::new(m));
     let sched = if observe {
-        let mut obs = (&mut tracked, &mut jsonl);
-        match model.as_str() {
-            "sfq" => simulate_sfq_observed(&sys, m, order, &mut costs, &mut obs),
-            "dvq" => simulate_dvq_observed(&sys, m, order, &mut costs, &mut obs),
-            "staggered" => simulate_staggered_observed(&sys, m, order, &mut costs, &mut obs),
-            "pdb" => simulate_sfq_with(
-                &sys,
-                m,
-                SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
-                AffinityMode::ByDecision,
-                &mut costs,
-                &mut obs,
-            ),
-            "bf" => {
-                require_boundary_periodic(&sys);
-                simulate_bf_observed(&sys, m, &mut costs, &mut obs)
-            }
-            "flow" => simulate_flow_observed(&sys, m, &mut costs, &mut obs),
-            other => {
-                eprintln!("unknown model {other:?}");
-                std::process::exit(2);
-            }
-        }
+        run_model(
+            &model,
+            &sys,
+            m,
+            order,
+            &mut costs,
+            &mut (&mut tracked, &mut jsonl),
+        )
     } else {
-        match model.as_str() {
-            "sfq" => simulate_sfq(&sys, m, order, &mut costs),
-            "dvq" => simulate_dvq(&sys, m, order, &mut costs),
-            "staggered" => simulate_staggered(&sys, m, order, &mut costs),
-            "pdb" => simulate_sfq_pdb(&sys, m, &mut costs),
-            "bf" => {
-                require_boundary_periodic(&sys);
-                simulate_bf(&sys, m, &mut costs)
-            }
-            "flow" => simulate_flow(&sys, m, &mut costs),
-            other => {
-                eprintln!("unknown model {other:?}");
-                std::process::exit(2);
-            }
-        }
+        run_model(&model, &sys, m, order, &mut costs, &mut NoopObserver)
     };
 
     if let Some(path) = &events_path {

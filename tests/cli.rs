@@ -164,3 +164,32 @@ fn run_bf_and_flow_models_meet_deadlines_on_fig2() {
         );
     }
 }
+
+/// An out-of-range `--m` or `--cost` is a usage error naming the flag:
+/// exit 2 before anything runs, never an engine panic.
+fn assert_run_rejects(flag: &str, value: &str) {
+    let out = pfairsim(&["run", flag, value, "1/2", "1/2"]);
+    assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+    let err = stderr(&out);
+    assert!(
+        err.contains(flag),
+        "{flag} {value}: message must name the flag: {err}"
+    );
+    assert!(!err.contains("panicked"), "{flag} {value}: no panic: {err}");
+    assert!(stdout(&out).is_empty(), "{flag} {value}: nothing runs");
+}
+
+#[test]
+fn run_rejects_zero_processors() {
+    assert_run_rejects("--m", "0");
+}
+
+#[test]
+fn run_rejects_zero_cost() {
+    assert_run_rejects("--cost", "0");
+}
+
+#[test]
+fn run_rejects_cost_above_one_quantum() {
+    assert_run_rejects("--cost", "3/2");
+}

@@ -569,7 +569,7 @@ fn fig6_streaming_f2_misses_by_one_quantum() {
     let _ = simulate_sfq_with(
         &sys,
         2,
-        SfqPolicy::PdB(pdb::PdbLinearization::MaxBlocking),
+        SfqPolicy::PdB(pdb::PdbLinearization::MAX_BLOCKING),
         AffinityMode::ByDecision,
         &mut FullQuantum,
         &mut metrics,

@@ -39,7 +39,7 @@ fn fig2_system() -> TaskSystem {
 fn benign_linearization_eliminates_the_fig2_miss() {
     let sys = fig2_system();
     let max_blocking = simulate_sfq_pdb(&sys, 2, &mut FullQuantum);
-    let min_blocking = pdb_with(&sys, 2, PdbLinearization::MinBlocking);
+    let min_blocking = pdb_with(&sys, 2, PdbLinearization::MIN_BLOCKING);
     assert_eq!(tardiness_stats(&sys, &max_blocking).max, Rat::ONE);
     assert_eq!(tardiness_stats(&sys, &min_blocking).max, Rat::ZERO);
 }
@@ -50,7 +50,10 @@ fn both_linearizations_respect_the_bound() {
         for seed in 0..12u64 {
             let ws = random_weights(&TaskGenConfig::full(m, 10), 71_500 + seed);
             let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(20), seed);
-            for lin in [PdbLinearization::MaxBlocking, PdbLinearization::MinBlocking] {
+            for lin in [
+                PdbLinearization::MAX_BLOCKING,
+                PdbLinearization::MIN_BLOCKING,
+            ] {
                 let sched = pdb_with(&sys, m, lin);
                 let t = tardiness_stats(&sys, &sched).max;
                 assert!(t <= Rat::ONE, "m={m} seed={seed} {lin:?}: {t}");
@@ -64,8 +67,8 @@ fn min_blocking_never_tardier_than_max_blocking() {
     for seed in 0..12u64 {
         let ws = random_weights(&TaskGenConfig::full(4, 10), 72_900 + seed);
         let sys = releasegen::generate(&ws, &ReleaseConfig::periodic(20), seed);
-        let max_b = tardiness_stats(&sys, &pdb_with(&sys, 4, PdbLinearization::MaxBlocking)).max;
-        let min_b = tardiness_stats(&sys, &pdb_with(&sys, 4, PdbLinearization::MinBlocking)).max;
+        let max_b = tardiness_stats(&sys, &pdb_with(&sys, 4, PdbLinearization::MAX_BLOCKING)).max;
+        let min_b = tardiness_stats(&sys, &pdb_with(&sys, 4, PdbLinearization::MIN_BLOCKING)).max;
         assert!(
             min_b <= max_b,
             "seed={seed}: benign {min_b} vs adversarial {max_b}"
