@@ -38,13 +38,25 @@
 //!   slot costs O(active windows + in-flight quanta) instead of
 //!   O(subtasks). [`max_lag_over_slots`] is the maximum of that series.
 //!
+//!   Each slot is one exact sum, reduced once ([`FracSum`]) instead of a
+//!   `Rat` add per term. The ideal part is an integer over `L`, the lcm
+//!   of the system's window lengths: `(t − r)·L/(d − r)` per active
+//!   window. The placements are read on the schedule's tick grid (the
+//!   analyses' `Grid`), where a quantum's received part
+//!   `(t − start)/cost` is a ratio of tick counts and needs no scale.
+//!   When `L` or a step of the sum leaves its integer type, that slot is
+//!   summed in `Rat`s; when no tick grid fits the schedule, the sweep
+//!   reads its exact times. Every path gives the same reduced `Rat`.
+//!
 //! `pfair_obs::LagObserver` keeps the same state while a run streams; it
 //! is deliberately a separate implementation, since the conformance bank
 //! compares the two.
 
-use pfair_numeric::{Rat, Time};
+use pfair_numeric::{checked_lcm_of, FracSum, Rat, Tier, Time};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{TaskId, TaskSystem};
+
+use crate::grid::Grid;
 
 /// Ideal fluid allocation of task `T` up to time `t`: each released
 /// subtask contributes the fraction of its PF-window elapsed by `t`.
@@ -104,50 +116,85 @@ pub fn total_lag(sys: &TaskSystem, sched: &Schedule, t: Time) -> Rat {
 /// including quanta that complete past `horizon`. Empty when `horizon < 0`.
 #[must_use]
 pub fn lag_series(sys: &TaskSystem, sched: &Schedule, horizon: i64) -> Vec<Rat> {
+    // Every slot through the horizon must be an instant of the grid.
+    match Grid::ticks(None, sched).filter(|grid| Tier::int(&**grid, horizon).is_some()) {
+        Some(grid) => lag_series_in(sys, &grid, horizon),
+        None => lag_series_in(sys, &Grid::exact(sched), horizon),
+    }
+}
+
+/// [`lag_series`] in the arithmetic of `tm`, on which `horizon` is an
+/// instant.
+fn lag_series_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>, horizon: i64) -> Vec<Rat> {
     let mut windows: Vec<(i64, i64)> = sys
         .subtasks()
         .iter()
         .map(|s| (s.release, s.deadline))
         .collect();
     windows.sort_unstable();
-    // `Schedule::placements` is start-ordered.
-    let quanta = sched.placements();
+    // `L`, the lcm of the window lengths: every ideal term is an integer
+    // over it.
+    let lcm = checked_lcm_of(windows.iter().map(|&(r, d)| d - r));
+    let tier: &K = tm;
+    // Placements are start-ordered.
+    let starts = tm.starts();
 
     let mut series = Vec::with_capacity(usize::try_from(horizon + 1).unwrap_or(0));
     let (mut next_window, mut next_quantum) = (0, 0);
-    // Windows with `r < t < d`, quanta with `start < t < completion`.
-    let mut active: Vec<(i64, i64)> = Vec::new();
-    let mut inflight: Vec<(Time, Rat, Time)> = Vec::new();
+    // Windows with `r < t < d`, with `L/(d − r)` (0 without `L`), and the
+    // placements with `start < t < completion`.
+    let mut active: Vec<(i64, i64, i64)> = Vec::new();
+    let mut inflight: Vec<usize> = Vec::new();
     // Windows with `d ≤ t` and quanta with `completion ≤ t`.
     let (mut passed, mut completed) = (0usize, 0usize);
     for t in 0..=horizon {
-        let at = Rat::int(t);
-        while let Some(&w) = windows.get(next_window).filter(|w| w.0 < t) {
-            active.push(w);
+        let at = tier.int(t).expect("the caller checked the horizon");
+        while let Some(&(r, d)) = windows.get(next_window).filter(|w| w.0 < t) {
+            active.push((r, d, lcm.map_or(0, |l| l / (d - r))));
             next_window += 1;
         }
         let before = active.len();
-        active.retain(|&(_, d)| d > t);
+        active.retain(|&(_, d, _)| d > t);
         passed += before - active.len();
-        while let Some(p) = quanta.get(next_quantum).filter(|p| p.start < at) {
-            inflight.push((p.start, p.cost, p.completion()));
+        while starts.get(next_quantum).is_some_and(|&s| s < at) {
+            inflight.push(next_quantum);
             next_quantum += 1;
         }
         let before = inflight.len();
-        inflight.retain(|&(_, _, completion)| completion > at);
+        inflight.retain(|&i| tm.completion(i) > at);
         completed += before - inflight.len();
 
-        let mut lag = Rat::int(
-            i64::try_from(passed).expect("window count fits i64")
-                - i64::try_from(completed).expect("quantum count fits i64"),
-        );
-        for &(r, d) in &active {
-            lag += Rat::new(t - r, d - r);
-        }
-        for &(start, cost, _) in &inflight {
-            lag -= (at - start) / cost;
-        }
-        series.push(lag);
+        let base = i64::try_from(passed).expect("window count fits i64")
+            - i64::try_from(completed).expect("quantum count fits i64");
+        // One exact sum over `L` and the in-flight costs, reduced once.
+        let fast = lcm.and_then(|l| {
+            let part = active.iter().try_fold(0i64, |sum, &(r, _, k)| {
+                sum.checked_add((t - r).checked_mul(k)?)
+            })?;
+            let ideal = FracSum::new(
+                i128::from(base) * i128::from(l) + i128::from(part),
+                i128::from(l),
+            )?;
+            inflight.iter().try_fold(ideal, |sum, &i| {
+                let (n, d) = tier.ratio(at - tm.start(i), tm.cost(i));
+                sum.sub(n, d)
+            })
+        });
+        series.push(fast.map_or_else(
+            || {
+                // `L` or a step of the sum left its integer type: sum this
+                // slot in `Rat`s, which reduce as they go.
+                let mut lag = Rat::int(base);
+                for &(r, d, _) in &active {
+                    lag += Rat::new(t - r, d - r);
+                }
+                for &i in &inflight {
+                    lag -= (Rat::int(t) - tier.to_rat(tm.start(i))) / tier.to_rat(tm.cost(i));
+                }
+                lag
+            },
+            FracSum::to_rat,
+        ));
     }
     series
 }

@@ -98,18 +98,27 @@ pub(crate) fn tardiness_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>) -> Tardiness
 #[must_use]
 pub fn tardiness_histogram(sys: &TaskSystem, sched: &Schedule, buckets: usize) -> Vec<usize> {
     assert!(buckets >= 2, "need at least an on-time bin and a tardy bin");
+    with_times!(Some(sys), sched, |tm| histogram_in(sys, tm, buckets))
+}
+
+/// [`tardiness_histogram`] in the arithmetic of `tm`.
+fn histogram_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>, buckets: usize) -> Vec<usize> {
     let mut hist = vec![0usize; buckets];
-    let width = Rat::new(1, (buckets - 1) as i64);
-    for (st, _) in sys.iter_refs() {
-        let t = subtask_tardiness(sys, sched, st);
-        let bin = if t.is_zero() {
-            0
-        } else {
-            // Tardiness in (0, 1] maps to bins 1..buckets; anything beyond
-            // the scale (including an out-of-usize ceiling) lands in the
-            // last bin.
-            usize::try_from((t / width).ceil()).map_or(buckets - 1, |bin| bin.min(buckets - 1))
-        };
+    let last = buckets - 1;
+    let zero = tm.int(0);
+    for (st, s) in sys.iter_refs() {
+        let t = (tm.completion(tm.index(st)) - tm.int(s.deadline)).max(zero);
+        // Tardiness in (0, 1] maps to bins 1..buckets by `⌈t·(buckets − 1)⌉`
+        // (0 for on time); anything beyond the scale (including an
+        // out-of-usize ceiling) lands in the last bin.
+        let scaled = tm.times(
+            i64::try_from(last).expect("bucket count fits i64"),
+            tm.sum(t),
+        );
+        let bin = tm
+            .ceil(scaled)
+            .and_then(|b| usize::try_from(b).ok())
+            .map_or(last, |b| b.min(last));
         hist[bin] += 1;
     }
     hist

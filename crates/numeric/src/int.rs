@@ -96,6 +96,22 @@ pub fn checked_lcm(a: i64, b: i64) -> Option<i64> {
     i64::try_from(res.abs()).ok()
 }
 
+/// The lcm of `values`, checked: `None` if it leaves `i64` or any value is
+/// non-positive; 1 for none. A value that already divides the running lcm
+/// costs one remainder, not a gcd.
+#[must_use]
+pub fn checked_lcm_of(values: impl IntoIterator<Item = i64>) -> Option<i64> {
+    values.into_iter().try_fold(1, |l, v| {
+        if v <= 0 {
+            None
+        } else if l % v == 0 {
+            Some(l)
+        } else {
+            checked_lcm(l, v)
+        }
+    })
+}
+
 /// Mathematical floor division: `⌊a / b⌋`, requires `b > 0`.
 #[must_use]
 pub fn floor_div(a: i64, b: i64) -> i64 {
@@ -190,6 +206,15 @@ mod tests {
         assert_eq!(checked_lcm(-4, 6), Some(12));
         assert_eq!(checked_lcm(720_720, 7), Some(720_720));
         assert_eq!(checked_lcm(i64::MAX, i64::MAX - 1), None);
+    }
+
+    #[test]
+    fn checked_lcm_of_folds_and_checks() {
+        assert_eq!(checked_lcm_of([2, 3, 4, 6, 12, 5]), Some(60));
+        assert_eq!(checked_lcm_of([]), Some(1));
+        assert_eq!(checked_lcm_of([3, 0]), None);
+        assert_eq!(checked_lcm_of([3, -3]), None);
+        assert_eq!(checked_lcm_of([4_294_967_291, 4_294_967_279]), None);
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //!   and [`Exact`], `Rat`s. Every conversion into ticks is exact-or-`None`,
 //!   so callers fall back to [`Exact`] instead of ever rounding (see the
 //!   [`tier`] module docs for the contract);
-//! * integer helpers ([`gcd`], [`lcm`], [`checked_lcm`], [`floor_div`],
+//! * [`FracSum`] — an exact sum of fractions over the lcm of their
+//!   denominators, one gcd per term and a single reduction at the end;
+//!   every step is checked, so callers fall back to `Rat` sums on `None`;
+//! * integer helpers ([`gcd`], [`lcm`], [`checked_lcm`], [`checked_lcm_of`],
+//!   [`floor_div`],
 //!   [`ceil_div`]) used by the Pfair window formulas
 //!   `r(T_i) = ⌊(i−1)p/e⌋`, `d(T_i) = ⌈ip/e⌉`.
 //!
@@ -33,14 +37,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod frac;
 pub mod int;
 pub mod quantum;
 pub mod rational;
 pub mod tier;
 pub mod time;
 
-pub use int::{ceil_div, checked_lcm, floor_div, gcd, gcd_i128, lcm};
+pub use frac::FracSum;
+pub use int::{ceil_div, checked_lcm, checked_lcm_of, floor_div, gcd, gcd_i128, lcm};
 pub use quantum::QuantumScale;
 pub use rational::Rat;
-pub use tier::{Exact, Ticks, Tier};
+pub use tier::{Exact, Ticks, Tier, GRID};
 pub use time::{is_slot_boundary, slot_of, Time};

@@ -20,12 +20,20 @@
 //! "leave the fast path": they migrate their state to [`Exact`] through
 //! [`Tier::to_rat`], which is always exact (a tick count *is* a rational),
 //! and resume. Ticks are an optimization, never a change of semantics.
+//!
+//! [`GRID`] is the one scale shared by everything that cannot read a scale
+//! off its data in advance: the online schedulers' clocks and the
+//! streaming observers.
 
 use core::fmt::Debug;
 use core::ops::{Add, Sub};
 
-use crate::int::checked_lcm;
+use crate::int::checked_lcm_of;
 use crate::rational::Rat;
+
+/// `lcm(1..13)` ticks per quantum: the workload generators' cost grid, and
+/// the tick scale of the online schedulers and the streaming observers.
+pub const GRID: Ticks = Ticks::new(720_720);
 
 /// The arithmetic of one run's times. See the module docs for the two
 /// implementations and the fallback contract.
@@ -58,6 +66,11 @@ pub trait Tier {
     fn times(&self, k: i64, s: Self::Sum) -> Self::Sum;
     /// The exact value of `s`.
     fn sum_rat(&self, s: Self::Sum) -> Rat;
+    /// `⌈s⌉`; `None` if it leaves `i64`.
+    fn ceil(&self, s: Self::Sum) -> Option<i64>;
+    /// `a / b` for `b > 0`, as a fraction `(num, den)` with `den > 0`, not
+    /// necessarily reduced. On ticks the scale cancels.
+    fn ratio(&self, a: Self::T, b: Self::T) -> (i128, i128);
     /// Packs `(t, code)` into a heap entry whose order is `(t, code)`
     /// order. Callers encode their event enums so that code order equals
     /// the enum's order.
@@ -98,14 +111,7 @@ impl Ticks {
     /// denominator is non-positive; an empty iterator yields scale 1.
     #[must_use]
     pub fn lcm_of(dens: impl IntoIterator<Item = i64>) -> Option<Ticks> {
-        let mut scale = 1i64;
-        for d in dens {
-            if d <= 0 {
-                return None;
-            }
-            scale = checked_lcm(scale, d)?;
-        }
-        Some(Ticks::new(scale))
+        checked_lcm_of(dens).map(Ticks::new)
     }
 
     /// Ticks per quantum.
@@ -167,6 +173,15 @@ impl Tier for Ticks {
         Rat::new_i128(s, i128::from(self.per_quantum))
     }
 
+    fn ceil(&self, s: i128) -> Option<i64> {
+        let q = i128::from(self.per_quantum);
+        i64::try_from(-s.checked_neg()?.div_euclid(q)).ok()
+    }
+
+    fn ratio(&self, a: i64, b: i64) -> (i128, i128) {
+        (i128::from(a), i128::from(b))
+    }
+
     /// Sign-flipped ticks in the high half, the code in the low half: a
     /// heap sift step is one wide-integer compare.
     fn key(&self, t: i64, code: u64) -> u128 {
@@ -222,6 +237,15 @@ impl Tier for Exact {
 
     fn sum_rat(&self, s: Rat) -> Rat {
         s
+    }
+
+    fn ceil(&self, s: Rat) -> Option<i64> {
+        i64::try_from(-(-s.num()).div_euclid(s.den())).ok()
+    }
+
+    fn ratio(&self, a: Rat, b: Rat) -> (i128, i128) {
+        let q = a / b;
+        (q.num(), q.den())
     }
 
     fn key(&self, t: Rat, code: u64) -> (Rat, u64) {
@@ -294,6 +318,27 @@ mod tests {
             Rat::new(11, 6)
         );
         assert_eq!((e.floor(Rat::new(-3, 2)), e.is_integral(ra)), (-2, false));
+    }
+
+    #[test]
+    fn ceil_and_ratio_agree_with_exact() {
+        let s = Ticks::new(6);
+        for (n, d) in [(7i64, 6i64), (-7, 6), (2, 1), (0, 1), (1, 3)] {
+            let r = Rat::new(n, d);
+            let t = s.from_rat(r).expect("on the 6-grid");
+            assert_eq!(s.ceil(s.sum(t)), Some(r.ceil()), "ceil {r}");
+            assert_eq!(Exact.ceil(r), Some(r.ceil()), "exact ceil {r}");
+        }
+        assert_eq!(s.ceil(i128::MAX), None);
+        assert_eq!(Exact.ceil(Rat::new_i128(i128::MAX, 1)), None);
+        let (a, b) = (Rat::new(5, 2), Rat::new(3, 4));
+        let s = Ticks::new(12);
+        let (ta, tb) = (s.from_rat(a).unwrap(), s.from_rat(b).unwrap());
+        let (n, d) = s.ratio(ta, tb);
+        assert_eq!(Rat::new_i128(n, d), a / b);
+        let (n, d) = Exact.ratio(a, b);
+        assert_eq!(Rat::new_i128(n, d), Rat::new(10, 3));
+        assert_eq!(GRID.per_quantum(), 720_720);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`MetricsObserver`] — counters and histograms: tardiness, blocking
 //!   counts by kind, per-processor busy/idle/waste, context switches.
 //! * [`LagObserver`] — exact rational total lag (LAG) at every integral
-//!   slot, streamed with O(active windows) state instead of O(trace).
+//!   slot, streamed with O(active windows) state instead of O(trace), and
+//!   one reduction per slot.
 //! * [`BlockingObserver`] — online replication of
 //!   `pfair-analysis::blocking::detect_blocking`, emitting
 //!   [`SchedEvent::Blocked`] to an inner observer as inversions form.
@@ -31,6 +32,17 @@
 //! Observers compose: a tuple `(A, B)` fans every event out to both, and
 //! `BlockingObserver` additionally *generates* `Blocked` events for its
 //! inner observer (that is how `MetricsObserver` learns blocking counts).
+//!
+//! ## Time tiers
+//!
+//! Events carry `Rat` times, but the Metrics, Lag and Blocking observers
+//! keep their time-valued state in `i64` ticks at
+//! [`pfair_numeric::GRID`] (720720 per quantum, the workload generators'
+//! cost grid), so their sums and compares are integer operations. The
+//! first event time off that grid moves an observer's state to exact
+//! `Rat`s without loss, as the DVQ kernel's clock does. Each observer's
+//! state is written once over [`pfair_numeric::Tier`], and its accessors
+//! return the same `Rat`s on either tier.
 //!
 //! The streaming implementations are proven exactly equivalent (rational
 //! equality, not float) to the post-hoc analyses by
@@ -44,6 +56,7 @@ pub mod event;
 pub mod jsonl;
 pub mod lag;
 pub mod metrics;
+mod tiered;
 
 pub use blocking::{BlockingObserver, BlockingRecord};
 pub use event::{InversionKind, ReadyCause, SchedEvent};

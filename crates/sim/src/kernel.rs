@@ -37,17 +37,13 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use pfair_core::key::Pd2Key;
-use pfair_numeric::{Exact, Rat, Ticks, Tier, Time};
+use pfair_numeric::{Exact, Rat, Ticks, Tier, Time, GRID};
 use pfair_obs::{Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskId, TaskSystem, Weight};
 
 use crate::emit::emit_end;
 pub use crate::ready::{KeyHeap, ReadySet};
-
-/// The online drivers' tick scale: `lcm(1..13)` ticks per quantum, the
-/// workload generators' cost grid.
-pub const GRID: Ticks = Ticks::new(720_720);
 
 /// One pending subtask of a task's chain: its ready-set key and what the
 /// loop and its events need of it.

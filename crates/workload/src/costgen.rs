@@ -11,8 +11,10 @@ use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Denominator of the rational cost grid.
-pub const GRID: i64 = 720_720;
+/// Denominator of the rational cost grid: the ticks per quantum of
+/// [`pfair_numeric::GRID`], so every drawn cost is on the tick grid the
+/// online schedulers and the streaming observers run at.
+pub const GRID: i64 = pfair_numeric::GRID.per_quantum();
 
 /// Uniform costs: `c ~ U{min, …, 1}` on the rational grid.
 ///

@@ -1,8 +1,9 @@
 //! Integration tests for the `pfairsim` CLI surface that CI leans on:
 //! the perf-ratchet `--check` edge cases (a broken baseline must fail in
 //! milliseconds with a pointed message and exit 2 — never a panic, never
-//! thirty timed repetitions first) and the `fuzz --repro-out` artifact
-//! path the smoke job uploads on failure.
+//! thirty timed repetitions first), the `fuzz --repro-out` artifact
+//! path the smoke job uploads on failure, and the off-grid `run --metrics`
+//! snapshot.
 
 use std::process::{Command, Output};
 
@@ -192,4 +193,35 @@ fn run_rejects_zero_cost() {
 #[test]
 fn run_rejects_cost_above_one_quantum() {
     assert_run_rejects("--cost", "3/2");
+}
+
+/// Costs of 4194301/4194302 are off the observers' 720720 tick grid, so
+/// `run --metrics` streams this run on exact rationals. Its output must
+/// stay byte for byte the checked-in snapshot (CI diffs it too).
+#[test]
+fn off_grid_metrics_match_the_snapshot() {
+    let out = pfairsim(&[
+        "run",
+        "--metrics",
+        "--m",
+        "2",
+        "--model",
+        "dvq",
+        "--cost",
+        "4194301/4194302",
+        "--horizon",
+        "12",
+        "1/6",
+        "1/6",
+        "1/6",
+        "1/2",
+        "1/2",
+        "1/2",
+    ]);
+    assert!(out.status.success(), "pfairsim failed: {}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        include_str!("../figures/fig2_dvq_offgrid_metrics.snapshot"),
+        "regenerate figures/fig2_dvq_offgrid_metrics.snapshot"
+    );
 }

@@ -7,11 +7,16 @@
 //! tolerance — with `pfair-analysis` recomputing the same quantities from
 //! the finished [`Schedule`].
 //!
-//! The broad sweeps run small-denominator (≤ 8) cost regimes; a dedicated
+//! The broad sweeps run small-denominator (≤ 17) cost regimes; a dedicated
 //! regression drives the GRID-resolution (denominator 720720) cost model
 //! whose lag sums exceeded the old i64-backed `Rat` outright — the
 //! i128-backed `Rat` now carries them exactly, so the same rational
 //! equality holds with no representability carve-out anywhere.
+//!
+//! The observers keep their state in ticks of the 720720 grid and move it
+//! to exact rationals when a stream leaves that grid. The 1/17 regime and
+//! a hand-set run whose costs leave the grid mid-run hold that path to the
+//! same equality.
 
 use pfair::analysis::{max_lag_over_slots, tardiness_histogram, total_lag};
 use pfair::conformance::{generate_case, Case, GenConfig};
@@ -23,7 +28,8 @@ use pfair::prelude::*;
 const SYSTEMS: u64 = 600;
 
 /// The actual-cost regimes each system runs under. All denominators are
-/// ≤ 8, keeping exact lag arithmetic far from `Rat` overflow.
+/// ≤ 17, keeping exact lag arithmetic far from `Rat` overflow; 17 is off
+/// the 720720 grid, so those streams leave the observers' ticks mid-run.
 fn regimes(seed: u64) -> Vec<(&'static str, Box<dyn CostModel>)> {
     vec![
         ("full-quantum", Box::new(FullQuantum)),
@@ -34,6 +40,14 @@ fn regimes(seed: u64) -> Vec<(&'static str, Box<dyn CostModel>)> {
                 Rat::new(1, 8),
                 60,
                 seed ^ 0x0b5e_711e,
+            )),
+        ),
+        (
+            "adversarial-1/17",
+            Box::new(AdversarialYield::new(
+                Rat::new(1, 17),
+                60,
+                seed ^ 0x0ff9_21d0,
             )),
         ),
     ]
@@ -191,4 +205,43 @@ fn dvq_streaming_observers_match_posthoc_analysis() {
             assert_run_agrees(&ctx, &sys, &sched, lag, &metrics, Some(records));
         }
     }
+}
+
+/// Fig. 2's system with hand-set costs: on the 720720 grid (7/8, 5/6) for
+/// the first subtasks, then off it (16/17) from the second job of `F` on,
+/// with a grid cost (12/13) after that. Every observer starts on ticks and moves to exact
+/// rationals mid-run; the streamed values must still equal the post-hoc
+/// ones exactly, under both simulators.
+#[test]
+fn a_run_that_leaves_the_grid_mid_run_agrees_exactly() {
+    let sys = release::periodic(&[(1, 6), (1, 6), (1, 6), (1, 2), (1, 2), (1, 2)], 12);
+    let m = 2;
+    let costs = || {
+        FixedCosts::new(Rat::ONE)
+            .with(TaskId(0), 1, Rat::new(7, 8))
+            .with(TaskId(3), 1, Rat::new(5, 6))
+            .with(TaskId(5), 2, Rat::new(16, 17))
+            .with(TaskId(4), 4, Rat::new(12, 13))
+            .with(TaskId(1), 2, Rat::new(16, 17))
+    };
+    let mut obs = (
+        LagObserver::new(&sys),
+        (MetricsObserver::new(m), BlockingObserver::new(&sys, &Pd2)),
+    );
+    let sched = simulate_dvq_observed(&sys, m, &Pd2, &mut costs(), &mut obs);
+    assert!(
+        sched
+            .placements()
+            .iter()
+            .any(|p| p.completion().den() % 17 == 0),
+        "no quantum of the DVQ run completed off the grid"
+    );
+    let (lag, (metrics, blocking)) = obs;
+    let (records, _) = blocking.into_parts();
+    assert_run_agrees("hand-set / dvq", &sys, &sched, lag, &metrics, Some(records));
+
+    let mut obs = (LagObserver::new(&sys), MetricsObserver::new(m));
+    let sched = simulate_sfq_observed(&sys, m, &Pd2, &mut costs(), &mut obs);
+    let (lag, metrics) = obs;
+    assert_run_agrees("hand-set / sfq", &sys, &sched, lag, &metrics, None);
 }
