@@ -63,7 +63,8 @@ pub struct Engines {
     /// Order driving the keyed-heap dispatch path.
     pub keyed_order: &'static dyn PriorityOrder,
     /// Order driving the comparator-scan dispatch path (wrapped in
-    /// [`pfair_core::priority::ComparatorOnly`] by the invariants).
+    /// [`pfair_core::priority::ComparatorOnly`] by the invariants) and the
+    /// DVQ reference scan ([`crate::reference::scan_dvq`]).
     pub comparator_order: &'static dyn PriorityOrder,
     /// Order used for SFQ runs whose tardiness the theorems bound.
     pub sfq_order: &'static dyn PriorityOrder,

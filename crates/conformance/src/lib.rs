@@ -28,6 +28,8 @@
 //!   case to a minimal replayable repro (drop tasks → erase offsets /
 //!   early releases / index gaps → truncate chains → simplify yields →
 //!   reduce processors).
+//! * [`mod@reference`] — the DVQ reference scan, the one DVQ event loop that
+//!   shares no code with the simulators' DVQ kernel.
 //! * [`mod@mutants`] — planted-bug engine sets that the mutation test suite
 //!   uses to prove the harness actually fires.
 //! * [`mod@runtime`] — a replay bank for real multi-threaded
@@ -49,6 +51,7 @@ pub mod engines;
 pub mod gen;
 pub mod invariant;
 pub mod mutants;
+pub mod reference;
 pub mod runtime;
 pub mod shrink;
 
@@ -58,6 +61,7 @@ pub use engines::{Engines, REFERENCE};
 pub use gen::{generate_case, GenConfig};
 pub use invariant::{bank, check_case, check_one, Failure, Invariant, Run, Runs};
 pub use mutants::{mutants, runtime_mutants, Mutant, RuntimeMutant};
+pub use reference::scan_dvq;
 pub use runtime::{
     check_runtime_run, generate_runtime_case, run_and_check, runtime_bank, RuntimeCase,
     RuntimeInvariant,

@@ -13,31 +13,33 @@
 //! proven against the code that ships:
 //!
 //! * the priority-order mutants hand a broken [`PriorityOrder`] to the
-//!   real SFQ and DVQ engines;
+//!   real SFQ, DVQ and staggered engines (and, as the comparator order, to
+//!   the DVQ reference scan);
 //! * `pdb-eb-before-db` runs [`simulate_sfq_with`] with a
 //!   [`PdbLinearization`] that Table 1 forbids (EB always before DB);
 //! * `flow-overfull-slot` is [`simulate_flow`] on `m + 1` processors, and
 //!   `flow-window-slip` is [`simulate_flow`] on the system right-shifted by
 //!   one slot (§3.3's shift where it does not belong), each reported
 //!   against the case's own system and `m`;
-//! * `dvq-cost-blind` and the two stream mutants wrap the real drivers.
+//! * `dvq-cost-blind` and the two stream mutants wrap the real drivers;
+//! * `dvq-eager-successor` is the bank's own DVQ reference
+//!   ([`crate::reference`]) with its one planted-bug switch on: a
+//!   successor is armed at its predecessor's start. The DVQ kernel has no
+//!   seam for when a successor is armed, and adding one would make the
+//!   shared loop branch on its caller.
 //!
-//! Two engines are copies, each for a stated reason:
-//!
-//! * the DVQ loop of `dvq-eager-successor`: the DVQ kernel has no seam for
-//!   when a successor is armed, and adding one would make the shared loop
-//!   branch on its caller;
-//! * the Boundary-Fair allocation of the BF mutants (which takes its
-//!   boundaries from [`bf_boundaries`]): the production table asserts
-//!   exactly where a broken allocation must be clamped instead, so that it
-//!   reaches the schedule and the conservation invariant can see it.
+//! One engine is a copy: the Boundary-Fair allocation of the BF mutants
+//! (which takes its boundaries from [`bf_boundaries`]). The production
+//! table asserts exactly where a broken allocation must be clamped
+//! instead, so that it reaches the schedule and the conservation invariant
+//! can see it.
 
 use core::cmp::Ordering;
 
 use pfair_core::pdb::PdbLinearization;
 use pfair_core::priority::PriorityOrder;
 use pfair_core::{Pd2, Pd2NoGroupDeadline};
-use pfair_numeric::{Rat, Time};
+use pfair_numeric::Rat;
 use pfair_obs::NoopObserver;
 use pfair_sim::cost::checked_cost;
 use pfair_sim::{
@@ -47,6 +49,7 @@ use pfair_sim::{
 use pfair_taskmodel::{SubtaskRef, TaskId, TaskSystem};
 
 use crate::engines::{Engines, ProbeSim, Streamed, REFERENCE};
+use crate::reference;
 
 /// One deliberately broken engine set.
 #[derive(Clone, Copy, Debug)]
@@ -113,7 +116,7 @@ pub fn mutants() -> Vec<Mutant> {
             description: "DVQ that activates successors at predecessor start, ignoring completion",
             engines: Engines {
                 name: "dvq-eager-successor",
-                dvq: simulate_dvq_eager,
+                dvq: |sys, m, order, cost| reference::scan(sys, m, order, cost, true),
                 ..REFERENCE
             },
         },
@@ -266,88 +269,6 @@ fn simulate_pdb_eb_first(sys: &TaskSystem, m: u32, cost: &mut dyn CostModel) -> 
         cost,
         &mut NoopObserver,
     )
-}
-
-/// DVQ driver with the planted bug: a successor activates at
-/// `max(eligible, predecessor start)` instead of
-/// `max(eligible, predecessor completion)` — intra-task precedence is
-/// ignored whenever a processor is free early enough.
-fn simulate_dvq_eager(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-) -> Schedule {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-    enum Event {
-        ProcFree(u32),
-        Activate(SubtaskRef),
-    }
-
-    assert!(m >= 1, "need at least one processor");
-    let total = sys.num_subtasks();
-    let mut placements = Vec::with_capacity(total);
-    let mut events: BinaryHeap<Reverse<(Time, Event)>> = BinaryHeap::new();
-    for task in sys.tasks() {
-        if let Some(head) = sys.task_subtask_refs(task.id).next() {
-            let e = sys.subtask(head).eligible;
-            events.push(Reverse((Time::int(e), Event::Activate(head))));
-        }
-    }
-    for k in 0..m {
-        events.push(Reverse((Time::ZERO, Event::ProcFree(k))));
-    }
-
-    let mut free: Vec<u32> = Vec::with_capacity(m as usize);
-    let mut ready: Vec<SubtaskRef> = Vec::new();
-    let mut placed = 0usize;
-
-    while placed < total {
-        let Some(&Reverse((now, _))) = events.peek() else {
-            panic!("mutant DVQ event queue drained with {placed}/{total} placed");
-        };
-        while let Some(&Reverse((t, ev))) = events.peek() {
-            if t != now {
-                break;
-            }
-            events.pop();
-            match ev {
-                Event::ProcFree(k) => free.push(k),
-                Event::Activate(st) => ready.push(st),
-            }
-        }
-        free.sort_unstable();
-
-        while !free.is_empty() && !ready.is_empty() {
-            let (best, _) = ready
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| order.cmp(sys, a, b))
-                .expect("ready nonempty");
-            let st = ready.swap_remove(best);
-            let proc = free.remove(0);
-            let c = checked_cost(cost.cost(sys, st), st);
-            let completion = now + c;
-            placements.push(Placement {
-                st,
-                proc,
-                start: now,
-                cost: c,
-                holds_until: completion,
-            });
-            placed += 1;
-            events.push(Reverse((completion, Event::ProcFree(proc))));
-            if let Some(succ) = sys.subtask(st).succ {
-                // BUG: gates on the predecessor's *start*, not completion.
-                let act = Time::int(sys.subtask(succ).eligible).max(now);
-                events.push(Reverse((act, Event::Activate(succ))));
-            }
-        }
-    }
-    Schedule::new(sys, QuantumModel::Dvq, m, placements)
 }
 
 /// Stream probe with the planted bug: inversions whose victim was

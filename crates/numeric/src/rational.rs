@@ -375,15 +375,25 @@ impl PartialOrd for Rat {
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
         // den > 0 on both sides, so cross-multiplication preserves order.
-        // The products overflow i128 only for lag-scale denominators; fall
-        // back to the exact continued-fraction walk in that (cold) case.
-        match (
-            self.num.checked_mul(other.den),
-            other.num.checked_mul(self.den),
-        ) {
-            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
-            _ => cmp_wide(*self, *other),
+        // Products of `i64`-range factors are at most 2¹²⁶ in magnitude, so
+        // when all four components fit `i64` they cannot overflow `i128`.
+        if [self.num, self.den, other.num, other.den]
+            .into_iter()
+            .all(|x| i64::try_from(x).is_ok())
+        {
+            return (self.num * other.den).cmp(&(other.num * self.den));
         }
+        cmp_checked(*self, *other)
+    }
+}
+
+/// Cross-multiplied comparison with checked products. They overflow
+/// `i128` only for lag-scale denominators; fall back to the exact
+/// continued-fraction walk in that (cold) case.
+fn cmp_checked(a: Rat, b: Rat) -> Ordering {
+    match (a.num.checked_mul(b.den), b.num.checked_mul(a.den)) {
+        (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+        _ => cmp_wide(a, b),
     }
 }
 
@@ -806,6 +816,24 @@ mod tests {
             let y = Rat::new(c, d);
             if x < y {
                 prop_assert!(x.to_f64() <= y.to_f64());
+            }
+        }
+
+        /// `Ord` (unchecked when every component fits `i64`), the checked
+        /// path and `cmp_wide` agree on `i64`-range pairs, on pairs shifted
+        /// past `i64` (whose cross-products overflow `i128`), and on mixes.
+        #[test]
+        fn prop_cmp_paths_agree(a in i64::MIN..=i64::MAX, b in 1i64..=i64::MAX,
+                                c in i64::MIN..=i64::MAX, d in 1i64..=i64::MAX,
+                                s in (1u32..48, 1u32..48, 1u32..48, 1u32..48)) {
+            let narrow = (Rat::new(a, b), Rat::new(c, d));
+            let wide = (Rat::new_i128(i128::from(a) << s.0, i128::from(b) << s.1),
+                        Rat::new_i128(i128::from(c) << s.2, i128::from(d) << s.3));
+            for (x, y) in [narrow, wide, (narrow.0, wide.1), (wide.0, narrow.1), (wide.0, wide.0)] {
+                let ord = x.cmp(&y);
+                prop_assert_eq!(ord, cmp_checked(x, y));
+                prop_assert_eq!(ord, cmp_wide(x, y));
+                prop_assert_eq!(ord, y.cmp(&x).reverse());
             }
         }
 

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{cost_model, quadratic_blocking as oracle, random_system, Flat};
+use common::{cost_model, dvq, quadratic_blocking as oracle, random_system, Flat, PRIMES};
 use pfair::prelude::*;
 use proptest::prelude::*;
 
@@ -125,21 +125,14 @@ fn edge_system() -> (TaskSystem, SubtaskRef, SubtaskRef, SubtaskRef) {
 /// `l_start` for `l_cost` on the other processor.
 fn edge_schedule(sys: &TaskSystem, l_start: Rat, l_cost: Rat) -> Schedule {
     let (_, v1, v2, l1) = edge_system();
-    let place = |st, proc, start: Rat, cost: Rat| Placement {
-        st,
-        proc,
-        start,
-        cost,
-        holds_until: start + cost,
-    };
     Schedule::new(
         sys,
         QuantumModel::Dvq,
         2,
         vec![
-            place(v1, 0, Rat::ZERO, Rat::ONE),
-            place(v2, 0, Rat::int(3), Rat::ONE),
-            place(l1, 1, l_start, l_cost),
+            dvq(v1, 0, Rat::ZERO, Rat::ONE),
+            dvq(v2, 0, Rat::int(3), Rat::ONE),
+            dvq(l1, 1, l_start, l_cost),
         ],
     )
 }
@@ -186,26 +179,15 @@ fn charged_quantum_longer_than_one_widens_the_window() {
     assert_edge(Rat::new(3, 4), Rat::new(3, 2), true);
 }
 
-/// Three distinct primes near 2²²: a schedule using all three as
-/// denominators has no `i64` tick grid (their product exceeds 2⁶³).
-const OFF_GRID: [i64; 3] = [4_194_301, 4_194_287, 4_194_277];
-
 #[test]
 fn off_grid_schedule_matches_the_oracle() {
     let (sys, v1, v2, l1) = edge_system();
-    let [p1, p2, p3] = OFF_GRID;
+    let [p1, p2, p3] = PRIMES;
     assert_eq!(
         pfair::numeric::checked_lcm(p1 * p2, p3),
         None,
         "the premise: no i64 grid"
     );
-    let place = |st, proc, start: Rat, cost: Rat| Placement {
-        st,
-        proc,
-        start,
-        cost,
-        holds_until: start + cost,
-    };
     // V_1 ends before 2, so V_2 is ready at its eligibility, 2; L_1 runs
     // from 3/2 + 1/p2 to past 2 and blocks it until 3.
     let l_start = Rat::new(3, 2) + Rat::new(1, p2);
@@ -214,9 +196,9 @@ fn off_grid_schedule_matches_the_oracle() {
         QuantumModel::Dvq,
         2,
         vec![
-            place(v1, 0, Rat::ZERO, Rat::new(p1 - 1, p1)),
-            place(v2, 0, Rat::int(3), Rat::ONE),
-            place(l1, 1, l_start, Rat::new(p3 - 1, p3)),
+            dvq(v1, 0, Rat::ZERO, Rat::new(p1 - 1, p1)),
+            dvq(v2, 0, Rat::int(3), Rat::ONE),
+            dvq(l1, 1, l_start, Rat::new(p3 - 1, p3)),
         ],
     );
     let want = vec![(

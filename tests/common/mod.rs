@@ -1,13 +1,12 @@
 //! Shared by the oracle tests: the seeded systems and cost regimes they
-//! sweep, the quadratic priority-inversion predicate every inversion
-//! search is checked against, and the exact-time comparator-scan DVQ loop
-//! every DVQ driver is checked against.
+//! sweep (the `1 − 1/p` off-grid costs among them), hand-built DVQ
+//! placements, and the quadratic priority-inversion predicate every
+//! inversion search is checked against.
+//! The independent DVQ loop every DVQ driver is checked against is
+//! `pfair::conformance::scan_dvq`, which the conformance bank runs too.
 
 // Each test binary compiles this module and uses only part of it.
 #![allow(dead_code)]
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
@@ -88,65 +87,37 @@ pub fn random_system(seed: u64, m: u32, light: bool, gis: bool, horizon: i64) ->
     releasegen::generate(&ws, &rel, seed)
 }
 
-/// The DVQ reference: a plain event loop on exact [`Rat`] times that scans
-/// the ready subtasks with `order`'s comparator at every pick. It shares
-/// no code with the library's DVQ kernel. Every processor frees at time 0
-/// and every chain head becomes ready at its eligibility; all events at an
-/// instant are drained (frees first, ascending) before free processors,
-/// lowest index first, go to ready subtasks in priority order. A subtask
-/// placed at `τ` with cost `c` frees its processor at `τ + c` and readies
-/// its successor at `max(e, τ + c)`.
-pub fn scan_dvq(
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    cost: &mut dyn CostModel,
-) -> Schedule {
-    // `(instant, 0 = processor frees | 1 = subtask becomes ready, id)`.
-    let mut events: BinaryHeap<Reverse<(Rat, u8, u32)>> = BinaryHeap::new();
-    for proc in 0..m {
-        events.push(Reverse((Rat::ZERO, 0, proc)));
-    }
-    for t in sys.tasks() {
-        if let Some(head) = sys.task_subtask_refs(t.id).next() {
-            events.push(Reverse((Rat::int(sys.subtask(head).eligible), 1, head.0)));
+/// Three distinct primes near 2²²: a schedule using all three as cost
+/// denominators has no `i64` tick grid (their product exceeds 2⁶³).
+pub const PRIMES: [i64; 3] = [4_194_301, 4_194_287, 4_194_277];
+
+/// Costs `1 − 1/p`, `p` cycling through [`PRIMES`] by subtask, so a DVQ run
+/// takes exact times. `OffGrid(true)` bills chain heads half a quantum
+/// under a hint of 2 instead: the run starts on ticks and moves to exact
+/// times at the first successor it dispatches.
+pub struct OffGrid(pub bool);
+
+impl CostModel for OffGrid {
+    fn cost(&mut self, sys: &TaskSystem, st: SubtaskRef) -> Rat {
+        if self.0 && sys.subtask(st).pred.is_none() {
+            return Rat::new(1, 2);
         }
+        let p = PRIMES[st.idx() % PRIMES.len()];
+        Rat::new(p - 1, p)
     }
-    let (mut free, mut ready, mut placements) = (Vec::new(), Vec::new(), Vec::new());
-    while placements.len() < sys.num_subtasks() {
-        let Reverse((now, _, _)) = *events.peek().expect("unplaced subtasks have an event");
-        while let Some(&Reverse((t, kind, id))) = events.peek() {
-            if t != now {
-                break;
-            }
-            events.pop();
-            if kind == 0 {
-                free.push(id);
-            } else {
-                ready.push(SubtaskRef(id));
-            }
-        }
-        free.sort_unstable_by(|a, b| b.cmp(a)); // `pop` serves the lowest index
-        while !free.is_empty() && !ready.is_empty() {
-            let best = (0..ready.len())
-                .min_by(|&a, &b| order.cmp(sys, ready[a], ready[b]))
-                .expect("ready is nonempty");
-            let st = ready.swap_remove(best);
-            let c = cost.cost(sys, st);
-            let proc = free.pop().expect("free is nonempty");
-            placements.push(Placement {
-                st,
-                proc,
-                start: now,
-                cost: c,
-                holds_until: now + c,
-            });
-            events.push(Reverse((now + c, 0, proc)));
-            if let Some(succ) = sys.subtask(st).succ {
-                let at = Rat::int(sys.subtask(succ).eligible).max(now + c);
-                events.push(Reverse((at, 1, succ.0)));
-            }
-        }
+
+    fn denominator_hint(&self) -> Option<i64> {
+        self.0.then_some(2)
     }
-    Schedule::new(sys, QuantumModel::Dvq, m, placements)
+}
+
+/// A DVQ placement: the processor is held until completion.
+pub fn dvq(st: SubtaskRef, proc: u32, start: Rat, cost: Rat) -> Placement {
+    Placement {
+        st,
+        proc,
+        start,
+        cost,
+        holds_until: start + cost,
+    }
 }

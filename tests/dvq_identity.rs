@@ -91,18 +91,6 @@ impl CostModel for WrongHint {
     }
 }
 
-/// The off-grid primes of the `1 − 1/p` regime.
-const PRIMES: [i64; 3] = [4_194_301, 4_194_287, 4_194_277];
-
-/// `1 − 1/p` per subtask, `p` cycling through [`PRIMES`].
-fn off_grid_costs(sys: &TaskSystem) -> FixedCosts {
-    let mut costs = FixedCosts::new(Rat::ONE);
-    for (st, s) in sys.iter_refs() {
-        costs.set(s.id, Rat::ONE - Rat::new(1, PRIMES[st.idx() % 3]));
-    }
-    costs
-}
-
 #[test]
 fn offline_dvq_on_fuzz_cases_is_pinned() {
     let mut out = String::new();
@@ -130,7 +118,7 @@ fn offline_dvq_on_random_systems_is_pinned() {
             let sys = common::random_system(seed, m, light, gis, 12);
             for order in orders() {
                 offline_run(&mut out, &sys, m, order, &mut *common::cost_model(3, seed));
-                offline_run(&mut out, &sys, m, order, &mut off_grid_costs(&sys));
+                offline_run(&mut out, &sys, m, order, &mut common::OffGrid(false));
                 let trip = 1 + (seed as usize * 5) % 23;
                 offline_run(&mut out, &sys, m, order, &mut WrongHint { draws: 0, trip });
             }
@@ -158,7 +146,7 @@ fn online_cost(seed: u64, off_grid: bool) -> impl FnMut(TaskId, u64) -> Rat {
     move |task, index| {
         draws += 1;
         if off_grid && draws >= 3 + seed % 5 {
-            Rat::ONE - Rat::new(1, PRIMES[(draws % 3) as usize])
+            Rat::ONE - Rat::new(1, common::PRIMES[(draws % 3) as usize])
         } else {
             quantum_cost(seed, JitterRegime::Adversarial, task, index)
         }

@@ -7,6 +7,7 @@
 
 mod common;
 
+use pfair::conformance::scan_dvq;
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
 use proptest::prelude::*;
@@ -222,9 +223,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// `simulate_dvq` places every subtask exactly where the independent
-    /// exact-time comparator scan (`common::scan_dvq`) does, on random
-    /// periodic, GIS and early-release systems under every priority order
-    /// and seeded early-yield costs.
+    /// exact-time comparator scan (`scan_dvq`) does, on random periodic,
+    /// GIS and early-release systems under every priority order, with
+    /// seeded early-yield costs on the tick grid and with the `1 − 1/p`
+    /// costs off it, from the start and after a migration mid-run.
     #[test]
     fn prop_simulate_dvq_matches_the_scan_reference(seed in 0u64..10_000, m in 1u32..4) {
         let ws = random_weights(&TaskGenConfig::full(m, 5), seed);
@@ -238,8 +240,14 @@ proptest! {
             for order in [&Pd2 as &dyn PriorityOrder, &Epdf, &Pd, &Pf] {
                 let mk = || UniformCost::new(Rat::new(1, 4), seed);
                 let got = simulate_dvq(&sys, m, order, &mut mk());
-                let want = common::scan_dvq(&sys, m, order, &mut mk());
+                let want = scan_dvq(&sys, m, order, &mut mk());
                 prop_assert_eq!(got.placements(), want.placements(), "{} {:?}", order.name(), rel);
+                for heads in [false, true] {
+                    let got = simulate_dvq(&sys, m, order, &mut common::OffGrid(heads));
+                    let want = scan_dvq(&sys, m, order, &mut common::OffGrid(heads));
+                    prop_assert_eq!(got.placements(), want.placements(),
+                                    "{} {:?} OffGrid({})", order.name(), rel, heads);
+                }
             }
         }
     }

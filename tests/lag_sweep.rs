@@ -13,29 +13,15 @@
 
 mod common;
 
-use common::{cost_model, random_system};
+use common::{cost_model, dvq, random_system, OffGrid};
 use pfair::analysis::{lag_series, max_lag_over_slots, total_lag};
 use pfair::prelude::*;
 use proptest::prelude::*;
 
-/// Three distinct primes near 2²²: the lag terms of costs `1 − 1/p` over
-/// all three have denominators past `i64`.
-const OFF_GRID: [i64; 3] = [4_194_301, 4_194_287, 4_194_277];
-
-/// Costs `1 − 1/p`, `p` cycling through [`OFF_GRID`] by subtask.
-struct OffGrid;
-
-impl CostModel for OffGrid {
-    fn cost(&mut self, _sys: &TaskSystem, st: SubtaskRef) -> Rat {
-        let p = OFF_GRID[st.idx() % OFF_GRID.len()];
-        Rat::new(p - 1, p)
-    }
-}
-
-/// Regimes 0–3 of `tests/common`, and 4: [`OffGrid`].
+/// Regimes 0–3 of `tests/common`, and 4: its `1 − 1/p` costs ([`OffGrid`]).
 fn costs(regime: u8, seed: u64) -> Box<dyn CostModel> {
     if regime == 4 {
-        Box::new(OffGrid)
+        Box::new(OffGrid(false))
     } else {
         cost_model(regime, seed)
     }
@@ -91,16 +77,6 @@ proptest! {
             let bf = simulate_bf(&sys, m, costs(regime, seed).as_mut());
             check(&sys, &bf, "BF")?;
         }
-    }
-}
-
-fn dvq(st: SubtaskRef, proc: u32, start: Rat, cost: Rat) -> Placement {
-    Placement {
-        st,
-        proc,
-        start,
-        cost,
-        holds_until: start + cost,
     }
 }
 

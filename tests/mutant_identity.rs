@@ -1,4 +1,4 @@
-//! Pinned outputs of the PD^B and Boundary-Fair engine mutants.
+//! Pinned outputs of the PD^B, Boundary-Fair and DVQ-eager engine mutants.
 //!
 //! The planted-bug engines in `pfair::conformance::mutants` are meant to
 //! differ from the production engines by exactly one rule. These digests
@@ -10,6 +10,9 @@
 //!   on every case;
 //! * `bf-optional-by-id` and `bf-mandatory-only` on the boundary-periodic
 //!   cases, the class BF is defined on;
+//! * `dvq-eager-successor` under PD² on every case (pinned while it was
+//!   its own loop, before it became the reference scan's planted-bug
+//!   switch);
 //!
 //! each as placements `(st, proc, start, cost)` under the case's own
 //! costs, over the first 2 000 default-`GenConfig` fuzz seeds.
@@ -60,13 +63,15 @@ fn selection_mutant_placements_are_pinned() {
     let eb_first = mutant(&roster, "pdb-eb-before-db").engines.pdb;
     let by_id = mutant(&roster, "bf-optional-by-id").engines.bf;
     let mandatory_only = mutant(&roster, "bf-mandatory-only").engines.bf;
+    let eager = mutant(&roster, "dvq-eager-successor").engines.dvq;
 
-    let mut runs: [String; 5] = Default::default();
+    let mut runs: [String; 6] = Default::default();
     let mut bf_cases = 0;
     for seed in 0..2_000u64 {
         let case = Case::build(generate_case(&GenConfig::default(), seed)).expect("case builds");
         let (sys, m) = (&case.sys, case.spec.m);
         render(&mut runs[0], &eb_first(sys, m, &mut case.cost_model()));
+        render(&mut runs[5], &eager(sys, m, &Pd2, &mut case.cost_model()));
         render(
             &mut runs[1],
             &reference_pdb(
@@ -103,8 +108,9 @@ fn selection_mutant_placements_are_pinned() {
             "53d10a554321fb39",
             "a41800eb826c5507",
             "145ea3679ee2d980",
-            "10a2d869c42d6165"
+            "10a2d869c42d6165",
+            "0ad3db0372040478"
         ],
-        "[pdb-eb-before-db, PD^B MAX_BLOCKING, PD^B MIN_BLOCKING, bf-optional-by-id, bf-mandatory-only]"
+        "[pdb-eb-before-db, PD^B MAX_BLOCKING, PD^B MIN_BLOCKING, bf-optional-by-id, bf-mandatory-only, dvq-eager-successor]"
     );
 }

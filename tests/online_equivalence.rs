@@ -1,17 +1,16 @@
 //! Cross-check: the online schedulers must produce *exactly* the
 //! schedules of independent references on identical workloads —
-//! `OnlineDvq` against `common::scan_dvq` (an exact-time comparator scan
-//! that shares no code with the DVQ kernel) and against `simulate_dvq`
+//! `OnlineDvq` against `pfair::conformance::scan_dvq` (an exact-time
+//! comparator scan that shares no code with the DVQ kernel) and against `simulate_dvq`
 //! (which drives the same kernel), `OnlineSfq` against the SFQ simulator.
 //!
 //! The online schedulers pop a binary heap of static PD² keys; the scan
 //! reference calls the PD² comparator at every pick, so agreement here
 //! certifies both the `Pd2Key` encoding and the event-loop semantics.
 
-mod common;
-
 use std::collections::HashMap;
 
+use pfair::conformance::scan_dvq;
 use pfair::obs::RecordingObserver;
 use pfair::prelude::*;
 use pfair::workload::{random_weights, UniformCost};
@@ -81,7 +80,7 @@ fn check_equivalence(weights: &[Weight], jobs: u64, m: u32, seed: u64) {
         );
     }
 
-    let offline = common::scan_dvq(&sys, m, &Pd2, &mut offline_costs.clone());
+    let offline = scan_dvq(&sys, m, &Pd2, &mut offline_costs.clone());
     let kernel = simulate_dvq(&sys, m, &Pd2, &mut offline_costs);
     assert_eq!(kernel.placements(), offline.placements(), "seed {seed}");
     let online = run_online(weights, &releases, &cost_map, m);

@@ -18,7 +18,7 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{cost_model, quadratic_blocking, random_system};
+use common::{cost_model, dvq, quadratic_blocking, random_system, PRIMES};
 use pfair::analysis::{response_stats, ResponseStats, ScheduleReport, ValidityError};
 use pfair::prelude::*;
 use proptest::prelude::*;
@@ -255,10 +255,6 @@ proptest! {
     }
 }
 
-/// Three distinct primes near 2²²: a schedule using all three as
-/// denominators has no `i64` tick grid (their product exceeds 2⁶³).
-const OFF_GRID: [i64; 3] = [4_194_301, 4_194_287, 4_194_277];
-
 /// `1 − 1/p`, a cost just short of a quantum.
 fn short(p: i64) -> Rat {
     Rat::new(p - 1, p)
@@ -289,11 +285,6 @@ fn edge_system() -> (TaskSystem, [SubtaskRef; 3]) {
     let refs = [find(0, 1), find(0, 2), find(1, 1)];
     assert_eq!(sys.num_subtasks(), 3);
     (sys, refs)
-}
-
-/// A DVQ quantum: the processor is held until completion.
-fn dvq(st: SubtaskRef, proc: u32, start: Rat, cost: Rat) -> Placement {
-    place(st, proc, start, cost, start + cost)
 }
 
 /// A valid DVQ schedule of [`edge_system`] with costs `1 − 1/p`: `V_2`
@@ -351,7 +342,7 @@ fn assert_off_grid(ps: [i64; 3]) {
 
 #[test]
 fn violations_match_the_oracles_on_and_off_the_grid() {
-    for ps in [[2, 3, 5], OFF_GRID] {
+    for ps in [[2, 3, 5], PRIMES] {
         let (sys, sched) = violating(ps);
         let v2 = sched.placements()[1].st;
         let errors = check_structural(&sys, &sched);
@@ -368,12 +359,12 @@ fn violations_match_the_oracles_on_and_off_the_grid() {
             check_hand_built(&sys, &sched, order);
         }
     }
-    assert_off_grid(OFF_GRID);
+    assert_off_grid(PRIMES);
 }
 
 #[test]
 fn blocking_matches_the_oracles_on_and_off_the_grid() {
-    for ps in [[2, 3, 5], OFF_GRID] {
+    for ps in [[2, 3, 5], PRIMES] {
         let (sys, sched) = blocked(ps);
         let report = schedule_report(&sys, &sched, &Pd2);
         assert_eq!(
@@ -385,7 +376,7 @@ fn blocking_matches_the_oracles_on_and_off_the_grid() {
             check_hand_built(&sys, &sched, order);
         }
     }
-    assert_off_grid(OFF_GRID);
+    assert_off_grid(PRIMES);
 }
 
 #[test]
@@ -396,7 +387,7 @@ fn sfq_slots_match_the_oracles_on_and_off_the_grid() {
     let sys = release::periodic(&[(1, 2), (1, 3)], 6);
     let refs: Vec<SubtaskRef> = sys.iter_refs().map(|(st, _)| st).collect();
     assert_eq!(refs.len(), 5);
-    for ps in [[2, 3, 5], OFF_GRID] {
+    for ps in [[2, 3, 5], PRIMES] {
         let [p1, p2, p3] = ps;
         let starts = [
             Rat::ZERO,
@@ -434,7 +425,7 @@ fn sfq_slots_match_the_oracles_on_and_off_the_grid() {
         assert_eq!(slots, [0, 2]);
         check_hand_built(&sys, &sched, &Pd2);
     }
-    assert_off_grid(OFF_GRID);
+    assert_off_grid(PRIMES);
 }
 
 #[test]

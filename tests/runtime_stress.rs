@@ -3,7 +3,8 @@
 //! Every combination of worker count × jitter regime × seed is executed
 //! twice — once in deterministic mode (proof: bit-equality against the
 //! single-threaded `OnlineDvq`, plus placement-equality against
-//! `common::scan_dvq`, an exact-time comparator scan that shares no code
+//! `pfair::conformance::scan_dvq`, an exact-time comparator scan that
+//! shares no code
 //! with the DVQ kernel, and against the offline `simulate_dvq`) and
 //! once free-running (proof: the recorded event stream replays through
 //! `slotplay` into the conformance bank clean) — and the three planted
@@ -14,12 +15,10 @@
 //! seed across the whole sweep with
 //! `PFAIR_PROPTEST_SEED=<seed> cargo test --test runtime_stress`.
 
-mod common;
-
 use std::time::Duration;
 
 use pfair::conformance::{
-    check_runtime_run, generate_runtime_case, runtime_bank, runtime_mutants, RuntimeCase,
+    check_runtime_run, generate_runtime_case, runtime_bank, runtime_mutants, scan_dvq, RuntimeCase,
 };
 use pfair::prelude::*;
 use proptest::{fnv1a, resolve_seed};
@@ -70,7 +69,7 @@ fn assert_matches_offline(case: &RuntimeCase, cfg: &RuntimeConfig, run: &Runtime
             quantum_cost(cfg.seed, cfg.regime, s.id.task, s.id.index),
         );
     }
-    let reference = common::scan_dvq(&case.sys, cfg.m, &Pd2, &mut costs.clone());
+    let reference = scan_dvq(&case.sys, cfg.m, &Pd2, &mut costs.clone());
     let offline = simulate_dvq(&case.sys, cfg.m, &Pd2, &mut costs);
     let ctx = format!(
         "workers={} regime={:?} seed={}",
