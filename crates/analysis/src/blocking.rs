@@ -41,18 +41,19 @@
 //! [`pdb_slot_stats`] is the SFQ-side counterpart: it rebuilds, slot by
 //! slot, the `EB/PB/DB` partition that PD^B (§3.1) consults to stage
 //! those inversions at slot boundaries, measuring how often the blocking
-//! machinery engages.
+//! machinery engages. It reads the ready sets from [`pdb_ready_sets`],
+//! as the conformance bank's Table 1 check does.
 
 use core::ops::ControlFlow;
 
 use pfair_core::pdb;
 use pfair_core::priority::PriorityOrder;
 use pfair_core::StrictKeys;
-use pfair_numeric::{Rat, Tier, Time};
+use pfair_numeric::{on_tier, Rat, Tier, Time};
 use pfair_sim::{QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
-use crate::grid::{with_times, Grid};
+use crate::grid::{times, Grid};
 
 /// Which of the paper's two inversion kinds a blocking event is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,7 +99,7 @@ pub fn detect_blocking(
 ) -> Vec<BlockingEvent> {
     let placements = sched.placements();
     let mut events = Vec::new();
-    with_times!(Some(sys), sched, |tm| inversions_in(
+    on_tier!(&times(Some(sys), sched), |tm| inversions_in(
         sys,
         sched,
         tm,
@@ -193,64 +194,81 @@ pub struct PdbSlotStats {
 }
 
 /// Rebuilds the PD^B partition of every slot of an SFQ schedule, in slot
-/// order, skipping slots whose ready set is empty.
-///
-/// A subtask is ready at slot `t` iff it is its task's first subtask not
-/// scheduled before `t` and it is eligible (`e ≤ t`); its predecessor then
-/// ran before `t`, and holds its processor until `t` iff it ran in slot
-/// `t − 1`. That is exactly the ready set the SFQ driver hands
-/// [`pdb::classify`], so on a [`pfair_sim::simulate_sfq_pdb`] schedule the
-/// partition is the one PD^B decided on.
+/// order, skipping slots whose ready set is empty (see
+/// [`pdb_ready_sets`]).
 ///
 /// # Panics
 /// Panics if `sched` is not an SFQ schedule ([`QuantumModel::Sfq`]) of
 /// `sys`.
 #[must_use]
 pub fn pdb_slot_stats(sys: &TaskSystem, sched: &Schedule) -> Vec<PdbSlotStats> {
+    pdb_ready_sets(sys, sched)
+        .map(|(t, ready)| {
+            let part = pdb::classify(sys, t, &ready);
+            PdbSlotStats {
+                t,
+                eb: part.eb.len(),
+                pb: part.pb.len(),
+                db: part.db.len(),
+                scheduled: ready
+                    .iter()
+                    .filter(|r| sched.start(r.st).floor() == t)
+                    .count(),
+            }
+        })
+        .collect()
+}
+
+/// The PD^B ready set of every slot of an SFQ schedule whose ready set is
+/// non-empty, in slot order.
+///
+/// A subtask is ready at slot `t` iff it is its task's first subtask not
+/// scheduled before `t` and it is eligible (`e ≤ t`); its predecessor then
+/// ran before `t`, and holds its processor until `t` iff it ran in slot
+/// `t − 1`. That is exactly the ready set the SFQ driver hands
+/// [`pdb::classify`], so on a [`pfair_sim::simulate_sfq_pdb`] schedule the
+/// partition is the one PD^B decided on. Per-task cursors find each set
+/// in O(tasks).
+///
+/// # Panics
+/// Panics if `sched` is not an SFQ schedule ([`QuantumModel::Sfq`]) of
+/// `sys`.
+pub fn pdb_ready_sets<'a>(
+    sys: &'a TaskSystem,
+    sched: &'a Schedule,
+) -> impl Iterator<Item = (i64, Vec<pdb::Ready>)> + 'a {
     assert_eq!(
         sched.model(),
         QuantumModel::Sfq,
-        "PD^B slot stats need an SFQ schedule"
+        "PD^B ready sets need an SFQ schedule"
     );
     let slot = |st: SubtaskRef| sched.start(st).floor();
     // Per task: first subtask not scheduled before the current slot.
     let mut cursor: Vec<(u32, u32)> = sys.tasks().iter().map(|k| sys.task_span(k.id)).collect();
     let last = sched.placements().iter().map(|p| p.start.floor()).max();
-    let mut ready = Vec::with_capacity(cursor.len());
-    let mut out = Vec::new();
-    for t in 0..=last.unwrap_or(-1) {
-        ready.clear();
-        let mut scheduled = 0;
-        for (cur, hi) in &mut cursor {
-            while *cur < *hi && slot(SubtaskRef(*cur)) < t {
-                *cur += 1;
+    (0..=last.unwrap_or(-1))
+        .map(move |t| {
+            let mut ready = Vec::new();
+            for (cur, hi) in &mut cursor {
+                while *cur < *hi && slot(SubtaskRef(*cur)) < t {
+                    *cur += 1;
+                }
+                if *cur == *hi {
+                    continue;
+                }
+                let st = SubtaskRef(*cur);
+                let s = sys.subtask(st);
+                if s.eligible > t {
+                    continue;
+                }
+                ready.push(pdb::Ready {
+                    st,
+                    pred_holds_until_t: s.pred.is_some_and(|p| slot(p) == t - 1),
+                });
             }
-            if *cur == *hi {
-                continue;
-            }
-            let st = SubtaskRef(*cur);
-            let s = sys.subtask(st);
-            if s.eligible > t {
-                continue;
-            }
-            scheduled += usize::from(slot(st) == t);
-            ready.push(pdb::Ready {
-                st,
-                pred_holds_until_t: s.pred.is_some_and(|p| slot(p) == t - 1),
-            });
-        }
-        if !ready.is_empty() {
-            let part = pdb::classify(sys, t, &ready);
-            out.push(PdbSlotStats {
-                t,
-                eb: part.eb.len(),
-                pb: part.pb.len(),
-                db: part.db.len(),
-                scheduled,
-            });
-        }
-    }
-    out
+            (t, ready)
+        })
+        .filter(|(_, ready)| !ready.is_empty())
 }
 
 #[cfg(test)]

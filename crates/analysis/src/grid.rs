@@ -11,10 +11,13 @@
 //! gcds.
 //!
 //! Each analysis is written once over a [`Grid<K>`], generic over the
-//! [`Tier`] `K` it runs in, as the DVQ loop is. [`Ticks`] is chosen
-//! whenever the data allows; [`Grid::exact`], the schedule's `Rat`s, only
-//! when [`Grid::ticks`] is `None`: the lcm or some tick count leaves
-//! `i64`, or (with a system) some eligibility or deadline does.
+//! [`Tier`] `K` it runs in, as the DVQ loop is, and runs on the grid
+//! [`times`] picks, through [`on_tier!`](pfair_numeric::on_tier!).
+//! [`Ticks`] is chosen whenever the data allows; [`Grid::exact`], the
+//! schedule's `Rat`s, only when [`Grid::ticks`] is `None`: the lcm or some
+//! tick count leaves `i64`, or (with a system) some eligibility or
+//! deadline does. The choice is made once per schedule: a grid never
+//! migrates.
 //!
 //! Both tiers are exact, so they give the same answers; results become
 //! `Rat` once, at the end ([`Tier::to_rat`], [`Tier::sum_rat`]), and sums
@@ -24,7 +27,7 @@
 
 use core::ops::Deref;
 
-use pfair_numeric::{Exact, Rat, Ticks, Tier};
+use pfair_numeric::{Exact, Rat, Ticks, Tier, Tiered};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
@@ -154,29 +157,33 @@ impl<K: Tier> Deref for Grid<K> {
     }
 }
 
-/// Runs `$body` with `$tm` bound to the tick grid of `$sched` when one
-/// fits (see [`Grid::ticks`] for `$sys`), else to its exact `Rat` times.
-macro_rules! with_times {
-    ($sys:expr, $sched:expr, |$tm:ident| $body:expr) => {
-        match $crate::grid::Grid::ticks($sys, $sched) {
-            Some(grid) => {
-                let $tm = &grid;
-                $body
-            }
-            None => {
-                let $tm = &$crate::grid::Grid::exact($sched);
-                $body
-            }
-        }
-    };
+/// A schedule's times, on a tick grid or exact.
+pub(crate) type Times = Tiered<Grid<Ticks>, Grid<Exact>>;
+
+/// The times of `sched`: the tick grid of `sched` when one fits (see
+/// [`Grid::ticks`] for `sys`), else its exact `Rat` times.
+pub(crate) fn times(sys: Option<&TaskSystem>, sched: &Schedule) -> Times {
+    or_exact(sched, Grid::ticks(sys, sched))
 }
-pub(crate) use with_times;
+
+/// `ticks`, a tick grid of `sched`, or `sched`'s exact `Rat` times.
+pub(crate) fn or_exact(sched: &Schedule, ticks: Option<Grid<Ticks>>) -> Times {
+    ticks.map_or_else(|| Tiered::Exact(Grid::exact(sched)), Tiered::Ticks)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocking::inversions_in;
+    use crate::lag::lag_series_in;
+    use crate::report::report_in;
+    use crate::response::response_in;
+    use crate::tardiness::{histogram_in, tardiness_in};
+    use crate::validity::{structural_in, window_containment_in};
+    use crate::waste::waste_in;
+    use pfair_conformance::{generate_case, Case, GenConfig};
     use pfair_core::Pd2;
-    use pfair_sim::{simulate_dvq, FullQuantum, Placement, QuantumModel, ScaledCost};
+    use pfair_sim::{simulate_dvq, simulate_sfq, FullQuantum, Placement, QuantumModel, ScaledCost};
     use pfair_taskmodel::release;
 
     fn fig2_system() -> TaskSystem {
@@ -200,6 +207,65 @@ mod tests {
             assert_eq!(exact.completion(i), p.completion());
             assert_eq!(grid.index(p.st), i);
             assert_eq!(exact.index(p.st), i);
+        }
+    }
+
+    /// Every `_in` analysis of `sched` in the arithmetic of `tm`, times as
+    /// `Rat`s, by its `Debug` rendering.
+    fn outputs<K: Tier>(sys: &TaskSystem, sched: &Schedule, tm: &Grid<K>) -> String {
+        let mut inversions = Vec::new();
+        inversions_in(
+            sys,
+            sched,
+            tm,
+            &Pd2,
+            false,
+            |victim, ready, at, kind, by| {
+                inversions.push((victim, tm.to_rat(ready), tm.to_rat(at), kind, by.to_vec()));
+            },
+        );
+        let horizon = sched.makespan().ceil();
+        format!(
+            "{:?}",
+            (
+                tardiness_in(sys, tm),
+                histogram_in(sys, tm, 8),
+                response_in(sys, tm),
+                waste_in(sched, tm),
+                structural_in(sys, sched, tm),
+                window_containment_in(sys, tm),
+                lag_series_in(sys, tm, horizon),
+                report_in(sys, sched, tm, &Pd2),
+                inversions,
+            )
+        )
+    }
+
+    /// The two tiers on one schedule: the Fig. 2 DVQ run at cost 7/8 and
+    /// the DVQ and SFQ runs of default fuzz cases, all on a tick grid,
+    /// give the same outputs on [`Grid::ticks`] and [`Grid::exact`].
+    #[test]
+    fn both_tiers_agree_on_one_schedule() {
+        let fig2 = fig2_system();
+        let mut runs = vec![(
+            simulate_dvq(&fig2, 2, &Pd2, &mut ScaledCost(Rat::new(7, 8))),
+            fig2,
+        )];
+        for seed in 0..12 {
+            let case = Case::build(generate_case(&GenConfig::default(), seed))
+                .expect("generated cases build");
+            let m = case.spec.m;
+            let dvq = simulate_dvq(&case.sys, m, &Pd2, &mut case.cost_model());
+            let sfq = simulate_sfq(&case.sys, m, &Pd2, &mut case.cost_model());
+            runs.push((dvq, case.sys.clone()));
+            runs.push((sfq, case.sys));
+        }
+        for (sched, sys) in &runs {
+            let ticks = Grid::ticks(Some(sys), sched).expect("engine schedules lie on a grid");
+            assert_eq!(
+                outputs(sys, sched, &ticks),
+                outputs(sys, sched, &Grid::exact(sched))
+            );
         }
     }
 

@@ -52,11 +52,11 @@
 //! is deliberately a separate implementation, since the conformance bank
 //! compares the two.
 
-use pfair_numeric::{checked_lcm_of, FracSum, Rat, Tier, Time};
+use pfair_numeric::{checked_lcm_of, on_tier, FracSum, Rat, Tier, Time};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{TaskId, TaskSystem};
 
-use crate::grid::Grid;
+use crate::grid::{or_exact, Grid};
 
 /// Ideal fluid allocation of task `T` up to time `t`: each released
 /// subtask contributes the fraction of its PF-window elapsed by `t`.
@@ -117,15 +117,14 @@ pub fn total_lag(sys: &TaskSystem, sched: &Schedule, t: Time) -> Rat {
 #[must_use]
 pub fn lag_series(sys: &TaskSystem, sched: &Schedule, horizon: i64) -> Vec<Rat> {
     // Every slot through the horizon must be an instant of the grid.
-    match Grid::ticks(None, sched).filter(|grid| Tier::int(&**grid, horizon).is_some()) {
-        Some(grid) => lag_series_in(sys, &grid, horizon),
-        None => lag_series_in(sys, &Grid::exact(sched), horizon),
-    }
+    let ticks = Grid::ticks(None, sched).filter(|grid| Tier::int(&**grid, horizon).is_some());
+    let grid = or_exact(sched, ticks);
+    on_tier!(&grid, |tm| lag_series_in(sys, tm, horizon))
 }
 
 /// [`lag_series`] in the arithmetic of `tm`, on which `horizon` is an
 /// instant.
-fn lag_series_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>, horizon: i64) -> Vec<Rat> {
+pub(crate) fn lag_series_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>, horizon: i64) -> Vec<Rat> {
     let mut windows: Vec<(i64, i64)> = sys
         .subtasks()
         .iter()

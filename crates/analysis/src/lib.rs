@@ -76,7 +76,9 @@ pub mod validity;
 pub mod waste;
 
 pub use allocation::{allocation_matrix, slot_occupancy};
-pub use blocking::{detect_blocking, pdb_slot_stats, BlockingEvent, BlockingKind, PdbSlotStats};
+pub use blocking::{
+    detect_blocking, pdb_ready_sets, pdb_slot_stats, BlockingEvent, BlockingKind, PdbSlotStats,
+};
 pub use classify::{classify_subtasks, postpone_charged, SubtaskClass};
 pub use compliance::{k_compliant_system, ranks};
 pub use demand::{dbf, find_overload, OverloadWitness};

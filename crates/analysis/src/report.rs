@@ -9,12 +9,12 @@
 use core::fmt;
 
 use pfair_core::priority::PriorityOrder;
-use pfair_numeric::{Rat, Tier};
+use pfair_numeric::{on_tier, Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::TaskSystem;
 
 use crate::blocking::{inversions_in, BlockingKind};
-use crate::grid::{with_times, Grid};
+use crate::grid::{times, Grid};
 use crate::overhead::{migration_stats, MigrationStats};
 use crate::response::{response_in, ResponseStats};
 use crate::tardiness::{tardiness_in, TardinessStats};
@@ -53,10 +53,11 @@ pub fn schedule_report(
     sched: &Schedule,
     order: &dyn PriorityOrder,
 ) -> ScheduleReport {
-    with_times!(Some(sys), sched, |tm| report_in(sys, sched, tm, order))
+    let grid = times(Some(sys), sched);
+    on_tier!(&grid, |tm| report_in(sys, sched, tm, order))
 }
 
-fn report_in<K: Tier>(
+pub(crate) fn report_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
     tm: &Grid<K>,

@@ -9,12 +9,12 @@
 //! paper credits as the "less-expensive and simpler alternative" to DFS's
 //! auxiliary scheduler (§1).
 
-use pfair_numeric::{Rat, Tier};
+use pfair_numeric::{on_tier, Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{with_times, Grid};
+use crate::grid::{times, Grid};
 
 /// Response time of one subtask (from eligibility to completion).
 #[must_use]
@@ -48,7 +48,7 @@ impl ResponseStats {
 /// Computes [`ResponseStats`] over a schedule.
 #[must_use]
 pub fn response_stats(sys: &TaskSystem, sched: &Schedule) -> ResponseStats {
-    with_times!(Some(sys), sched, |tm| response_in(sys, tm))
+    on_tier!(&times(Some(sys), sched), |tm| response_in(sys, tm))
 }
 
 /// [`response_stats`] in the arithmetic of `tm`.

@@ -6,12 +6,12 @@
 //! bound it by one quantum for PD^B under SFQ (Theorem 2) and PD² under
 //! DVQ (Theorem 3).
 
-use pfair_numeric::{Rat, Tier};
+use pfair_numeric::{on_tier, Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{with_times, Grid};
+use crate::grid::{times, Grid};
 
 /// Tardiness of one subtask in a schedule.
 #[must_use]
@@ -62,7 +62,7 @@ impl TardinessStats {
 /// Computes [`TardinessStats`] over an entire schedule.
 #[must_use]
 pub fn tardiness_stats(sys: &TaskSystem, sched: &Schedule) -> TardinessStats {
-    with_times!(Some(sys), sched, |tm| tardiness_in(sys, tm))
+    on_tier!(&times(Some(sys), sched), |tm| tardiness_in(sys, tm))
 }
 
 /// [`tardiness_stats`] in the arithmetic of `tm`.
@@ -98,11 +98,12 @@ pub(crate) fn tardiness_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>) -> Tardiness
 #[must_use]
 pub fn tardiness_histogram(sys: &TaskSystem, sched: &Schedule, buckets: usize) -> Vec<usize> {
     assert!(buckets >= 2, "need at least an on-time bin and a tardy bin");
-    with_times!(Some(sys), sched, |tm| histogram_in(sys, tm, buckets))
+    let grid = times(Some(sys), sched);
+    on_tier!(&grid, |tm| histogram_in(sys, tm, buckets))
 }
 
 /// [`tardiness_histogram`] in the arithmetic of `tm`.
-fn histogram_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>, buckets: usize) -> Vec<usize> {
+pub(crate) fn histogram_in<K: Tier>(sys: &TaskSystem, tm: &Grid<K>, buckets: usize) -> Vec<usize> {
     let mut hist = vec![0usize; buckets];
     let last = buckets - 1;
     let zero = tm.int(0);

@@ -21,11 +21,11 @@
 
 use core::fmt;
 
-use pfair_numeric::{Tier, Time};
+use pfair_numeric::{on_tier, Tier, Time};
 use pfair_sim::{QuantumModel, Schedule};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
-use crate::grid::{with_times, Grid};
+use crate::grid::{times, Grid};
 
 /// A violated schedule invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl std::error::Error for ValidityError {}
 /// order.
 #[must_use]
 pub fn check_structural(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError> {
-    with_times!(Some(sys), sched, |tm| structural_in(sys, sched, tm))
+    on_tier!(&times(Some(sys), sched), |tm| structural_in(sys, sched, tm))
 }
 
 /// [`check_structural`] in the arithmetic of `tm`: one pass over the
@@ -227,7 +227,8 @@ pub(crate) fn structural_in<K: Tier>(
 /// by its pseudo-deadline. Returns the violations (deadline misses).
 #[must_use]
 pub fn check_window_containment(sys: &TaskSystem, sched: &Schedule) -> Vec<ValidityError> {
-    with_times!(Some(sys), sched, |tm| window_containment_in(sys, tm))
+    let grid = times(Some(sys), sched);
+    on_tier!(&grid, |tm| window_containment_in(sys, tm))
 }
 
 /// [`check_window_containment`] in the arithmetic of `tm`.

@@ -9,11 +9,11 @@
 //! reclaims it. Experiment E5 sweeps the mean actual cost and reports
 //! these statistics for all three models.
 
-use pfair_numeric::{Rat, Tier};
+use pfair_numeric::{on_tier, Rat, Tier};
 use pfair_sim::Schedule;
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{with_times, Grid};
+use crate::grid::{times, Grid};
 
 /// Aggregate processor-time accounting for one schedule.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,7 +64,7 @@ impl WasteStats {
 /// Computes [`WasteStats`] for a schedule.
 #[must_use]
 pub fn waste_stats(sched: &Schedule) -> WasteStats {
-    with_times!(None, sched, |tm| waste_in(sched, tm))
+    on_tier!(&times(None, sched), |tm| waste_in(sched, tm))
 }
 
 /// [`waste_stats`] in the arithmetic of `tm`.

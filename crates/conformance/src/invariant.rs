@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pfair_analysis::{
     check_structural, check_window_containment, detect_blocking, flow_schedulable, lag_series,
-    tardiness_histogram, tardiness_stats, BlockingKind, WindowMode,
+    pdb_ready_sets, tardiness_histogram, tardiness_stats, BlockingKind, WindowMode,
 };
 use pfair_core::pdb;
 use pfair_core::priority::ComparatorOnly;
@@ -796,26 +796,11 @@ impl Invariant for PdbTable1Conformance {
         let sys = &runs.case.sys;
         let m = runs.case.spec.m as usize;
         let sched = (runs.engines.pdb)(sys, runs.case.spec.m, &mut FullQuantum);
-        let slots = slot_of(&sched);
         let mut slot = vec![0i64; sys.num_subtasks()];
-        let mut horizon = 0i64;
-        for &(st, t) in &slots {
+        for (st, t) in slot_of(&sched) {
             slot[st.idx()] = t;
-            horizon = horizon.max(t);
         }
-        for t in 0..=horizon {
-            let ready: Vec<pdb::Ready> = sys
-                .iter_refs()
-                .filter(|(st, s)| {
-                    s.eligible <= t
-                        && slot[st.idx()] >= t
-                        && s.pred.is_none_or(|p| slot[p.idx()] < t)
-                })
-                .map(|(st, s)| pdb::Ready {
-                    st,
-                    pred_holds_until_t: s.pred.is_some_and(|p| slot[p.idx()] == t - 1),
-                })
-                .collect();
+        for (t, ready) in pdb_ready_sets(sys, &sched) {
             let scheduled: Vec<SubtaskRef> = ready
                 .iter()
                 .map(|r| r.st)

@@ -16,12 +16,15 @@
 //!   diagnostic panic only when even the *reduced* result overflows, which
 //!   lag sums on the 720720 cost grid never do);
 //! * [`Time`] — a transparent alias of [`Rat`] used for points on the real
-//!   time line, with slot helpers ([`slot_of`], [`is_slot_boundary`]);
+//!   time line;
 //! * [`Tier`] — the arithmetic of a run's times, written once for two
 //!   tiers: [`Ticks`], `i64` tick counts that compare in one instruction,
 //!   and [`Exact`], `Rat`s. Every conversion into ticks is exact-or-`None`,
 //!   so callers fall back to [`Exact`] instead of ever rounding (see the
 //!   [`tier`] module docs for the contract);
+//! * [`Tiered`] — the one switch between the tiers: state on ticks until
+//!   a time leaves them, then on exact rationals ([`Lift`], [`on_tier!`],
+//!   [`on_tier_or_exact!`]);
 //! * [`FracSum`] — an exact sum of fractions over the lcm of their
 //!   denominators, one gcd per term and a single reduction at the end;
 //!   every step is checked, so callers fall back to `Rat` sums on `None`;
@@ -48,5 +51,5 @@ pub use frac::FracSum;
 pub use int::{ceil_div, checked_lcm, checked_lcm_of, floor_div, gcd, gcd_i128, lcm};
 pub use quantum::QuantumScale;
 pub use rational::Rat;
-pub use tier::{Exact, Ticks, Tier, GRID};
-pub use time::{is_slot_boundary, slot_of, Time};
+pub use tier::{Exact, Lift, Ticks, Tier, Tiered, GRID};
+pub use time::Time;

@@ -21,6 +21,19 @@
 //! [`Tier::to_rat`], which is always exact (a tick count *is* a rational),
 //! and resume. Ticks are an optimization, never a change of semantics.
 //!
+//! # The switch
+//!
+//! State written once over a [`Tier`] is held in a [`Tiered`]: on ticks,
+//! or on exact rationals. [`on_tier!`](crate::on_tier!) runs code on the
+//! state in its current tier, and
+//! [`on_tier_or_exact!`](crate::on_tier_or_exact!) runs a fallible step there
+//! and, when the ticks refuse it, moves the state to exact rationals
+//! ([`Tiered::go_exact`], through the state's [`Lift`]) and runs the step
+//! again. Every fallible conversion of a step must run before its side
+//! effects, so a refused step changes nothing. The DVQ kernel's clock
+//! and the streaming observers migrate this way mid-run; the post-hoc
+//! analyses pick a tier once per schedule and never migrate.
+//!
 //! [`GRID`] is the one scale shared by everything that cannot read a scale
 //! off its data in advance: the online schedulers' clocks and the
 //! streaming observers.
@@ -192,6 +205,70 @@ impl Tier for Ticks {
     fn split(&self, k: u128) -> (i64, u64) {
         ((((k >> 64) as u64) ^ SIGN) as i64, k as u64)
     }
+}
+
+/// State on ticks (`T`) or on exact rationals (`E`). See the module docs
+/// for the switch.
+#[derive(Clone, Debug)]
+pub enum Tiered<T, E = <T as Lift>::Exact> {
+    /// The fast tier.
+    Ticks(T),
+    /// The exact tier.
+    Exact(E),
+}
+
+/// Tick state that can move to [`Exact`] losslessly.
+pub trait Lift {
+    /// The same state on exact rationals.
+    type Exact;
+    /// Converts every time with [`Tier::to_rat`].
+    fn to_exact(&self) -> Self::Exact;
+}
+
+impl<T, E> Tiered<T, E> {
+    /// Whether the state is still on ticks.
+    pub fn on_ticks(&self) -> bool {
+        matches!(self, Tiered::Ticks(_))
+    }
+}
+
+impl<T: Lift<Exact = E>, E> Tiered<T, E> {
+    /// Moves the state to exact rationals, if it is not there yet.
+    pub fn go_exact(&mut self) {
+        if let Tiered::Ticks(s) = self {
+            *self = Tiered::Exact(s.to_exact());
+        }
+    }
+}
+
+/// Runs `$body` with `$s` bound to the state of a
+/// [`Tiered`](crate::Tiered) in its current tier.
+#[macro_export]
+macro_rules! on_tier {
+    ($state:expr, |$s:ident| $body:expr) => {
+        match $state {
+            $crate::Tiered::Ticks($s) => $body,
+            $crate::Tiered::Exact($s) => $body,
+        }
+    };
+}
+
+/// Runs the fallible `$body` on the state of a
+/// [`Tiered`](crate::Tiered) in its current tier; if the ticks refuse
+/// (`None`), moves to exact rationals and runs it again there, where it
+/// cannot fail.
+#[macro_export]
+macro_rules! on_tier_or_exact {
+    ($state:expr, |$s:ident| $body:expr) => {
+        match $crate::on_tier!(&mut $state, |$s| $body) {
+            Some(v) => v,
+            None => {
+                $state.go_exact();
+                $crate::on_tier!(&mut $state, |$s| $body)
+                    .expect("the exact tier represents every time")
+            }
+        }
+    };
 }
 
 /// Exact rational times — the reference tier.

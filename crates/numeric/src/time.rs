@@ -11,38 +11,3 @@ use crate::rational::Rat;
 ///
 /// Exact rational: DVQ event times like `2 − δ` are represented precisely.
 pub type Time = Rat;
-
-/// The slot containing time `t`, i.e. `⌊t⌋`.
-///
-/// ```
-/// use pfair_numeric::{slot_of, Rat};
-/// assert_eq!(slot_of(Rat::new(7, 4)), 1); // 1.75 lies in slot 1 = [1, 2)
-/// assert_eq!(slot_of(Rat::int(2)), 2);    // slot boundaries open slot t
-/// ```
-#[must_use]
-pub fn slot_of(t: Time) -> i64 {
-    t.floor()
-}
-
-/// `true` iff `t` is a slot boundary (an integral time).
-#[must_use]
-pub fn is_slot_boundary(t: Time) -> bool {
-    t.is_integer()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn slot_semantics() {
-        assert_eq!(slot_of(Rat::ZERO), 0);
-        assert_eq!(slot_of(Rat::new(1, 2)), 0);
-        assert_eq!(slot_of(Rat::ONE), 1);
-        // 2 − δ lies in slot 1 for any 0 < δ ≤ 1.
-        let t = Rat::int(2) - Rat::new(1, 1000);
-        assert_eq!(slot_of(t), 1);
-        assert!(!is_slot_boundary(t));
-        assert!(is_slot_boundary(Rat::int(2)));
-    }
-}

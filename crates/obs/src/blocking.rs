@@ -14,15 +14,14 @@
 //! Like the post-hoc search on its tick grid, the observer keeps its
 //! history, completions and `c_max` in ticks, at [`pfair_numeric::GRID`],
 //! so its window bounds and completion tests are integer compares; a
-//! stream that leaves the grid moves them to exact rationals (see the
-//! `tiered` module).
+//! stream that leaves the grid moves them to exact rationals (a
+//! [`pfair_numeric::Tiered`] switch).
 
 use core::ops::ControlFlow;
 
-use crate::tiered::{on_tier_or_exact, Lift, Tiered};
 use crate::{InversionKind, NoopObserver, Observer, SchedEvent};
 use pfair_core::{PriorityOrder, StrictKeys};
-use pfair_numeric::{Exact, Rat, Ticks, Tier, Time};
+use pfair_numeric::{on_tier_or_exact, Exact, Lift, Rat, Ticks, Tier, Tiered, Time, GRID};
 use pfair_taskmodel::{Subtask, SubtaskRef, TaskSystem};
 
 /// One detected priority inversion, in `SubtaskRef` terms for direct
@@ -200,11 +199,11 @@ impl<'a, Inner: Observer> BlockingObserver<'a, Inner> {
         BlockingObserver {
             sys,
             inner,
-            history: Tiered::on_grid(|tier| History {
+            history: Tiered::Ticks(History {
                 completion_of: vec![None; sys.num_subtasks()],
                 placements: Vec::new(),
-                c_max: tier.int(0).expect("time zero is representable"),
-                tier,
+                c_max: GRID.int(0).expect("time zero is representable"),
+                tier: GRID,
             }),
             keys: StrictKeys::new(sys, order),
             records: Vec::new(),
@@ -287,7 +286,7 @@ impl<Inner: Observer> Observer for BlockingObserver<'_, Inner> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiered::fixture::{dvq_stream, grid_cost};
+    use crate::fixture::{dvq_stream, grid_cost};
     use pfair_core::Pd2;
     use pfair_taskmodel::release;
 

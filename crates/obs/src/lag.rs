@@ -1,8 +1,9 @@
 //! Streaming exact LAG accounting (Lemma 1 of the paper).
 
-use crate::tiered::{on_tier, on_tier_or_exact, Lift, Tiered};
 use crate::{Observer, SchedEvent};
-use pfair_numeric::{checked_lcm_of, Exact, FracSum, Rat, Ticks, Tier};
+use pfair_numeric::{
+    checked_lcm_of, on_tier, on_tier_or_exact, Exact, FracSum, Lift, Rat, Ticks, Tier, Tiered, GRID,
+};
 use pfair_taskmodel::TaskSystem;
 
 /// Streams the system-wide lag `LAG(τ, t)` at every integral slot, with
@@ -22,7 +23,7 @@ use pfair_taskmodel::TaskSystem;
 /// is an integer over `L`, the lcm of the system's window lengths, and
 /// the in-flight quanta are kept in ticks at [`pfair_numeric::GRID`],
 /// where `(t − start)/cost` needs no scale. A stream that leaves the grid
-/// moves them to exact rationals (see the `tiered` module), and a slot
+/// moves them to exact rationals (a [`Tiered`] switch), and a slot
 /// whose sum leaves `i128` is summed in `Rat`s instead. Every path is
 /// exact, so the streaming totals are equal — not approximately equal —
 /// to the post-hoc ones (`tests/observer_equivalence.rs`).
@@ -153,8 +154,8 @@ impl LagObserver {
             lcm,
             active: Vec::new(),
             ideal_done: 0,
-            inflight: Tiered::on_grid(|tier| InFlight {
-                tier,
+            inflight: Tiered::Ticks(InFlight {
+                tier: GRID,
                 quanta: Vec::new(),
             }),
             recv_done: 0,
@@ -248,7 +249,7 @@ impl Observer for LagObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiered::fixture::{dvq_stream, grid_cost};
+    use crate::fixture::{dvq_stream, grid_cost};
     use pfair_taskmodel::{release, SubtaskId, TaskId};
 
     fn system() -> TaskSystem {

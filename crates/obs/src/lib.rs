@@ -38,11 +38,11 @@
 //! Events carry `Rat` times, but the Metrics, Lag and Blocking observers
 //! keep their time-valued state in `i64` ticks at
 //! [`pfair_numeric::GRID`] (720720 per quantum, the workload generators'
-//! cost grid), so their sums and compares are integer operations. The
-//! first event time off that grid moves an observer's state to exact
-//! `Rat`s without loss, as the DVQ kernel's clock does. Each observer's
-//! state is written once over [`pfair_numeric::Tier`], and its accessors
-//! return the same `Rat`s on either tier.
+//! cost grid), so their sums and compares are integer operations. Each
+//! observer's state is written once over [`pfair_numeric::Tier`] and held
+//! in a [`pfair_numeric::Tiered`], the switch the DVQ kernel's clock uses:
+//! the first event time off that grid moves the state to exact `Rat`s
+//! without loss. The accessors return the same `Rat`s on either tier.
 //!
 //! The streaming implementations are proven exactly equivalent (rational
 //! equality, not float) to the post-hoc analyses by
@@ -53,10 +53,11 @@
 
 pub mod blocking;
 pub mod event;
+#[cfg(test)]
+mod fixture;
 pub mod jsonl;
 pub mod lag;
 pub mod metrics;
-mod tiered;
 
 pub use blocking::{BlockingObserver, BlockingRecord};
 pub use event::{InversionKind, ReadyCause, SchedEvent};

@@ -2,14 +2,14 @@
 //!
 //! The busy, waste, end and tardiness figures are kept in ticks at
 //! [`pfair_numeric::GRID`] while the stream stays on that grid, and in
-//! exact rationals from the first time it leaves it (see the `tiered`
-//! module); the accessors return the same `Rat`s either way.
+//! exact rationals from the first time it leaves it (a
+//! [`pfair_numeric::Tiered`]); the accessors return the same `Rat`s either
+//! way.
 
 use core::cmp::Ordering;
 
-use crate::tiered::{on_tier, on_tier_or_exact, Lift, Tiered};
 use crate::{InversionKind, Observer, SchedEvent};
-use pfair_numeric::{Exact, Rat, Ticks, Tier, Time};
+use pfair_numeric::{on_tier, on_tier_or_exact, Exact, Lift, Rat, Ticks, Tier, Tiered, Time, GRID};
 use pfair_taskmodel::{SubtaskId, TaskId};
 
 /// Default number of tardiness-histogram buckets (bucket 0 is "on time";
@@ -32,8 +32,6 @@ pub const DEFAULT_BUCKETS: usize = 8;
 pub struct MetricsObserver {
     buckets: usize,
     ticks: u64,
-    released: u64,
-    ready: u64,
     started: u64,
     completed: u64,
     hits: u64,
@@ -44,7 +42,6 @@ pub struct MetricsObserver {
     last_task: Vec<Option<TaskId>>,
     eligibility_blocking: u64,
     predecessor_blocking: u64,
-    idle_proc_instants: u64,
     times: Tiered<Times<Ticks>>,
 }
 
@@ -160,8 +157,6 @@ impl MetricsObserver {
         MetricsObserver {
             buckets,
             ticks: 0,
-            released: 0,
-            ready: 0,
             started: 0,
             completed: 0,
             hits: 0,
@@ -172,8 +167,7 @@ impl MetricsObserver {
             last_task: vec![None; m],
             eligibility_blocking: 0,
             predecessor_blocking: 0,
-            idle_proc_instants: 0,
-            times: Tiered::on_grid(|tier| Times::new(tier, m)),
+            times: Tiered::Ticks(Times::new(GRID, m)),
         }
     }
 
@@ -327,8 +321,7 @@ impl Observer for MetricsObserver {
     fn on_event(&mut self, ev: &SchedEvent) {
         match ev {
             SchedEvent::Tick { .. } => self.ticks += 1,
-            SchedEvent::Released { .. } => self.released += 1,
-            SchedEvent::Ready { .. } => self.ready += 1,
+            SchedEvent::Released { .. } | SchedEvent::Ready { .. } | SchedEvent::Idle { .. } => {}
             SchedEvent::QuantumStart {
                 id,
                 proc,
@@ -377,7 +370,6 @@ impl Observer for MetricsObserver {
                 }
                 self.histogram[bin] += 1;
             }
-            SchedEvent::Idle { procs, .. } => self.idle_proc_instants += u64::from(*procs),
             SchedEvent::Blocked { kind, .. } => match kind {
                 InversionKind::Eligibility => self.eligibility_blocking += 1,
                 InversionKind::Predecessor => self.predecessor_blocking += 1,
@@ -389,7 +381,7 @@ impl Observer for MetricsObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiered::fixture::{dvq_stream, grid_cost};
+    use crate::fixture::{dvq_stream, grid_cost};
     use pfair_taskmodel::{release, TaskSystem};
 
     /// `events` through a fresh collector, on exact rationals from the

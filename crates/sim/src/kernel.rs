@@ -24,12 +24,14 @@
 //!
 //! The open instant, the completions and the event keys live in the run's
 //! [`Tier`]: [`Ticks`] at the driver's scale ([`GRID`] online, the cost
-//! model's denominator hint offline) or [`Exact`]. Every fallible
-//! conversion of a step runs before its side effects; the first value
-//! the ticks cannot represent moves the clock to [`Exact`] — losslessly,
-//! a tick count *is* a rational — and the step resumes there with what it
-//! already drew. Schedules and streams never depend on the tier; times
-//! cross the public edges as [`Rat`]s.
+//! model's denominator hint offline) or [`Exact`]. The clock is a
+//! [`Tiered`], the switch the streaming observers use too (see
+//! [`pfair_numeric::tier`]): every fallible conversion of a step runs
+//! before its side effects, and the first value the ticks cannot
+//! represent moves the clock to [`Exact`] — losslessly, a tick count *is*
+//! a rational — where the step resumes with what it already drew.
+//! Schedules and streams never depend on the tier; times cross the public
+//! edges as [`Rat`]s.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -37,7 +39,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use pfair_core::key::Pd2Key;
-use pfair_numeric::{Exact, Rat, Ticks, Tier, Time, GRID};
+use pfair_numeric::{on_tier, on_tier_or_exact, Exact, Lift, Rat, Ticks, Tier, Tiered, Time, GRID};
 use pfair_obs::{Observer, ReadyCause, SchedEvent};
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskId, TaskSystem, Weight};
@@ -385,8 +387,11 @@ impl<D: Tier> Clock<D> {
         }
         true
     }
+}
 
-    /// The same state on exact rationals.
+impl<D: Tier> Lift for Clock<D> {
+    type Exact = Clock<Exact>;
+
     fn to_exact(&self) -> Clock<Exact> {
         let exact = |t| self.dom.to_rat(t);
         Clock {
@@ -406,23 +411,6 @@ impl<D: Tier> Clock<D> {
             preds: self.preds.iter().map(|&t| exact(t)).collect(),
         }
     }
-}
-
-/// The clock in whichever tier the run is on.
-#[derive(Debug)]
-enum Tiered {
-    Ticks(Clock<Ticks>),
-    Exact(Clock<Exact>),
-}
-
-/// Runs `$body` with `$c` bound to the clock in its current tier.
-macro_rules! on_clock {
-    ($clock:expr, |$c:ident| $body:expr) => {
-        match $clock {
-            Tiered::Ticks($c) => $body,
-            Tiered::Exact($c) => $body,
-        }
-    };
 }
 
 /// The kernel's tier-free state.
@@ -446,22 +434,20 @@ type Carried = (TaskId, Rat);
 
 impl<R: ReadySet> Parts<R> {
     /// Arms the chain head of `task` if it has pending work and nothing of
-    /// it is ready or running. `false` if the head's activation instant is
+    /// it is ready or running. `None` if the head's activation instant is
     /// unrepresentable in `D`; nothing changes then.
-    fn arm<D: Tier>(&mut self, c: &mut Clock<D>, task: TaskId) -> bool {
+    fn arm<D: Tier>(&mut self, c: &mut Clock<D>, task: TaskId) -> Option<()> {
         let chain = &mut self.chains[task.idx()];
         if chain.armed || chain.busy {
-            return true;
+            return Some(());
         }
         let Some(head) = &chain.head else {
-            return true;
+            return Some(());
         };
-        let Some(eligible) = c.dom.int(head.eligible) else {
-            return false;
-        };
+        let eligible = c.dom.int(head.eligible)?;
         chain.armed = true;
         c.push(eligible.max(c.preds[task.idx()]), Event::Activate(task));
-        true
+        Some(())
     }
 
     /// Pops and applies the head event if it is queued at `at`; returns
@@ -525,11 +511,7 @@ impl<R: ReadySet> Parts<R> {
             emit_end(id, spec.deadline, proc, completion, Rat::ZERO, obs);
         }
         self.free.push(Reverse(proc));
-        if self.arm(c, task) {
-            Ok(())
-        } else {
-            Err(task)
-        }
+        self.arm(c, task).ok_or(task)
     }
 
     /// Moves the chain head of `task` to the ready set (a stale arm — a
@@ -648,7 +630,7 @@ impl<R: ReadySet> Parts<R> {
 #[derive(Debug)]
 pub struct DvqKernel<R: ReadySet = KeyHeap> {
     parts: Parts<R>,
-    clock: Tiered,
+    clock: Tiered<Clock<Ticks>>,
 }
 
 impl DvqKernel {
@@ -679,7 +661,7 @@ impl DvqKernel {
         key: impl FnMut(Weight, SubtaskId, i64) -> Pd2Key,
         obs: &mut O,
     ) -> Result<(), OnlineError> {
-        let past = on_clock!(&self.clock, |c| {
+        let past = on_tier!(&self.clock, |c| {
             let now = c.now_rat();
             (Rat::int(at) < now).then_some(now)
         });
@@ -737,7 +719,7 @@ impl<R: ReadySet> DvqKernel<R> {
             armed: false,
             busy: false,
         });
-        on_clock!(&mut self.clock, |c| {
+        on_tier!(&mut self.clock, |c| {
             let zero = c.dom.int(0).expect("time zero is representable");
             c.preds.push(zero);
         });
@@ -755,7 +737,7 @@ impl<R: ReadySet> DvqKernel<R> {
     /// The current instant: the last batch opened.
     #[must_use]
     pub fn now(&self) -> Time {
-        on_clock!(&self.clock, |c| c.now_rat())
+        on_tier!(&self.clock, |c| c.now_rat())
     }
 
     /// Processor count.
@@ -764,33 +746,16 @@ impl<R: ReadySet> DvqKernel<R> {
         u32::try_from(self.parts.running.len()).expect("m fits u32")
     }
 
-    /// Moves the clock to exact rationals, if it is not there yet.
-    fn go_exact(&mut self) {
-        if let Tiered::Ticks(c) = &self.clock {
-            self.clock = Tiered::Exact(c.to_exact());
-        }
-    }
-
+    /// Arms the chain head of `task`, on exact rationals if the ticks
+    /// cannot hold its activation instant.
     fn arm(&mut self, task: TaskId) {
-        if !on_clock!(&mut self.clock, |c| self.parts.arm(c, task)) {
-            self.go_exact();
-            on_clock!(&mut self.clock, |c| self.parts.arm(c, task));
-        }
-    }
-
-    /// Finishes an apply or a free whose chain arming left the ticks.
-    fn settle<T>(&mut self, r: Result<T, TaskId>, done: T) -> T {
-        r.unwrap_or_else(|task| {
-            self.go_exact();
-            self.arm(task);
-            done
-        })
+        on_tier_or_exact!(self.clock, |c| self.parts.arm(c, task));
     }
 
     /// The next queued event's instant and the event, if any.
     #[must_use]
     pub fn peek(&self) -> Option<(Time, Event)> {
-        on_clock!(&self.clock, |c| c.head().map(|(t, ev)| (c.rat(t), ev)))
+        on_tier!(&self.clock, |c| c.head().map(|(t, ev)| (c.rat(t), ev)))
     }
 
     /// Opens the batch at instant `at`: it becomes [`Self::now`].
@@ -810,13 +775,7 @@ impl<R: ReadySet> DvqKernel<R> {
     }
 
     fn move_to(&mut self, at: Time) {
-        if on_clock!(&self.clock, |c| c.tier(at).is_none()) {
-            self.go_exact();
-        }
-        on_clock!(&mut self.clock, |c| {
-            let t = c.tier(at).expect("the exact tier represents every instant");
-            c.set_now(t, Some(at));
-        });
+        on_tier_or_exact!(self.clock, |c| c.tier(at).map(|t| c.set_now(t, Some(at))));
     }
 
     /// Applies the next queued event if it is queued at `at`; returns
@@ -824,11 +783,14 @@ impl<R: ReadySet> DvqKernel<R> {
     /// it takes effect, which may lie after `at` for a driver whose time
     /// already moved past it.
     pub fn apply_at<O: Observer>(&mut self, at: Time, obs: &mut O) -> bool {
-        let r = on_clock!(&mut self.clock, |c| match c.tier(at) {
+        let r = on_tier!(&mut self.clock, |c| match c.tier(at) {
             Some(t) => self.parts.apply(c, t, obs),
             None => Ok(false),
         });
-        self.settle(r, true)
+        if let Err(task) = r {
+            self.arm(task);
+        }
+        r.unwrap_or(true)
     }
 
     /// Frees `proc` at its quantum's completion: the `QuantumEnd` and
@@ -837,8 +799,9 @@ impl<R: ReadySet> DvqKernel<R> {
     /// # Panics
     /// Panics if `proc` is idle.
     pub fn free<O: Observer>(&mut self, proc: u32, obs: &mut O) {
-        let r = on_clock!(&mut self.clock, |c| self.parts.free(c, proc, obs));
-        self.settle(r, ());
+        if let Err(task) = on_tier!(&mut self.clock, |c| self.parts.free(c, proc, obs)) {
+            self.arm(task);
+        }
     }
 
     /// The dispatch pass at [`Self::now`]: hands free processors, lowest
@@ -870,7 +833,7 @@ impl<R: ReadySet> DvqKernel<R> {
         obs: &mut O,
     ) {
         let mut carried = None;
-        while let Err(pending) = on_clock!(&mut self.clock, |c| self.parts.dispatch(
+        while let Err(pending) = on_tier!(&mut self.clock, |c| self.parts.dispatch(
             c,
             carried.take(),
             cost,
@@ -878,7 +841,7 @@ impl<R: ReadySet> DvqKernel<R> {
             obs
         )) {
             carried = Some(pending);
-            self.go_exact();
+            self.clock.go_exact();
         }
     }
 
@@ -909,7 +872,7 @@ impl<R: ReadySet> DvqKernel<R> {
         sink: &mut impl FnMut(Placed<'_, R::Key>),
         obs: &mut O,
     ) -> bool {
-        let opened = on_clock!(&mut self.clock, |c| c.open_next(horizon, obs));
+        let opened = on_tier!(&mut self.clock, |c| c.open_next(horizon, obs));
         if opened {
             self.run_batch(cost, sink, obs);
         }
@@ -924,14 +887,8 @@ impl<R: ReadySet> DvqKernel<R> {
         sink: &mut impl FnMut(Placed<'_, R::Key>),
         obs: &mut O,
     ) {
-        loop {
-            match on_clock!(&mut self.clock, |c| self.parts.drain(c, obs)) {
-                Ok(()) => break,
-                Err(task) => {
-                    self.go_exact();
-                    self.arm(task);
-                }
-            }
+        while let Err(task) = on_tier!(&mut self.clock, |c| self.parts.drain(c, obs)) {
+            self.arm(task);
         }
         self.dispatch_with(cost, sink, obs);
     }
@@ -953,14 +910,14 @@ impl<R: ReadySet> DvqKernel<R> {
     pub fn completion_of(&self, proc: u32) -> Option<Time> {
         let p = proc as usize;
         self.parts.running[p].as_ref()?;
-        Some(on_clock!(&self.clock, |c| c.dom.to_rat(c.ends[p])))
+        Some(on_tier!(&self.clock, |c| c.dom.to_rat(c.ends[p])))
     }
 
     /// The earliest logical completion among quanta in flight, if any.
     #[must_use]
     pub fn min_completion(&self) -> Option<Time> {
         let running = &self.parts.running;
-        on_clock!(&self.clock, |c| running
+        on_tier!(&self.clock, |c| running
             .iter()
             .zip(&c.ends)
             .filter(|(r, _)| r.is_some())

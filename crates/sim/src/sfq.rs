@@ -334,8 +334,13 @@ pub fn simulate_sfq_with<O: Observer>(
             }
         };
 
-        let procs = assign_processors(sys, picked, m, affinity, &mut last_proc);
-        for (&st, &proc) in picked.iter().zip(&procs) {
+        // By decision, the k-th pick runs on processor k.
+        let sticky = match affinity {
+            AffinityMode::ByDecision => None,
+            AffinityMode::Sticky => Some(sticky_processors(sys, picked, m, &last_proc)),
+        };
+        for (k, &st) in picked.iter().enumerate() {
+            let proc = sticky.as_ref().map_or(k as u32, |procs| procs[k]);
             let c = checked_cost(cost.cost(sys, st), st);
             placements.push(Placement {
                 st,
@@ -380,43 +385,39 @@ pub fn simulate_sfq_with<O: Observer>(
     Schedule::new(sys, QuantumModel::Sfq, m, placements)
 }
 
-/// Maps this slot's picked subtasks onto processors per the affinity mode.
-fn assign_processors(
+/// Maps this slot's picked subtasks onto processors under
+/// [`AffinityMode::Sticky`]: each keeps the processor its task last ran on
+/// while that is free, the rest take the lowest free processors.
+fn sticky_processors(
     sys: &TaskSystem,
     picked: &[SubtaskRef],
     m: u32,
-    affinity: AffinityMode,
-    last_proc: &mut [Option<u32>],
+    last_proc: &[Option<u32>],
 ) -> Vec<u32> {
-    match affinity {
-        AffinityMode::ByDecision => (0..picked.len() as u32).collect(),
-        AffinityMode::Sticky => {
-            let mut taken = vec![false; m as usize];
-            let mut assigned: Vec<Option<u32>> = vec![None; picked.len()];
-            // First pass: grant preferences that are still free.
-            for (k, &st) in picked.iter().enumerate() {
-                let task = sys.subtask(st).id.task;
-                if let Some(p) = last_proc[task.idx()] {
-                    if !taken[p as usize] {
-                        taken[p as usize] = true;
-                        assigned[k] = Some(p);
-                    }
-                }
+    let mut taken = vec![false; m as usize];
+    let mut assigned: Vec<Option<u32>> = vec![None; picked.len()];
+    // First pass: grant preferences that are still free.
+    for (k, &st) in picked.iter().enumerate() {
+        let task = sys.subtask(st).id.task;
+        if let Some(p) = last_proc[task.idx()] {
+            if !taken[p as usize] {
+                taken[p as usize] = true;
+                assigned[k] = Some(p);
             }
-            // Second pass: fill the rest with the lowest free processors.
-            let mut next_free = 0u32;
-            for slot in assigned.iter_mut() {
-                if slot.is_none() {
-                    while taken[next_free as usize] {
-                        next_free += 1;
-                    }
-                    taken[next_free as usize] = true;
-                    *slot = Some(next_free);
-                }
-            }
-            assigned.into_iter().map(|a| a.expect("assigned")).collect()
         }
     }
+    // Second pass: fill the rest with the lowest free processors.
+    let mut next_free = 0u32;
+    for slot in assigned.iter_mut() {
+        if slot.is_none() {
+            while taken[next_free as usize] {
+                next_free += 1;
+            }
+            taken[next_free as usize] = true;
+            *slot = Some(next_free);
+        }
+    }
+    assigned.into_iter().map(|a| a.expect("assigned")).collect()
 }
 
 #[cfg(test)]
