@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pfair::core::Algorithm;
 use pfair::prelude::*;
-use pfair::workload::{random_weights, releasegen};
+use pfair::workload::{cycle_system, random_weights, releasegen};
 
 /// A deterministic full-utilization system with roughly `n` tasks on `m`
 /// processors (generated with max_period scaled so the task count lands
@@ -118,28 +118,8 @@ fn bench_keyed_vs_comparator(c: &mut Criterion) {
     // (= placements = subtasks), so `elem/s` reads as decisions/sec.
     let mut g = c.benchmark_group("keyed_vs_comparator");
     g.sample_size(15);
-    let base = [
-        (1i64, 2i64),
-        (1, 3),
-        (2, 5),
-        (3, 8),
-        (1, 6),
-        (5, 12),
-        (1, 4),
-        (7, 24),
-        (2, 3),
-        (1, 8),
-    ];
     for n in [10usize, 100, 1000] {
-        let weights: Vec<Weight> = (0..n)
-            .map(|i| {
-                let (e, p) = base[i % base.len()];
-                Weight::new(e, p)
-            })
-            .collect();
-        let util: Rat = weights.iter().map(|w| w.as_rat()).sum();
-        let m = util.ceil() as u32;
-        let sys = releasegen::generate(&weights, &ReleaseConfig::periodic(24), 46);
+        let (sys, m) = cycle_system(n);
         let decisions = sys.num_subtasks() as u64;
         g.throughput(Throughput::Elements(decisions));
         for (engine, keyed) in [("dvq", true), ("dvq", false), ("sfq", true), ("sfq", false)] {
@@ -172,28 +152,8 @@ fn bench_large_scale(c: &mut Criterion) {
     // take minutes.
     let mut g = c.benchmark_group("large_scale");
     g.sample_size(10);
-    let base = [
-        (1i64, 2i64),
-        (1, 3),
-        (2, 5),
-        (3, 8),
-        (1, 6),
-        (5, 12),
-        (1, 4),
-        (7, 24),
-        (2, 3),
-        (1, 8),
-    ];
     for n in [10_000usize, 100_000] {
-        let weights: Vec<Weight> = (0..n)
-            .map(|i| {
-                let (e, p) = base[i % base.len()];
-                Weight::new(e, p)
-            })
-            .collect();
-        let util: Rat = weights.iter().map(|w| w.as_rat()).sum();
-        let m = util.ceil() as u32;
-        let sys = releasegen::generate(&weights, &ReleaseConfig::periodic(24), 46);
+        let (sys, m) = cycle_system(n);
         let decisions = sys.num_subtasks() as u64;
         g.throughput(Throughput::Elements(decisions));
         g.bench_with_input(BenchmarkId::new("dvq_keyed", n), &sys, |b, sys| {

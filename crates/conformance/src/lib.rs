@@ -34,7 +34,7 @@
 //!   uses to prove the harness actually fires.
 //! * [`mod@runtime`] — a replay bank for real multi-threaded
 //!   `pfair-runtime` executions: the recorded event stream is replayed
-//!   through `slotplay` and checked for completeness, conservation,
+//!   through `pfair_sim::replay_events` and checked for completeness, conservation,
 //!   structural validity, the Theorem 3 bound, and (in deterministic
 //!   mode) bit-equality against `OnlineDvq` — plus planted concurrency
 //!   mutants, each caught by a different invariant.

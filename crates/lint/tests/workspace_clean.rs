@@ -38,6 +38,28 @@ fn the_workspace_lints_clean() {
     );
 }
 
+/// The emission-parity messages after replacing `from` with `to` in the
+/// workspace file whose path ends in `path` (in memory only).
+fn parity_after_edit(path: &str, from: &str, to: &str) -> Vec<String> {
+    let mut files =
+        collect_workspace_files(&workspace_root()).expect("workspace sources are readable");
+    let file = files
+        .iter_mut()
+        .find(|(p, _)| p.ends_with(path))
+        .unwrap_or_else(|| panic!("{path} exists"));
+    assert!(
+        file.1.contains(from),
+        "{path} no longer contains `{from}` — update this test if that \
+         plumbing moved"
+    );
+    file.1 = file.1.replace(from, to);
+    lint_files(&files)
+        .into_iter()
+        .filter(|d| d.rule == "emission-parity")
+        .map(|d| d.message)
+        .collect()
+}
+
 /// Removing DVQ's terminal-event emission must fail emission-parity.
 ///
 /// Every DVQ driver (`simulate_dvq`, the online schedulers, the runtime)
@@ -51,28 +73,38 @@ fn the_workspace_lints_clean() {
 /// do.
 #[test]
 fn removing_dvq_deadline_emission_fails_emission_parity() {
-    let root = workspace_root();
-    let mut files = collect_workspace_files(&root).expect("workspace sources are readable");
-    let kernel = files
-        .iter_mut()
-        .find(|(path, _)| path.ends_with("crates/sim/src/kernel.rs"))
-        .expect("the DVQ kernel exists");
-    assert!(
-        kernel.1.contains("emit_end("),
-        "the DVQ kernel emits terminal events via emit_end — update this \
-         test if that plumbing moves"
-    );
-    kernel.1 = kernel.1.replace("emit_end(", "emit_end_gone(");
-    let diags = lint_files(&files);
-    let parity: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == "emission-parity")
-        .collect();
+    let parity = parity_after_edit("crates/sim/src/kernel.rs", "emit_end(", "emit_end_gone(");
     assert!(
         parity
             .iter()
-            .any(|d| d.message.contains("`dvq`") && d.message.contains("DeadlineMiss")),
+            .any(|m| m.contains("`dvq`") && m.contains("DeadlineMiss")),
         "severing DVQ's emit helpers must surface a `dvq` DeadlineMiss parity \
          finding; emission-parity reported: {parity:?}"
+    );
+}
+
+/// Removing the fixed-quantum recorder's `Idle` emission must fail
+/// emission-parity for SFQ, staggered, BF and flow, which all emit through
+/// the `Recorder` in `crates/sim/src/emit.rs`, and not for DVQ, whose
+/// kernel builds its own. Renaming `report_idle` (in memory only) leaves
+/// the engines' calls resolving to nothing.
+#[test]
+fn removing_the_recorder_idle_emission_fails_emission_parity() {
+    let parity = parity_after_edit(
+        "crates/sim/src/emit.rs",
+        "fn report_idle(",
+        "fn report_idle_gone(",
+    );
+    for engine in ["sfq", "staggered", "bf", "flow"] {
+        let want = format!("engine `{engine}` never constructs `SchedEvent::Idle`");
+        assert!(
+            parity.iter().any(|m| m.contains(&want)),
+            "severing the recorder's `Idle` must surface a `{engine}` parity \
+             finding; emission-parity reported: {parity:?}"
+        );
+    }
+    assert!(
+        !parity.iter().any(|m| m.contains("engine `dvq`")),
+        "the DVQ kernel emits its own `Idle`; emission-parity reported: {parity:?}"
     );
 }

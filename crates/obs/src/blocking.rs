@@ -98,7 +98,7 @@ impl<K: Tier> History<K> {
     /// Records the dispatch of `st` (`sub`) on `proc` at `start` for
     /// `cost`, and returns the inversion it ends, if any; `None` (and no
     /// change) if a time is off the tier.
-    fn dispatch(
+    fn record_start(
         &mut self,
         keys: &StrictKeys<'_>,
         (st, sub): (SubtaskRef, &Subtask),
@@ -254,7 +254,7 @@ impl<Inner: Observer> Observer for BlockingObserver<'_, Inner> {
             .expect("BlockingObserver saw a subtask outside its system");
         let sub = self.sys.subtask(st);
         let keys = &self.keys;
-        let found = on_tier_or_exact!(self.history, |h| h.dispatch(
+        let found = on_tier_or_exact!(self.history, |h| h.record_start(
             keys,
             (st, sub),
             *proc,

@@ -227,20 +227,7 @@ mod tests {
     use proptest::prelude::*;
 
     use crate::cost::{FullQuantum, ScaledCost};
-
-    fn fig2_system() -> TaskSystem {
-        release::periodic_named(
-            &[
-                ("A", 1, 6),
-                ("B", 1, 6),
-                ("C", 1, 6),
-                ("D", 1, 2),
-                ("E", 1, 2),
-                ("F", 1, 2),
-            ],
-            6,
-        )
-    }
+    use crate::fig2_system;
 
     /// All job deadlines met: for every task with weight `e/p`, the `j`-th
     /// job's units (indices `(j−1)e+1 ..= je`) complete by `j·p`.

@@ -148,31 +148,10 @@ mod tests {
     use pfair_core::Pd2;
     use pfair_numeric::{Rat, Time};
     use pfair_obs::SchedEvent;
-    use pfair_taskmodel::{release, SubtaskId, TaskId};
+    use pfair_taskmodel::{release, TaskId};
 
     use crate::cost::{ExactOnly, FixedCosts, FullQuantum};
-
-    fn fig2_system() -> TaskSystem {
-        release::periodic_named(
-            &[
-                ("A", 1, 6),
-                ("B", 1, 6),
-                ("C", 1, 6),
-                ("D", 1, 2),
-                ("E", 1, 2),
-                ("F", 1, 2),
-            ],
-            6,
-        )
-    }
-
-    fn find(sys: &TaskSystem, task: u32, index: u64) -> SubtaskRef {
-        sys.find(SubtaskId {
-            task: TaskId(task),
-            index,
-        })
-        .unwrap()
-    }
+    use crate::{fig2_system, find};
 
     #[test]
     fn full_costs_reduce_to_sfq() {

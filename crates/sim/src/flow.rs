@@ -181,20 +181,7 @@ mod tests {
     use pfair_taskmodel::release;
 
     use crate::cost::{FullQuantum, ScaledCost};
-
-    fn fig2_system() -> TaskSystem {
-        release::periodic_named(
-            &[
-                ("A", 1, 6),
-                ("B", 1, 6),
-                ("C", 1, 6),
-                ("D", 1, 2),
-                ("E", 1, 2),
-                ("F", 1, 2),
-            ],
-            6,
-        )
-    }
+    use crate::fig2_system;
 
     fn assert_windows_respected(sys: &TaskSystem, sched: &Schedule) {
         for (st, s) in sys.iter_refs() {

@@ -40,11 +40,11 @@ use std::fmt;
 
 use pfair_core::key::Pd2Key;
 use pfair_numeric::{on_tier, on_tier_or_exact, Exact, Lift, Rat, Ticks, Tier, Tiered, Time, GRID};
-use pfair_obs::{Observer, ReadyCause, SchedEvent};
+use pfair_obs::{Observer, SchedEvent};
 use pfair_taskmodel::window;
 use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskId, TaskSystem, Weight};
 
-use crate::emit::emit_end;
+use crate::emit::{emit_end, ready_cause};
 pub use crate::ready::{KeyHeap, ReadySet};
 
 /// One pending subtask of a task's chain: its ready-set key and what the
@@ -527,18 +527,13 @@ impl<R: ReadySet> Parts<R> {
         };
         chain.busy = true;
         if O::ENABLED {
-            let cause = if c.dom.int(spec.eligible) == Some(c.now) {
-                ReadyCause::Eligibility
-            } else {
-                ReadyCause::Predecessor
-            };
             obs.on_event(&SchedEvent::Ready {
                 id: SubtaskId {
                     task,
                     index: spec.index,
                 },
                 at: c.now_rat(),
-                cause,
+                cause: ready_cause(c.dom.int(spec.eligible), Some(c.now)),
             });
         }
         self.ready.push(spec.key, task.0);

@@ -37,6 +37,12 @@
 //!   PF-window network, patched incrementally task by task. Window-valid
 //!   and zero-tardiness on feasible systems.
 //!
+//! Every engine streams its decisions to a `pfair_obs::Observer` as
+//! `SchedEvent`s. The DVQ kernel builds its own; SFQ, the staggered loop
+//! and the slot-table replay record every quantum through the one
+//! recorder of module `emit`, which owns the run's placements, its
+//! unannounced quantum ends and the observer.
+//!
 //! All simulators consume a [`pfair_taskmodel::TaskSystem`] plus a
 //! [`cost::CostModel`] assigning each subtask its *actual*
 //! execution cost `c(T_i) ∈ (0, 1]`, and produce a [`Schedule`] — the
@@ -68,11 +74,39 @@ pub mod staggered;
 pub use bf::{bf_boundaries, is_boundary_periodic, simulate_bf, simulate_bf_observed};
 pub use cost::{CostModel, ExactOnly, FixedCosts, FullQuantum, ScaledCost};
 pub use dvq::{simulate_dvq, simulate_dvq_observed};
+pub use emit::replay_events;
 pub use flow::{simulate_flow, simulate_flow_observed};
 pub use schedule::{Placement, QuantumModel, Schedule};
 pub use sfq::{
     simulate_sfq, simulate_sfq_observed, simulate_sfq_pdb, simulate_sfq_with, AffinityMode,
     SfqPolicy,
 };
-pub use slotplay::replay_events;
 pub use staggered::{simulate_staggered, simulate_staggered_observed};
+
+/// The running example of the paper's Fig. 2, shared by the engines'
+/// tests: three tasks of weight 1/6 and three of weight 1/2 over six
+/// slots.
+#[cfg(test)]
+fn fig2_system() -> pfair_taskmodel::TaskSystem {
+    pfair_taskmodel::release::periodic_named(
+        &[
+            ("A", 1, 6),
+            ("B", 1, 6),
+            ("C", 1, 6),
+            ("D", 1, 2),
+            ("E", 1, 2),
+            ("F", 1, 2),
+        ],
+        6,
+    )
+}
+
+/// Subtask `index` of task `task` in `sys`, for the engines' tests.
+#[cfg(test)]
+fn find(sys: &pfair_taskmodel::TaskSystem, task: u32, index: u64) -> pfair_taskmodel::SubtaskRef {
+    let id = pfair_taskmodel::SubtaskId {
+        task: pfair_taskmodel::TaskId(task),
+        index,
+    };
+    sys.find(id).expect("the test system releases this subtask")
+}

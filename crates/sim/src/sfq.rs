@@ -33,12 +33,12 @@ use pfair_core::key::{EpdfKey, KeyCache, KeyDispatch, Pd2Key, PdKey, SubtaskKey}
 use pfair_core::pdb;
 use pfair_core::priority::{sort_by_priority, PriorityOrder};
 use pfair_numeric::Rat;
-use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
+use pfair_obs::{NoopObserver, Observer};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
-use crate::cost::{checked_cost, CostModel};
-use crate::emit::{flush_ends, PendingEnd};
-use crate::schedule::{Placement, QuantumModel, Schedule};
+use crate::cost::CostModel;
+use crate::emit::Recorder;
+use crate::schedule::{QuantumModel, Schedule};
 
 /// Which selection rule an SFQ run uses.
 #[derive(Clone, Copy)]
@@ -202,7 +202,7 @@ pub fn simulate_sfq_with<O: Observer>(
         SfqPolicy::PdB(_) => None,
     };
     let total = sys.num_subtasks();
-    let mut placements = Vec::with_capacity(total);
+    let mut rec = Recorder::new(sys, obs);
     // Slot in which each subtask was scheduled (for readiness / PD^B).
     let mut slot_of: Vec<Option<i64>> = vec![None; total];
     // Per task: next unscheduled subtask (absolute ref), end of span.
@@ -218,30 +218,12 @@ pub fn simulate_sfq_with<O: Observer>(
             cur < hi
         })
         .collect();
-    let mut placed = 0usize;
     let mut t = 0i64;
     let mut ready: Vec<SubtaskRef> = Vec::with_capacity(sys.num_tasks());
     // Per task: last processor used (for sticky affinity).
     let mut last_proc: Vec<Option<u32>> = vec![None; sys.num_tasks()];
-    // Observability state: quanta whose ends are still unannounced, which
-    // subtasks already got a `Ready`, and this slot's fresh ready set. The
-    // first gather that sees a subtask runs at exactly its ready slot (the
-    // driver never jumps past a readiness time), so `Ready.at` is the slot.
-    let mut pending_ends: Vec<PendingEnd> = Vec::new();
-    let mut ready_emitted: Vec<bool> = if O::ENABLED {
-        vec![false; total]
-    } else {
-        Vec::new()
-    };
-    let mut fresh_ready: Vec<(SubtaskRef, i64, ReadyCause)> = Vec::new();
 
-    while placed < total {
-        // All quanta from earlier slots completed at or before `t`:
-        // announce them before this slot emits anything.
-        if O::ENABLED {
-            flush_ends(sys, &mut pending_ends, obs);
-            fresh_ready.clear();
-        }
+    while rec.placed() < total {
         // Gather the (≤ one per task) ready subtasks, dropping exhausted
         // tasks from the active list as we go.
         ready.clear();
@@ -260,15 +242,6 @@ pub fn simulate_sfq_with<O: Observer>(
             let ready_at = s.eligible.max(pred_done_at);
             if ready_at <= t {
                 ready.push(st);
-                if O::ENABLED && !ready_emitted[st.idx()] {
-                    ready_emitted[st.idx()] = true;
-                    let cause = if pred_done_at > s.eligible {
-                        ReadyCause::Predecessor
-                    } else {
-                        ReadyCause::Eligibility
-                    };
-                    fresh_ready.push((st, ready_at, cause));
-                }
             } else {
                 next_interesting = next_interesting.min(ready_at);
             }
@@ -276,6 +249,7 @@ pub fn simulate_sfq_with<O: Observer>(
         });
 
         if ready.is_empty() {
+            let placed = rec.placed();
             // With nothing ready, the driver can only jump forward to the
             // next readiness time. If none exists (or it does not advance),
             // `continue` would spin forever with unscheduled subtasks left
@@ -296,16 +270,22 @@ pub fn simulate_sfq_with<O: Observer>(
             continue;
         }
 
-        if O::ENABLED {
-            obs.on_event(&SchedEvent::Tick { at: Rat::int(t) });
-            for &(st, ready_at, cause) in &fresh_ready {
-                obs.on_event(&SchedEvent::Ready {
-                    id: sys.subtask(st).id,
-                    at: Rat::int(ready_at),
-                    cause,
-                });
-            }
-        }
+        // Every quantum from an earlier slot completed at or before `t`.
+        let at = Rat::int(t);
+        rec.open_instant(at);
+        // The driver never jumps past a readiness time, so a subtask is
+        // newly ready exactly when its eligibility or its predecessor's
+        // slot gates it at `t`.
+        rec.report_ready(
+            at,
+            ready
+                .iter()
+                .filter(|&&st| {
+                    let s = sys.subtask(st);
+                    s.eligible == t || s.pred.is_some_and(|p| slot_of[p.idx()] == Some(t - 1))
+                })
+                .map(|&st| (st, at)),
+        );
 
         let pdb_holder: Vec<SubtaskRef>;
         let picked: &[SubtaskRef] = match policy {
@@ -341,48 +321,16 @@ pub fn simulate_sfq_with<O: Observer>(
         };
         for (k, &st) in picked.iter().enumerate() {
             let proc = sticky.as_ref().map_or(k as u32, |procs| procs[k]);
-            let c = checked_cost(cost.cost(sys, st), st);
-            placements.push(Placement {
-                st,
-                proc,
-                start: Rat::int(t),
-                cost: c,
-                holds_until: Rat::int(t + 1),
-            });
+            rec.place(st, proc, at, Rat::int(t + 1), cost);
             slot_of[st.idx()] = Some(t);
-            let s = sys.subtask(st);
-            let task = s.id.task;
-            if O::ENABLED {
-                obs.on_event(&SchedEvent::QuantumStart {
-                    id: s.id,
-                    proc,
-                    start: Rat::int(t),
-                    cost: c,
-                    holds_until: Rat::int(t + 1),
-                    deadline: s.deadline,
-                    bbit: s.bbit,
-                    group_deadline: s.group_deadline,
-                });
-                pending_ends.push((Rat::int(t) + c, proc, st, Rat::ONE - c));
-            }
+            let task = sys.subtask(st).id.task;
             last_proc[task.idx()] = Some(proc);
             cursor[task.idx()].0 += 1;
-            placed += 1;
         }
-        if O::ENABLED && picked.len() < m as usize {
-            obs.on_event(&SchedEvent::Idle {
-                at: Rat::int(t),
-                procs: m - picked.len() as u32,
-            });
-        }
+        rec.report_idle(at, m - picked.len() as u32);
         t += 1;
     }
-
-    if O::ENABLED {
-        flush_ends(sys, &mut pending_ends, obs);
-    }
-
-    Schedule::new(sys, QuantumModel::Sfq, m, placements)
+    rec.into_schedule(QuantumModel::Sfq, m)
 }
 
 /// Maps this slot's picked subtasks onto processors under
@@ -424,32 +372,13 @@ fn sticky_processors(
 mod tests {
     use super::*;
     use pfair_core::{Epdf, Pd2};
-    use pfair_taskmodel::{release, SubtaskId, TaskId};
+    use pfair_taskmodel::release;
 
     use crate::cost::FullQuantum;
-
-    fn fig2_system() -> TaskSystem {
-        release::periodic_named(
-            &[
-                ("A", 1, 6),
-                ("B", 1, 6),
-                ("C", 1, 6),
-                ("D", 1, 2),
-                ("E", 1, 2),
-                ("F", 1, 2),
-            ],
-            6,
-        )
-    }
+    use crate::{fig2_system, find};
 
     fn slot(sys: &TaskSystem, sched: &Schedule, task: u32, index: u64) -> i64 {
-        let st = sys
-            .find(SubtaskId {
-                task: TaskId(task),
-                index,
-            })
-            .unwrap();
-        sched.start(st).floor()
+        sched.start(find(sys, task, index)).floor()
     }
 
     #[test]
@@ -493,12 +422,7 @@ mod tests {
         assert_eq!(slot(&sys, &sched, 2, 1), 2); // C1 — eligibility-blocks E2
         assert_eq!(slot(&sys, &sched, 3, 2), 3); // D2 (deadline 4: met)
         assert_eq!(slot(&sys, &sched, 4, 2), 3); // E2 (deadline 4: met)
-        let f2 = sys
-            .find(SubtaskId {
-                task: TaskId(5),
-                index: 2,
-            })
-            .unwrap();
+        let f2 = find(&sys, 5, 2);
         // F2: deadline 4, completes at 5 ⇒ tardiness exactly one quantum.
         assert_eq!(sched.completion(f2), Rat::int(5));
         assert_eq!(sys.subtask(f2).deadline, 4);

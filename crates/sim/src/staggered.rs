@@ -22,13 +22,13 @@ use std::collections::BinaryHeap;
 
 use pfair_core::priority::PriorityOrder;
 use pfair_numeric::{Rat, Time};
-use pfair_obs::{NoopObserver, Observer, ReadyCause, SchedEvent};
+use pfair_obs::{NoopObserver, Observer};
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
-use crate::cost::{checked_cost, CostModel};
-use crate::emit::{flush_due, flush_ends, PendingEnd};
+use crate::cost::CostModel;
+use crate::emit::Recorder;
 use crate::ready::{with_ready_set, ReadySet};
-use crate::schedule::{Placement, QuantumModel, Schedule};
+use crate::schedule::{QuantumModel, Schedule};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
@@ -110,12 +110,11 @@ fn run_staggered<R: ReadySet<Key = SubtaskRef>, O: Observer>(
         let b = Rat::new(i64::from(k), i64::from(m));
         events.push(Reverse((b, Event::Boundary(k))));
     }
-    let mut placements: Vec<Placement> = Vec::with_capacity(total);
-    let mut pending_ends: Vec<PendingEnd> = Vec::new();
+    let mut rec = Recorder::new(sys, obs);
     // This instant's boundary-crossing processors, reused across batches.
     let mut boundaries: Vec<u32> = Vec::with_capacity(m as usize);
 
-    while placements.len() < total {
+    while rec.placed() < total {
         let Some(&Reverse((now, _))) = events.peek() else {
             // Boundary events re-arm themselves while work remains, so
             // the queue can only drain if this driver lost one — abort
@@ -124,13 +123,10 @@ fn run_staggered<R: ReadySet<Key = SubtaskRef>, O: Observer>(
             panic!(
                 "staggered event queue drained with only {placed}/{total} subtasks \
                  placed: a Boundary/Activate event was lost",
-                placed = placements.len()
+                placed = rec.placed()
             );
         };
-        if O::ENABLED {
-            flush_due(sys, &mut pending_ends, now, obs);
-            obs.on_event(&SchedEvent::Tick { at: now });
-        }
+        rec.open_instant(now);
         boundaries.clear();
         while let Some(&Reverse((t, ev))) = events.peek() {
             if t != now {
@@ -141,19 +137,7 @@ fn run_staggered<R: ReadySet<Key = SubtaskRef>, O: Observer>(
                 Event::Boundary(k) => boundaries.push(k),
                 Event::Activate(st) => {
                     pending_activates -= 1;
-                    if O::ENABLED {
-                        let sub = sys.subtask(st);
-                        let cause = if Rat::int(sub.eligible) == now {
-                            ReadyCause::Eligibility
-                        } else {
-                            ReadyCause::Predecessor
-                        };
-                        obs.on_event(&SchedEvent::Ready {
-                            id: sub.id,
-                            at: now,
-                            cause,
-                        });
-                    }
+                    rec.report_ready(now, [(st, now)]);
                     ready.push(st, st.0);
                 }
             }
@@ -165,31 +149,10 @@ fn run_staggered<R: ReadySet<Key = SubtaskRef>, O: Observer>(
         let mut idle_procs = 0u32;
         for &proc in &boundaries {
             if let Some(st) = ready.pop_best().map(SubtaskRef) {
-                let c = checked_cost(cost.cost(sys, st), st);
-                placements.push(Placement {
-                    st,
-                    proc,
-                    start: now,
-                    cost: c,
-                    holds_until: next_b,
-                });
-                let sub = sys.subtask(st);
-                if O::ENABLED {
-                    obs.on_event(&SchedEvent::QuantumStart {
-                        id: sub.id,
-                        proc,
-                        start: now,
-                        cost: c,
-                        holds_until: next_b,
-                        deadline: sub.deadline,
-                        bbit: sub.bbit,
-                        group_deadline: sub.group_deadline,
-                    });
-                    pending_ends.push((now + c, proc, st, Rat::ONE - c));
-                }
+                let c = rec.place(st, proc, now, next_b, cost);
                 // The successor becomes ready once both eligible and
                 // its predecessor (this subtask) has completed.
-                if let Some(succ) = sub.succ {
+                if let Some(succ) = sys.subtask(st).succ {
                     let at = Rat::int(sys.subtask(succ).eligible).max(now + c);
                     events.push(Reverse((at, Event::Activate(succ))));
                     pending_activates += 1;
@@ -199,30 +162,20 @@ fn run_staggered<R: ReadySet<Key = SubtaskRef>, O: Observer>(
             }
             // The processor re-examines the world at its next boundary
             // whether or not it scheduled anything.
-            if placements.len() < total {
+            if rec.placed() < total {
                 events.push(Reverse((next_b, Event::Boundary(proc))));
             }
         }
-        if O::ENABLED && idle_procs > 0 {
-            obs.on_event(&SchedEvent::Idle {
-                at: now,
-                procs: idle_procs,
-            });
-        }
+        rec.report_idle(now, idle_procs);
         check_liveness(
             now,
             !ready.is_empty(),
             pending_activates,
-            placements.len(),
+            rec.placed(),
             total,
         );
     }
-
-    if O::ENABLED {
-        flush_ends(sys, &mut pending_ends, obs);
-    }
-
-    Schedule::new(sys, QuantumModel::Staggered, m, placements)
+    rec.into_schedule(QuantumModel::Staggered, m)
 }
 
 #[cfg(test)]

@@ -15,11 +15,14 @@ use pfair_analysis::{
     context_switch_stats, detect_blocking, migration_stats, response_stats, tardiness_stats,
     waste_stats,
 };
-use pfair_core::Algorithm;
+use pfair_core::pdb::PdbLinearization;
+use pfair_core::{Algorithm, PriorityOrder};
 use pfair_numeric::Rat;
+use pfair_obs::{NoopObserver, Observer};
 use pfair_sim::{
-    simulate_bf, simulate_dvq, simulate_flow, simulate_sfq, simulate_sfq_pdb, simulate_staggered,
-    CostModel, FullQuantum, ScaledCost, Schedule,
+    simulate_bf_observed, simulate_dvq_observed, simulate_flow_observed, simulate_sfq_observed,
+    simulate_sfq_with, simulate_staggered_observed, AffinityMode, CostModel, FullQuantum,
+    ScaledCost, Schedule, SfqPolicy,
 };
 use pfair_taskmodel::TaskSystem;
 use serde::{Deserialize, Serialize};
@@ -57,6 +60,64 @@ impl core::fmt::Display for ModelKind {
             ModelKind::Bf => "BF",
             ModelKind::Flow => "maxflow",
         })
+    }
+}
+
+impl ModelKind {
+    /// The model `pfairsim --model` names `name`: `sfq`, `dvq`,
+    /// `staggered`, `pdb`, `bf` or `flow`.
+    #[must_use]
+    pub fn parse(name: &str) -> Option<ModelKind> {
+        match name {
+            "sfq" => Some(ModelKind::Sfq),
+            "dvq" => Some(ModelKind::Dvq),
+            "staggered" => Some(ModelKind::Staggered),
+            "pdb" => Some(ModelKind::SfqPdb),
+            "bf" => Some(ModelKind::Bf),
+            "flow" => Some(ModelKind::Flow),
+            _ => None,
+        }
+    }
+
+    /// The selection procedure built into the models that ignore the
+    /// configured priority algorithm (PD^B, BF, maxflow); `None` for the
+    /// models a priority order drives.
+    #[must_use]
+    pub fn builtin_selection(self) -> Option<&'static str> {
+        match self {
+            ModelKind::SfqPdb => Some("PD^B"),
+            ModelKind::Bf => Some("BF"),
+            ModelKind::Flow => Some("maxflow"),
+            ModelKind::Sfq | ModelKind::Dvq | ModelKind::Staggered => None,
+        }
+    }
+
+    /// Runs this model's engine on `sys` with `m` processors, `order`
+    /// (ignored where a selection is built in) and `obs` listening.
+    #[must_use]
+    pub fn simulate<O: Observer>(
+        self,
+        sys: &TaskSystem,
+        m: u32,
+        order: &dyn PriorityOrder,
+        cost: &mut dyn CostModel,
+        obs: &mut O,
+    ) -> Schedule {
+        match self {
+            ModelKind::Sfq => simulate_sfq_observed(sys, m, order, cost, obs),
+            ModelKind::Dvq => simulate_dvq_observed(sys, m, order, cost, obs),
+            ModelKind::Staggered => simulate_staggered_observed(sys, m, order, cost, obs),
+            ModelKind::SfqPdb => simulate_sfq_with(
+                sys,
+                m,
+                SfqPolicy::PdB(PdbLinearization::MAX_BLOCKING),
+                AffinityMode::ByDecision,
+                cost,
+                obs,
+            ),
+            ModelKind::Bf => simulate_bf_observed(sys, m, cost, obs),
+            ModelKind::Flow => simulate_flow_observed(sys, m, cost, obs),
+        }
     }
 }
 
@@ -178,14 +239,8 @@ pub fn make_system(cfg: &ExperimentConfig, seed: u64) -> TaskSystem {
 /// Runs the configured simulator.
 #[must_use]
 pub fn simulate(cfg: &ExperimentConfig, sys: &TaskSystem, cost: &mut dyn CostModel) -> Schedule {
-    match cfg.model {
-        ModelKind::Sfq => simulate_sfq(sys, cfg.m, cfg.algorithm.order(), cost),
-        ModelKind::Dvq => simulate_dvq(sys, cfg.m, cfg.algorithm.order(), cost),
-        ModelKind::Staggered => simulate_staggered(sys, cfg.m, cfg.algorithm.order(), cost),
-        ModelKind::SfqPdb => simulate_sfq_pdb(sys, cfg.m, cost),
-        ModelKind::Bf => simulate_bf(sys, cfg.m, cost),
-        ModelKind::Flow => simulate_flow(sys, cfg.m, cost),
-    }
+    cfg.model
+        .simulate(sys, cfg.m, cfg.algorithm.order(), cost, &mut NoopObserver)
 }
 
 /// Runs a single trial.
@@ -196,15 +251,14 @@ pub fn run_one(cfg: &ExperimentConfig, seed: u64) -> RunSummary {
     let sched = simulate(cfg, &sys, cost.as_mut());
     let t = tardiness_stats(&sys, &sched);
     let w = waste_stats(&sched);
-    let blocking = match cfg.model {
-        // Inversions are only meaningful relative to the priority order
-        // actually driving the run; BF and maxflow have none, so measure
-        // against PD² as the common yardstick.
-        ModelKind::SfqPdb | ModelKind::Bf | ModelKind::Flow => {
-            detect_blocking(&sys, &sched, Algorithm::Pd2.order())
-        }
-        _ => detect_blocking(&sys, &sched, cfg.algorithm.order()),
+    // Inversions are only meaningful relative to the priority order
+    // actually driving the run; the built-in selections have none, so
+    // measure them against PD² as the common yardstick.
+    let yardstick = match cfg.model.builtin_selection() {
+        Some(_) => Algorithm::Pd2,
+        None => cfg.algorithm,
     };
+    let blocking = detect_blocking(&sys, &sched, yardstick.order());
     let migrations = migration_stats(&sys, &sched).migrations;
     let switches = context_switch_stats(&sys, &sched).switches();
     let mean_response = response_stats(&sys, &sched).mean();

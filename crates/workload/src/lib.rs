@@ -30,5 +30,5 @@ pub mod taskgen;
 
 pub use costgen::{AdversarialYield, BimodalCost, PartialFinalSubtask, UniformCost};
 pub use experiment::{run_sweep, ExperimentConfig, ModelKind, RunSummary};
-pub use releasegen::{ReleaseConfig, ReleaseKind};
+pub use releasegen::{cycle_system, ReleaseConfig, ReleaseKind};
 pub use taskgen::{random_weights, TaskGenConfig, WeightDist};

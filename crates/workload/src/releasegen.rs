@@ -125,6 +125,36 @@ pub fn generate(weights: &[Weight], cfg: &ReleaseConfig, seed: u64) -> TaskSyste
     b.build()
 }
 
+/// The perf benches' `n`-task system: the ten weights 1/2, 1/3, 2/5, 3/8,
+/// 1/6, 5/12, 1/4, 7/24, 2/3, 1/8 repeated to `n` tasks, released
+/// periodically below horizon 24 with seed 46, and the `m = ⌈U⌉`
+/// processors it needs. At `n = 1000` it is the `pfairsim perf` ratchet's
+/// system (8 500 subtasks).
+#[must_use]
+pub fn cycle_system(n: usize) -> (TaskSystem, u32) {
+    const CYCLE: [(i64, i64); 10] = [
+        (1, 2),
+        (1, 3),
+        (2, 5),
+        (3, 8),
+        (1, 6),
+        (5, 12),
+        (1, 4),
+        (7, 24),
+        (2, 3),
+        (1, 8),
+    ];
+    let weights: Vec<Weight> = (0..n)
+        .map(|i| {
+            let (e, p) = CYCLE[i % CYCLE.len()];
+            Weight::new(e, p)
+        })
+        .collect();
+    let sys = generate(&weights, &ReleaseConfig::periodic(24), 46);
+    let m = u32::try_from(sys.utilization().ceil()).expect("cycle utilization fits u32");
+    (sys, m)
+}
+
 fn percent(rng: &mut StdRng, pct: u8) -> bool {
     pct > 0 && rng.gen_range(0u8..100) < pct
 }
@@ -142,6 +172,14 @@ fn geometric_half(rng: &mut StdRng) -> i64 {
 mod tests {
     use super::*;
     use pfair_numeric::Rat;
+
+    #[test]
+    fn the_thousand_task_cycle_releases_8500_subtasks() {
+        let (sys, m) = cycle_system(1000);
+        assert_eq!(sys.num_tasks(), 1000);
+        assert_eq!(sys.num_subtasks(), 8_500);
+        assert_eq!(i64::from(m), sys.utilization().ceil());
+    }
 
     fn weights() -> Vec<Weight> {
         vec![

@@ -22,8 +22,8 @@
 //! * `--events <p>`   write the streamed event log to `p` as JSON Lines
 //!
 //! Exit code 0 on every run; scheduling outcomes are printed, not judged.
-//! Bad arguments (an invalid weight, `--m 0`, a cost outside `(0, 1]`)
-//! exit 2 before anything runs.
+//! Bad arguments (an invalid weight, `--m 0`, a cost outside `(0, 1]`, an
+//! unknown `--model`) exit 2 before anything runs.
 //!
 //! The `fuzz` subcommand runs a differential conformance campaign against
 //! the reference engines (see `pfair::conformance`) and exits non-zero if
@@ -90,40 +90,6 @@ fn require_boundary_periodic(sys: &TaskSystem) {
     }
 }
 
-/// Runs `model` on `sys` with `obs` listening. With [`NoopObserver`] each
-/// arm monomorphizes to its engine's unobserved entry point.
-fn run_model<O: Observer>(
-    model: &str,
-    sys: &TaskSystem,
-    m: u32,
-    order: &dyn PriorityOrder,
-    costs: &mut dyn CostModel,
-    obs: &mut O,
-) -> Schedule {
-    match model {
-        "sfq" => simulate_sfq_observed(sys, m, order, costs, obs),
-        "dvq" => simulate_dvq_observed(sys, m, order, costs, obs),
-        "staggered" => simulate_staggered_observed(sys, m, order, costs, obs),
-        "pdb" => simulate_sfq_with(
-            sys,
-            m,
-            SfqPolicy::PdB(pdb::PdbLinearization::MAX_BLOCKING),
-            AffinityMode::ByDecision,
-            costs,
-            obs,
-        ),
-        "bf" => {
-            require_boundary_periodic(sys);
-            simulate_bf_observed(sys, m, costs, obs)
-        }
-        "flow" => simulate_flow_observed(sys, m, costs, obs),
-        other => {
-            eprintln!("unknown model {other:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: pfairsim [run] [--m N] [--model sfq|dvq|staggered|pdb|bf|flow] [--alg epdf|pd2|pf|pd]\n\
@@ -137,38 +103,6 @@ fn usage() -> ! {
          example: pfairsim --m 2 --model dvq --cost 7/8 1/6 1/6 1/6 1/2 1/2 1/2"
     );
     std::process::exit(2)
-}
-
-/// The perf ratchet's workload: the bench suite's n = 1000 keyed-PD² DVQ
-/// case (`keyed_vs_comparator/dvq_keyed/1000`), bit-for-bit — same weight
-/// cycle, same release seed, same stochastic cost model.
-fn perf_workload() -> (TaskSystem, u32) {
-    let base = [
-        (1i64, 2i64),
-        (1, 3),
-        (2, 5),
-        (3, 8),
-        (1, 6),
-        (5, 12),
-        (1, 4),
-        (7, 24),
-        (2, 3),
-        (1, 8),
-    ];
-    let weights: Vec<Weight> = (0..1000)
-        .map(|i| {
-            let (e, p) = base[i % base.len()];
-            Weight::new(e, p)
-        })
-        .collect();
-    let util: Rat = weights.iter().map(|w| w.as_rat()).sum();
-    let m = u32::try_from(util.ceil()).expect("perf workload utilization fits u32");
-    let sys = pfair::workload::releasegen::generate(
-        &weights,
-        &pfair::workload::ReleaseConfig::periodic(24),
-        46,
-    );
-    (sys, m)
 }
 
 /// Regression threshold: fail when the measured ns/quantum exceeds the
@@ -309,7 +243,9 @@ fn perf(mut args: std::env::Args) -> ! {
         }
         (quanta, best)
     } else {
-        let (sys, m) = perf_workload();
+        // The bench suite's `keyed_vs_comparator/dvq_keyed/1000` case, bit
+        // for bit: same system, same stochastic cost model.
+        let (sys, m) = pfair::workload::cycle_system(1000);
         let quanta = sys.num_subtasks() as u64;
         for _ in 0..warmup {
             let mut cost = UniformCost::new(Rat::new(1, 2), 7);
@@ -699,6 +635,10 @@ fn main() {
         eprintln!("invalid --cost {cost}: need 0 < cost <= 1");
         std::process::exit(2);
     }
+    let Some(kind) = ModelKind::parse(&model) else {
+        eprintln!("unknown --model {model:?}: need sfq, dvq, staggered, pdb, bf or flow");
+        std::process::exit(2);
+    };
 
     let sys = release::periodic(&weights, horizon);
     println!(
@@ -715,17 +655,13 @@ fn main() {
     let observe = metrics || events_path.is_some();
     let mut jsonl = JsonlObserver::new();
     let mut tracked = BlockingObserver::with_inner(&sys, order, MetricsObserver::new(m));
+    if kind == ModelKind::Bf {
+        require_boundary_periodic(&sys);
+    }
     let sched = if observe {
-        run_model(
-            &model,
-            &sys,
-            m,
-            order,
-            &mut costs,
-            &mut (&mut tracked, &mut jsonl),
-        )
+        kind.simulate(&sys, m, order, &mut costs, &mut (&mut tracked, &mut jsonl))
     } else {
-        run_model(&model, &sys, m, order, &mut costs, &mut NoopObserver)
+        kind.simulate(&sys, m, order, &mut costs, &mut NoopObserver)
     };
 
     if let Some(path) = &events_path {
@@ -757,12 +693,8 @@ fn main() {
     );
     println!(
         "model {model}  alg {}  cost {cost}",
-        match model.as_str() {
-            "pdb" => "PD^B".to_string(),
-            "bf" => "BF".to_string(),
-            "flow" => "maxflow".to_string(),
-            _ => alg.to_string(),
-        },
+        kind.builtin_selection()
+            .map_or_else(|| alg.to_string(), str::to_string),
     );
     println!("{}", schedule_report(&sys, &sched, alg.order()));
     for ev in detect_blocking(&sys, &sched, alg.order()) {

@@ -186,6 +186,11 @@ fn run_rejects_zero_processors() {
 }
 
 #[test]
+fn run_rejects_an_unknown_model() {
+    assert_run_rejects("--model", "zigzag");
+}
+
+#[test]
 fn run_rejects_zero_cost() {
     assert_run_rejects("--cost", "0");
 }

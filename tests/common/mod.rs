@@ -4,12 +4,17 @@
 //! inversion search is checked against.
 //! The independent DVQ loop every DVQ driver is checked against is
 //! `pfair::conformance::scan_dvq`, which the conformance bank runs too.
+//! The identity tests (`dvq_identity`, `stream_identity`) render runs and
+//! digest them with the helpers at the end.
 
 // Each test binary compiles this module and uses only part of it.
 #![allow(dead_code)]
 
+use std::fmt::Write as _;
+
 use pfair::prelude::*;
 use pfair::workload::{random_weights, releasegen};
+use proptest::fnv1a;
 
 /// Inversions as `(victim, ready_at, scheduled_at, kind, blockers)` tuples.
 pub type Flat = Vec<(SubtaskRef, Time, Time, BlockingKind, Vec<SubtaskRef>)>;
@@ -119,5 +124,30 @@ pub fn dvq(st: SubtaskRef, proc: u32, start: Rat, cost: Rat) -> Placement {
         start,
         cost,
         holds_until: start + cost,
+    }
+}
+
+/// Appends the FNV-1a digest of one rendered run to `out`, one per line.
+pub fn push_digest(out: &mut String, run: &str) {
+    writeln!(out, "{:016x}", fnv1a(run)).unwrap();
+}
+
+/// Renders a schedule's placements as `st:proc:start:cost:holds_until;`.
+pub fn render_placements(run: &mut String, sched: &Schedule) {
+    for p in sched.placements() {
+        write!(
+            run,
+            "{}:{}:{}:{}:{};",
+            p.st.0, p.proc, p.start, p.cost, p.holds_until
+        )
+        .unwrap();
+    }
+}
+
+/// Renders an event stream: `|`, then every event's `Debug` form.
+pub fn render_events(run: &mut String, events: &[SchedEvent]) {
+    run.push('|');
+    for ev in events {
+        write!(run, "{ev:?};").unwrap();
     }
 }

@@ -25,25 +25,14 @@ use pfair::prelude::*;
 use pfair::runtime::Status;
 use proptest::fnv1a;
 
+use common::{push_digest, render_events, render_placements};
+
 /// The orders every offline run is repeated under: three keyed orders,
 /// one comparator-only order and a keyed order forced onto the
 /// comparator ready set.
 fn orders() -> [&'static dyn PriorityOrder; 5] {
     static ONLY: ComparatorOnly<'static> = ComparatorOnly(&Pd2);
     [&Pd2, &Epdf, &Pd, &Pf, &ONLY]
-}
-
-/// Appends the digest of one rendered run to `out`.
-fn push_digest(out: &mut String, run: &str) {
-    writeln!(out, "{:016x}", fnv1a(run)).unwrap();
-}
-
-/// Renders an event stream.
-fn render_events(run: &mut String, events: &[SchedEvent]) {
-    run.push('|');
-    for ev in events {
-        write!(run, "{ev:?};").unwrap();
-    }
 }
 
 /// Renders `simulate_dvq_observed`'s placements and stream on `sys`.
@@ -57,14 +46,7 @@ fn offline_run(
     let mut rec = RecordingObserver::new();
     let sched = simulate_dvq_observed(sys, m, order, cost, &mut rec);
     let mut run = String::new();
-    for p in sched.placements() {
-        write!(
-            run,
-            "{}:{}:{}:{}:{};",
-            p.st.0, p.proc, p.start, p.cost, p.holds_until
-        )
-        .unwrap();
-    }
+    render_placements(&mut run, &sched);
     render_events(&mut run, rec.events());
     push_digest(out, &run);
 }

@@ -7,7 +7,7 @@
 //! shares no code
 //! with the DVQ kernel, and against the offline `simulate_dvq`) and
 //! once free-running (proof: the recorded event stream replays through
-//! `slotplay` into the conformance bank clean) — and the three planted
+//! `pfair::sim::replay_events` into the conformance bank clean) — and the three planted
 //! concurrency mutants must each be caught by the bank, with the
 //! *expected* invariant firing first.
 //!
