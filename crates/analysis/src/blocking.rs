@@ -21,22 +21,42 @@
 //! reported events are exactly the phenomena of Figs. 2(b) and 3(a).
 //!
 //! A blocker `p` of the wait `(r, s]` satisfies `p.start < s` and
-//! `p.start + p.cost > r`, so with `c_max` the largest cost in the
-//! schedule it starts in the window `(r − c_max, s)`. The detector finds
-//! that window by binary search in the `(start, proc)`-sorted placements
-//! instead of scanning them all: quanta starting in `(r, s)` overlap the
-//! wait by construction, and only those starting in `(r − c_max, r]` need
-//! their completion tested. `c_max` is read from the data, never assumed
-//! to be 1, so the window is exact for any [`Schedule`]. The cost is
-//! O(V log P + Σ window sizes) for V subtasks and P placements — about
-//! `m·(s − r + c_max)` candidates per wait — instead of O(V·P).
+//! `p.start + p.cost > r`, and has strictly lower priority than the
+//! victim. Under PD², EPDF and PD, whose strict order a key type
+//! reproduces, the search first decides *whether* a wait is an
+//! inversion, with no walk over its window:
 //!
-//! Each candidate costs two integer tests. The window walk compares `i64`
-//! ticks on the schedule's grid (exact `Rat`s only when no `i64` grid fits;
-//! see the crate docs), and the priority test compares precomputed strict
-//! keys ([`StrictKeys`], laid out in placement order) when the order
-//! registers a key type — PD², EPDF and PD. Other orders (PF, ablations,
-//! custom comparators) keep `order.precedes`.
+//! * every placement gets a dense `u32` rank under the strict order
+//!   ([`StrictKeys::ranks`], one sort; equal priority, equal rank), kept
+//!   in a max segment tree over the `(start, proc)`-sorted placements;
+//! * the waits are swept by increasing ready time `r`. The quanta running
+//!   at `r⁺` (start `≤ r <` completion) sit in a max-heap by rank, whose
+//!   expired tops are dropped lazily — `r` never decreases, so an expired
+//!   quantum stays expired, and no bound on the costs is needed. The
+//!   quanta starting in `(r, s)` are one placement range, whose largest
+//!   rank the tree gives;
+//! * the wait is an inversion iff the larger of the two maxima is above
+//!   the victim's rank.
+//!
+//! That costs O(log P) a wait for P placements, after an O(P log P) sort
+//! of the ranks and of the waits. [`schedule_report`](crate::schedule_report)
+//! only counts, so it stops there: on the n = 1000 benchmark system
+//! about 3 400 subtasks wait and about 1 100 of those waits are
+//! inversions, and none of them walks its window. [`detect_blocking`]
+//! lists each inversion's blockers, so it walks the windows of the
+//! inversions only, comparing ranks: with `c_max` the largest cost in
+//! the schedule a blocker starts in `(r − c_max, s)`, which binary search
+//! finds in the sorted placements; quanta starting in `(r, s)` overlap
+//! the wait by construction, and only those starting in `(r − c_max, r]`
+//! need their completion tested. `c_max` is read from the data, never
+//! assumed to be 1, so the window is exact for any [`Schedule`].
+//!
+//! Orders with no key type (PF, ablations, custom comparators and
+//! [`ComparatorOnly`](pfair_core::ComparatorOnly) wrappers) have no ranks:
+//! both callers walk every wait's window, about `m·(s − r + c_max)`
+//! candidates, and test each through `order.precedes`. Times are `i64`
+//! ticks on the schedule's grid (exact `Rat`s only when no `i64` grid
+//! fits; see the crate docs).
 //!
 //! [`pdb_slot_stats`] is the SFQ-side counterpart: it rebuilds, slot by
 //! slot, the `EB/PB/DB` partition that PD^B (§3.1) consults to stage
@@ -45,6 +65,7 @@
 //! as the conformance bank's Table 1 check does.
 
 use core::ops::ControlFlow;
+use std::collections::BinaryHeap;
 
 use pfair_core::pdb;
 use pfair_core::priority::PriorityOrder;
@@ -104,7 +125,6 @@ pub fn detect_blocking(
         sched,
         tm,
         order,
-        false,
         |victim, ready_at, scheduled_at, kind, blockers| {
             events.push(BlockingEvent {
                 victim,
@@ -120,61 +140,272 @@ pub fn detect_blocking(
 
 /// The inversion search in the arithmetic of `tm`: calls `found(victim,
 /// ready_at, scheduled_at, kind, blockers)` for each inversion, in subtask
-/// order, with the blockers' placement indices in placement order — or,
-/// with `first_only`, just the first blocker, which is all a count needs.
+/// order, with the blockers' placement indices in placement order.
+///
+/// Under a ranked order the sweep picks out the inversions, and only
+/// their windows are walked.
 pub(crate) fn inversions_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
     tm: &Grid<K>,
     order: &dyn PriorityOrder,
-    first_only: bool,
     mut found: impl FnMut(SubtaskRef, K::T, K::T, BlockingKind, &[usize]),
 ) {
     let placements = sched.placements();
-    let starts = tm.starts();
-    let zero = tm.int(0);
-    let c_max = (0..starts.len()).map(|i| tm.cost(i)).max().unwrap_or(zero);
-    let keys = StrictKeys::of_subtasks(sys, order, placements.iter().map(|p| p.st));
+    let mut emit = |w: &Wait<K::T>, blockers: &[usize]| {
+        let victim = placements[w.at()].st;
+        found(victim, w.ready_at, tm.start(w.at()), w.kind, blockers);
+    };
+    match Priority::of(sys, sched, order) {
+        Priority::Ranked(ranks) => {
+            let mut inverted = Vec::new();
+            sweep(tm, &ranks, &mut waits(sys, tm).collect::<Vec<_>>(), |w| {
+                inverted.push(*w);
+            });
+            inverted.sort_unstable_by_key(|w| placements[w.at()].st);
+            let c_max = c_max(tm);
+            let mut blockers = Vec::new();
+            for w in &inverted {
+                let victim = ranks.rank(w.at());
+                blockers.clear();
+                blockers.extend(overlapping(tm, c_max, w).filter(|&i| ranks.rank(i) > victim));
+                emit(w, &blockers);
+            }
+        }
+        Priority::Compared(keys) => walk(sys, sched, tm, &keys, emit),
+    }
+}
+
+/// How many inversions of each kind the schedule has, `(eligibility,
+/// predecessor)`, in the arithmetic of `tm`: the sweep's test alone under
+/// a ranked order, the window walk otherwise.
+pub(crate) fn inversion_counts_in<K: Tier>(
+    sys: &TaskSystem,
+    sched: &Schedule,
+    tm: &Grid<K>,
+    order: &dyn PriorityOrder,
+) -> (usize, usize) {
+    let mut counts = (0, 0);
+    let mut count = |w: &Wait<K::T>| match w.kind {
+        BlockingKind::Eligibility => counts.0 += 1,
+        BlockingKind::Predecessor => counts.1 += 1,
+    };
+    match Priority::of(sys, sched, order) {
+        Priority::Ranked(ranks) => {
+            sweep(tm, &ranks, &mut waits(sys, tm).collect::<Vec<_>>(), count);
+        }
+        Priority::Compared(keys) => walk(sys, sched, tm, &keys, |w, _| count(w)),
+    }
+    counts
+}
+
+/// The search of the orders with no key type: walks the window of every
+/// wait, in subtask order, testing each candidate through `keys`, and
+/// calls `found(wait, blockers)` for each inversion, with the blockers'
+/// placement indices in placement order.
+fn walk<K: Tier>(
+    sys: &TaskSystem,
+    sched: &Schedule,
+    tm: &Grid<K>,
+    keys: &StrictKeys<'_>,
+    mut found: impl FnMut(&Wait<K::T>, &[usize]),
+) {
+    let c_max = c_max(tm);
     let mut blockers = Vec::new();
-    for (st, s) in sys.iter_refs() {
+    for w in waits(sys, tm) {
+        blockers.clear();
+        let victim = sched.placements()[w.at()].st;
+        keys.for_each_lower(victim, overlapping(tm, c_max, &w), |i| {
+            blockers.push(i);
+            ControlFlow::Continue(())
+        });
+        if !blockers.is_empty() {
+            found(&w, &blockers);
+        }
+    }
+}
+
+/// A subtask that commenced after it became ready, at `tm.start(at)`.
+#[derive(Clone, Copy, Debug)]
+struct Wait<T> {
+    ready_at: T,
+    /// The victim's placement index.
+    at: u32,
+    kind: BlockingKind,
+}
+
+impl<T> Wait<T> {
+    fn at(&self) -> usize {
+        self.at as usize
+    }
+}
+
+/// Every wait of `sys` in `tm`, in subtask order.
+fn waits<'a, K: Tier>(
+    sys: &'a TaskSystem,
+    tm: &'a Grid<K>,
+) -> impl Iterator<Item = Wait<K::T>> + 'a {
+    sys.iter_refs().filter_map(move |(st, s)| {
         let eligible = tm.int(s.eligible);
         let ready_at = match s.pred {
             Some(p) => tm.completion(tm.index(p)).max(eligible),
             None => eligible,
         };
-        let scheduled_at = tm.start(tm.index(st));
-        if scheduled_at <= ready_at {
-            continue;
-        }
-        // Lower-priority subtasks executing within (ready_at, scheduled_at]
-        // — i.e. overlapping the waiting interval — are blockers. They
-        // start in (ready_at − c_max, scheduled_at); the victim itself
-        // starts at scheduled_at, outside the window.
-        let reach = ready_at - c_max;
-        let lo = starts.partition_point(|&t| t <= reach);
-        let mid = lo + starts[lo..].partition_point(|&t| t <= ready_at);
-        let hi = mid + starts[mid..].partition_point(|&t| t < scheduled_at);
-        let candidates = (lo..mid)
-            .filter(|&i| tm.completion(i) > ready_at)
-            .chain(mid..hi);
-        blockers.clear();
-        keys.for_each_lower(st, candidates, |i| {
-            blockers.push(i);
-            if first_only {
-                ControlFlow::Break(())
+        let at = tm.index(st);
+        (tm.start(at) > ready_at).then(|| Wait {
+            ready_at,
+            at: at as u32,
+            kind: if ready_at == eligible {
+                BlockingKind::Eligibility
             } else {
-                ControlFlow::Continue(())
+                BlockingKind::Predecessor
+            },
+        })
+    })
+}
+
+/// The largest cost in `tm`.
+fn c_max<K: Tier>(tm: &Grid<K>) -> K::T {
+    (0..tm.starts().len())
+        .map(|i| tm.cost(i))
+        .max()
+        .unwrap_or(tm.int(0))
+}
+
+/// The quanta that overlap the wait `(r, s]` of `w`, in placement order:
+/// those starting in `(r − c_max, r]` that complete after `r`, then every
+/// one starting in `(r, s)`. The victim starts at `s`, outside.
+fn overlapping<'g, K: Tier>(
+    tm: &'g Grid<K>,
+    c_max: K::T,
+    w: &Wait<K::T>,
+) -> impl Iterator<Item = usize> + 'g {
+    let (ready_at, starts) = (w.ready_at, tm.starts());
+    let reach = ready_at - c_max;
+    let lo = starts.partition_point(|&t| t <= reach);
+    let mid = lo + starts[lo..].partition_point(|&t| t <= ready_at);
+    let hi = mid + starts[mid..w.at()].partition_point(|&t| t < tm.start(w.at()));
+    (lo..mid)
+        .filter(move |&i| tm.completion(i) > ready_at)
+        .chain(mid..hi)
+}
+
+/// Calls `inverted(w)` for each of `waits` that a strictly lower-priority
+/// quantum overlaps, in ready-time order; `waits` is left in that order.
+///
+/// The quanta overlapping the wait `(r, s]` are those running at `r⁺`
+/// (start `≤ r <` completion) and those starting in `(r, s)`. The sweep
+/// takes the waits by increasing `r` and keeps the quanta started by `r`
+/// in a max-heap by rank, dropping expired tops lazily: `r` never
+/// decreases, so a quantum that has completed by one wait's `r` has by
+/// every later one (and one complete before it is pushed is skipped). The second set is one placement range, whose largest
+/// rank `ranks` gives. The wait is an inversion iff the larger of the two
+/// maxima is above the victim's rank.
+fn sweep<K: Tier>(
+    tm: &Grid<K>,
+    ranks: &RankTree,
+    waits: &mut [Wait<K::T>],
+    mut inverted: impl FnMut(&Wait<K::T>),
+) {
+    waits.sort_unstable_by_key(|w| w.ready_at);
+    let starts = tm.starts();
+    // `rank << 32 | placement`: the top is the lowest priority started.
+    let mut running = BinaryHeap::new();
+    let mut next = 0;
+    for w in waits.iter() {
+        let (r, at) = (w.ready_at, w.at());
+        while next < starts.len() && starts[next] <= r {
+            // One already complete is running at no later `r` either.
+            if tm.completion(next) > r {
+                running.push(u64::from(ranks.rank(next)) << 32 | next as u64);
             }
-        });
-        if blockers.is_empty() {
-            continue; // waited on equal/higher-priority contention: not an inversion
+            next += 1;
         }
-        let kind = if ready_at == eligible {
-            BlockingKind::Eligibility
-        } else {
-            BlockingKind::Predecessor
+        while let Some(&top) = running.peek() {
+            if tm.completion((top & u64::from(u32::MAX)) as usize) > r {
+                break;
+            }
+            running.pop();
+        }
+        let victim = ranks.rank(at);
+        let running_max = running.peek().map_or(0, |&top| (top >> 32) as u32);
+        // The quanta starting in `(r, s)` all precede the victim, which
+        // starts at `s`, in placement order.
+        let blocked = running_max > victim || {
+            let before = next + starts[next..at].partition_point(|&t| t < starts[at]);
+            ranks.max(next, before) > victim
         };
-        found(st, ready_at, scheduled_at, kind, &blockers);
+        if blocked {
+            inverted(w);
+        }
+    }
+}
+
+/// How the search tests strict priority: by rank when the order has a
+/// key type, else through its [`StrictKeys`] comparator column.
+enum Priority<'a> {
+    Ranked(RankTree),
+    Compared(StrictKeys<'a>),
+}
+
+impl<'a> Priority<'a> {
+    /// The priority test over `sched`'s placements, in placement order.
+    /// The key column is dropped once the ranks exist.
+    fn of(sys: &'a TaskSystem, sched: &Schedule, order: &'a dyn PriorityOrder) -> Priority<'a> {
+        let keys = StrictKeys::of_subtasks(sys, order, sched.placements().iter().map(|p| p.st));
+        match keys.ranks() {
+            Some(ranks) => {
+                drop(keys);
+                Priority::Ranked(RankTree::new(&ranks))
+            }
+            None => Priority::Compared(keys),
+        }
+    }
+}
+
+/// The placements' strict-priority ranks in a max segment tree: node
+/// `n + i` holds placement `i`'s rank and every node `j < n` the larger
+/// of nodes `2j` and `2j + 1`, so the largest rank of a placement range
+/// costs O(log P).
+struct RankTree {
+    node: Vec<u32>,
+}
+
+impl RankTree {
+    fn new(ranks: &[u32]) -> RankTree {
+        let n = ranks.len();
+        let mut node = vec![0; 2 * n];
+        node[n..].copy_from_slice(ranks);
+        for j in (1..n).rev() {
+            node[j] = node[2 * j].max(node[2 * j + 1]);
+        }
+        RankTree { node }
+    }
+
+    /// Placement `i`'s rank.
+    fn rank(&self, i: usize) -> u32 {
+        self.node[self.node.len() / 2 + i]
+    }
+
+    /// The largest rank of placements `lo..hi`; 0, which is above no
+    /// rank, if the range is empty.
+    fn max(&self, lo: usize, hi: usize) -> u32 {
+        let n = self.node.len() / 2;
+        let (mut lo, mut hi) = (lo + n, hi + n);
+        let mut max = 0;
+        // Branch-free: whether a bound is odd is a coin toss per level, so
+        // each side multiplies its node by that bit instead.
+        while lo < hi {
+            let odd = lo & 1;
+            max = max.max(self.node[lo] * odd as u32);
+            lo += odd;
+            let odd = hi & 1;
+            hi -= odd;
+            max = max.max(self.node[hi + odd - 1] * odd as u32);
+            lo /= 2;
+            hi /= 2;
+        }
+        max
     }
 }
 
@@ -274,7 +505,9 @@ pub fn pdb_ready_sets<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfair_core::Pd2;
+    use crate::schedule_report;
+    use pfair_conformance::{generate_case, Case, GenConfig};
+    use pfair_core::{ComparatorOnly, Epdf, Pd, Pd2, Pf};
     use pfair_sim::{simulate_dvq, simulate_sfq, simulate_sfq_pdb, FixedCosts, FullQuantum};
     use pfair_taskmodel::{release, SubtaskId, TaskId, TaskSystem};
 
@@ -357,6 +590,46 @@ mod tests {
             }
             assert!(ev.duration().is_positive());
         }
+    }
+
+    /// The report's per-kind counts are `detect_blocking`'s events by
+    /// kind, under the ranked orders and the comparator ones, on the
+    /// Fig. 2(b) run and the DVQ runs of default fuzz cases.
+    #[test]
+    fn report_counts_equal_detected_events() {
+        let fig2 = fig2_system();
+        let delta = Rat::new(1, 4);
+        let mut costs = FixedCosts::new(Rat::ONE)
+            .with(TaskId(0), 1, Rat::ONE - delta)
+            .with(TaskId(5), 1, Rat::ONE - delta);
+        let mut runs = vec![(simulate_dvq(&fig2, 2, &Pd2, &mut costs), fig2)];
+        for seed in 0..12 {
+            let case = Case::build(generate_case(&GenConfig::default(), seed))
+                .expect("generated cases build");
+            let sched = simulate_dvq(&case.sys, case.spec.m, &Pd2, &mut case.cost_model());
+            runs.push((sched, case.sys));
+        }
+        let pd2 = ComparatorOnly(&Pd2);
+        let orders: [&dyn PriorityOrder; 5] = [&Pd2, &Epdf, &Pd, &Pf, &pd2];
+        let mut inversions = 0;
+        for (sched, sys) in &runs {
+            for order in orders {
+                let events = detect_blocking(sys, sched, order);
+                let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+                let report = schedule_report(sys, sched, order);
+                assert_eq!(
+                    (report.eligibility_blocking, report.predecessor_blocking),
+                    (
+                        count(BlockingKind::Eligibility),
+                        count(BlockingKind::Predecessor)
+                    ),
+                    "{}",
+                    order.name()
+                );
+                inversions += events.len();
+            }
+        }
+        assert!(inversions > 0, "the runs must contain inversions");
     }
 
     #[test]

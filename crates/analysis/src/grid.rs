@@ -214,16 +214,9 @@ mod tests {
     /// `Rat`s, by its `Debug` rendering.
     fn outputs<K: Tier>(sys: &TaskSystem, sched: &Schedule, tm: &Grid<K>) -> String {
         let mut inversions = Vec::new();
-        inversions_in(
-            sys,
-            sched,
-            tm,
-            &Pd2,
-            false,
-            |victim, ready, at, kind, by| {
-                inversions.push((victim, tm.to_rat(ready), tm.to_rat(at), kind, by.to_vec()));
-            },
-        );
+        inversions_in(sys, sched, tm, &Pd2, |victim, ready, at, kind, by| {
+            inversions.push((victim, tm.to_rat(ready), tm.to_rat(at), kind, by.to_vec()));
+        });
         let horizon = sched.makespan().ceil();
         format!(
             "{:?}",

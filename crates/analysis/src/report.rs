@@ -13,7 +13,7 @@ use pfair_numeric::{on_tier, Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::TaskSystem;
 
-use crate::blocking::{inversions_in, BlockingKind};
+use crate::blocking::inversion_counts_in;
 use crate::grid::{times, Grid};
 use crate::overhead::{migration_stats, MigrationStats};
 use crate::response::{response_in, ResponseStats};
@@ -46,7 +46,9 @@ pub struct ScheduleReport {
 ///
 /// The tick grid of the schedule (or, off-grid, its exact `Rat` times) is
 /// built once and shared by every analysis; see the crate docs. The
-/// inversion search only counts, so each wait stops at its first blocker.
+/// inversion search only counts: under PD², EPDF and PD it asks of each
+/// wait whether it is an inversion, in O(log P) for P placements, and
+/// never lists a blocker (see [`crate::blocking`]).
 #[must_use]
 pub fn schedule_report(
     sys: &TaskSystem,
@@ -63,11 +65,7 @@ pub(crate) fn report_in<K: Tier>(
     tm: &Grid<K>,
     order: &dyn PriorityOrder,
 ) -> ScheduleReport {
-    let (mut eligibility_blocking, mut predecessor_blocking) = (0, 0);
-    inversions_in(sys, sched, tm, order, true, |_, _, _, kind, _| match kind {
-        BlockingKind::Eligibility => eligibility_blocking += 1,
-        BlockingKind::Predecessor => predecessor_blocking += 1,
-    });
+    let (eligibility_blocking, predecessor_blocking) = inversion_counts_in(sys, sched, tm, order);
     ScheduleReport {
         tardiness: tardiness_in(sys, tm),
         waste: waste_in(sched, tm),

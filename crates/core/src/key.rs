@@ -356,11 +356,23 @@ impl<'a> StrictKeys<'a> {
         order: &'a dyn crate::PriorityOrder,
         entries: impl IntoIterator<Item = SubtaskRef>,
     ) -> StrictKeys<'a> {
+        let entries = entries.into_iter();
         let mut keys = StrictKeys::new(sys, order);
+        keys.reserve(entries.size_hint().0);
         for st in entries {
             keys.push(st);
         }
         keys
+    }
+
+    /// Makes room for at least `additional` more entries.
+    fn reserve(&mut self, additional: usize) {
+        match &mut self.column {
+            Column::Pd2(keys) => keys.reserve(additional),
+            Column::Epdf(keys) => keys.reserve(additional),
+            Column::Pd(keys) => keys.reserve(additional),
+            Column::Comparator(refs) => refs.reserve(additional),
+        }
     }
 
     /// Appends `st` as the next entry.
@@ -371,6 +383,23 @@ impl<'a> StrictKeys<'a> {
             Column::Epdf(keys) => keys.push(EpdfKey::of_subtask(sys, st)),
             Column::Pd(keys) => keys.push(PdKey::of_subtask(sys, st)),
             Column::Comparator(refs) => refs.push(st),
+        }
+    }
+
+    /// Each entry's dense rank under the strict priority: entry `a`
+    /// strictly precedes entry `b` iff `ranks[a] < ranks[b]`, so equal
+    /// priority gets an equal rank. `None` for the comparator column,
+    /// which has no key to sort by.
+    ///
+    /// One sort of the column. A rank is 4 bytes where a key is 24 to 56,
+    /// so a caller that needs only the order can drop the column after.
+    #[must_use]
+    pub fn ranks(&self) -> Option<Vec<u32>> {
+        match &self.column {
+            Column::Pd2(keys) => Some(dense_ranks(keys)),
+            Column::Epdf(keys) => Some(dense_ranks(keys)),
+            Column::Pd(keys) => Some(dense_ranks(keys)),
+            Column::Comparator(_) => None,
         }
     }
 
@@ -395,6 +424,22 @@ impl<'a> StrictKeys<'a> {
             ),
         }
     }
+}
+
+fn dense_ranks<K: SubtaskKey>(keys: &[K]) -> Vec<u32> {
+    let n = u32::try_from(keys.len()).expect("a column's length fits u32");
+    let mut by_priority: Vec<u32> = (0..n).collect();
+    by_priority.sort_unstable_by(|&a, &b| keys[a as usize].cmp_strict(&keys[b as usize]));
+    let mut ranks = vec![0; keys.len()];
+    let mut rank = 0;
+    for pair in by_priority.windows(2) {
+        let [a, b] = [pair[0] as usize, pair[1] as usize];
+        if keys[a].cmp_strict(&keys[b]) == Ordering::Less {
+            rank += 1;
+        }
+        ranks[b] = rank;
+    }
+    ranks
 }
 
 fn lower_keys<K: SubtaskKey>(
@@ -519,6 +564,39 @@ mod tests {
                 });
                 assert_eq!(first, want.first().copied(), "{}", order.name());
             }
+        }
+    }
+
+    /// Keyed columns rank their entries densely, in the strict order;
+    /// the comparator column has no ranks.
+    #[test]
+    fn ranks_follow_the_strict_order() {
+        let sys = release::periodic(&[(7, 8), (3, 4), (1, 2), (2, 3), (1, 6), (5, 12)], 24);
+        let pd2 = ComparatorOnly(&Pd2);
+        let orders: [&dyn PriorityOrder; 5] = [&Pd2, &Epdf, &Pd, &Pf, &pd2];
+        // Reversed, so the column is not already in priority order.
+        let mut refs: Vec<SubtaskRef> = sys.iter_refs().map(|(st, _)| st).collect();
+        refs.reverse();
+        for order in orders {
+            let keys = StrictKeys::of_subtasks(&sys, order, refs.iter().copied());
+            let Some(ranks) = keys.ranks() else {
+                assert_eq!(order.key_dispatch(), KeyDispatch::Comparator);
+                continue;
+            };
+            assert_eq!(ranks.len(), refs.len());
+            for (a, &ra) in refs.iter().zip(&ranks) {
+                for (b, &rb) in refs.iter().zip(&ranks) {
+                    assert_eq!(ra < rb, order.precedes(&sys, *a, *b), "{}", order.name());
+                }
+            }
+            let mut distinct = ranks.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert!(
+                distinct.iter().zip(0..).all(|(&r, i)| r == i),
+                "{} ranks are dense",
+                order.name()
+            );
         }
     }
 

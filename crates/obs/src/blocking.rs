@@ -1,16 +1,19 @@
 //! Online replication of `pfair-analysis::blocking::detect_blocking`.
 //!
-//! Both detectors search the same window. A blocker of the wait `(r, s]`
+//! The detector walks each wait's window. A blocker of the wait `(r, s]`
 //! satisfies `start < s` and `start + cost > r`, so with `c_max` the
 //! largest cost seen it starts in `(r − c_max, s)`. Event times are
 //! nondecreasing, so the retained history is sorted by start and the
 //! window is found by binary search: each dispatch costs
 //! O(log P + window size) for P quanta seen, about `m·(s − r + c_max)`
-//! candidates, instead of a scan of the whole history.
+//! candidates, instead of a scan of the whole history. The post-hoc
+//! search walks the same window, but only for the waits a rank sweep
+//! over the finished schedule has already found to be inversions; a
+//! stream has no finished schedule to rank, so every wait here is walked.
 //!
-//! Both detectors also share the priority test: a [`StrictKeys`] column
-//! kept entry for entry with the history, so under PD², EPDF and PD each
-//! candidate costs one strict-key compare instead of a comparator call.
+//! The priority test is a [`StrictKeys`] column kept entry for entry with
+//! the history, so under PD², EPDF and PD each candidate costs one
+//! strict-key compare instead of a comparator call.
 //! Like the post-hoc search on its tick grid, the observer keeps its
 //! history, completions and `c_max` in ticks, at [`pfair_numeric::GRID`],
 //! so its window bounds and completion tests are integer compares; a

@@ -25,14 +25,14 @@ use crate::weight::Weight;
 
 /// Offsetless pseudo-release `⌊(i−1)·p/e⌋` of subtask index `i ≥ 1`.
 ///
-/// Intermediates are computed in `i128`, so arbitrary filler weights
-/// (whose reduced periods can be lcm-scale) never overflow silently; a
-/// result that does not fit `i64` panics with a clear message.
+/// Products that leave `i64` are taken in `i128`, so arbitrary filler
+/// weights (whose reduced periods can be lcm-scale) never overflow
+/// silently; a result that does not fit `i64` panics with a clear
+/// message.
 #[must_use]
 pub fn release(w: Weight, i: u64) -> i64 {
     debug_assert!(i >= 1, "subtask indices start at 1");
-    let i = i128::from(i);
-    let v = ((i - 1) * i128::from(w.p())).div_euclid(i128::from(w.e()));
+    let (v, _) = mul_div(i128::from(i) - 1, w.p(), w.e());
     i64::try_from(v).expect("pseudo-release overflows i64")
 }
 
@@ -40,9 +40,7 @@ pub fn release(w: Weight, i: u64) -> i64 {
 #[must_use]
 pub fn deadline(w: Weight, i: u64) -> i64 {
     debug_assert!(i >= 1, "subtask indices start at 1");
-    let i = i128::from(i);
-    let e = i128::from(w.e());
-    let v = (i * i128::from(w.p()) + e - 1).div_euclid(e);
+    let v = ceil_mul_div(i128::from(i), w.p(), w.e());
     i64::try_from(v).expect("pseudo-deadline overflows i64")
 }
 
@@ -56,7 +54,7 @@ pub fn window_length(w: Weight, i: u64) -> i64 {
 /// `T_{i+1}` (deadline slot of `T_i` = release slot of `T_{i+1}`).
 #[must_use]
 pub fn bbit(w: Weight, i: u64) -> bool {
-    (i128::from(i) * i128::from(w.p())) % i128::from(w.e()) != 0
+    mul_div(i128::from(i), w.p(), w.e()).1
 }
 
 /// Offsetless group deadline `D(T_i)`.
@@ -75,11 +73,30 @@ pub fn group_deadline(w: Weight, i: u64) -> i64 {
     if w.is_full() {
         return deadline(w, i);
     }
-    let (e, p) = (i128::from(w.e()), i128::from(w.p()));
-    let d0 = i128::from(deadline(w, i));
-    let ceil128 = |a: i128, b: i128| (a + b - 1).div_euclid(b);
-    let x = ceil128(d0 * (p - e), p);
-    i64::try_from(ceil128(x * p, p - e)).expect("group deadline overflows i64")
+    let (e, p) = (w.e(), w.p());
+    let x = ceil_mul_div(i128::from(deadline(w, i)), p - e, p);
+    i64::try_from(ceil_mul_div(x, p, p - e)).expect("group deadline overflows i64")
+}
+
+/// `a·b / c` for `|a| < 2⁶⁴`, `0 ≤ b` and `0 < c`: the floor of the
+/// quotient, and whether the division leaves a remainder. The product
+/// and the division stay in `i64` when the product fits, since an `i128`
+/// division is a library call, and move to `i128` when it does not.
+fn mul_div(a: i128, b: i64, c: i64) -> (i128, bool) {
+    debug_assert!(a.unsigned_abs() < 1 << 64 && b >= 0 && c > 0);
+    match i64::try_from(a).ok().and_then(|a| a.checked_mul(b)) {
+        Some(n) => (i128::from(n.div_euclid(c)), n.rem_euclid(c) != 0),
+        None => {
+            let (n, c) = (a * i128::from(b), i128::from(c));
+            (n.div_euclid(c), n.rem_euclid(c) != 0)
+        }
+    }
+}
+
+/// `⌈a·b / c⌉`, within the bounds of [`mul_div`].
+fn ceil_mul_div(a: i128, b: i64, c: i64) -> i128 {
+    let (floor, inexact) = mul_div(a, b, c);
+    floor + i128::from(inexact)
 }
 
 /// First-principles group deadline by walking the cascade (test oracle,
@@ -254,6 +271,28 @@ mod tests {
         }
     }
 
+    /// Near `i64::MAX` the closed form's first product, `d(T_i)·(p − e)`,
+    /// leaves `i64` and takes the `i128` path; it must still agree with
+    /// the cascade.
+    #[test]
+    fn closed_form_matches_cascade_near_i64_max() {
+        for &(e, p) in &[(5i64, 8i64), (3, 5), (4, 7), (7, 12), (11, 14)] {
+            let w = Weight::new(e, p);
+            // Indices whose deadlines sit a few periods below i64::MAX.
+            let top = u64::try_from(i128::from(i64::MAX) * i128::from(e) / i128::from(p))
+                .expect("below i64::MAX")
+                - 4 * p as u64;
+            for i in top - 3 * p as u64..top {
+                assert!(deadline(w, i).checked_mul(p - e).is_none());
+                assert_eq!(
+                    group_deadline(w, i),
+                    group_deadline_by_cascade(w, i),
+                    "wt={e}/{p} i={i}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn window_lengths_bound() {
         // Every PF-window has length ≥ 1 and ≤ ⌈1/wt⌉ + 1.
@@ -293,6 +332,24 @@ mod tests {
             prop_assume!(e <= p && 2 * e >= p);
             let w = Weight::new(e, p);
             prop_assert_eq!(group_deadline(w, i), group_deadline_by_cascade(w, i));
+        }
+
+        /// Both paths of `mul_div` give the `i128` quotient: small
+        /// factors stay in `i64`, products near or past `i64::MAX` leave.
+        #[test]
+        fn prop_mul_div_matches_i128(
+            a in -1i64..=i64::MAX,
+            b in 0i64..=i64::MAX,
+            c in 1i64..=i64::MAX,
+            shift in 0u32..63,
+        ) {
+            for (a, b) in [(a, b), (a >> shift, b >> (62 - shift))] {
+                let (n, d) = (i128::from(a) * i128::from(b), i128::from(c));
+                prop_assert_eq!(
+                    mul_div(i128::from(a), b, c),
+                    (n.div_euclid(d), n.rem_euclid(d) != 0)
+                );
+            }
         }
 
         #[test]

@@ -1,7 +1,9 @@
-//! The windowed priority-inversion search must be invisible:
-//! `detect_blocking` and the streaming `BlockingObserver` only look at the
-//! quanta starting in `(r − c_max, s)` of a wait `(r, s]`, and both must
-//! report exactly what the plain quadratic predicate reports — same
+//! The fast priority-inversion searches must be invisible:
+//! `detect_blocking` picks the inversions by a rank sweep and then walks
+//! only their windows, the streaming `BlockingObserver` walks every wait's
+//! window, both look only at the quanta starting in `(r − c_max, s)` of a
+//! wait `(r, s]`, and both must report exactly what the plain quadratic
+//! predicate reports — same
 //! victims, ready and dispatch times, kinds, and blockers in the same
 //! order — on seeded systems of up to ~100 tasks, under PD², EPDF and PD
 //! (compared through their keys), PF and `ComparatorOnly(&Pd2)` (through

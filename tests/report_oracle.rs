@@ -232,7 +232,9 @@ fn assert_matches_oracles(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The grid tier equals the oracles on DVQ, SFQ and staggered runs.
+    /// The grid tier equals the oracles on DVQ, SFQ and staggered runs,
+    /// under the keyed orders (the report's inversion sweep) and PF and
+    /// `ComparatorOnly(&Pd2)` (its window walk).
     #[test]
     fn grid_analyses_match_the_rat_oracles(
         seed in 0u64..1_000_000,
@@ -243,8 +245,8 @@ proptest! {
         regime in 0u8..4,
     ) {
         let sys = random_system(seed, m, light == 1, gis == 1, horizon);
-        for alg in [Algorithm::Pd2, Algorithm::Epdf, Algorithm::Pd] {
-            let order = alg.order();
+        for order in orders() {
+            let alg = format!("{order:?}");
             let dvq = simulate_dvq(&sys, m, order, cost_model(regime, seed).as_mut());
             assert_matches_oracles(&sys, &dvq, order, &format!("{alg} DVQ"))?;
             let sfq = simulate_sfq(&sys, m, order, cost_model(regime, seed).as_mut());
@@ -253,6 +255,13 @@ proptest! {
             assert_matches_oracles(&sys, &stag, order, &format!("{alg} staggered"))?;
         }
     }
+}
+
+/// PD², EPDF and PD, which the report ranks, and PF and
+/// `ComparatorOnly(&Pd2)`, which it tests through the comparator.
+fn orders() -> [&'static dyn PriorityOrder; 5] {
+    static PD2_BY_COMPARATOR: ComparatorOnly<'static> = ComparatorOnly(&Pd2);
+    [&Pd2, &Epdf, &Pd, &Pf, &PD2_BY_COMPARATOR]
 }
 
 /// `1 − 1/p`, a cost just short of a quantum.
@@ -377,6 +386,129 @@ fn blocking_matches_the_oracles_on_and_off_the_grid() {
         }
     }
     assert_off_grid(PRIMES);
+}
+
+/// `V` and `W` (weight 1/2: the first subtasks eligible at 0, the
+/// second at 2 with deadline 4) and `L` (weight 1/6, one subtask with
+/// deadline 6: strictly lower priority than `V_2` and `W_2`).
+fn two_victim_system() -> (TaskSystem, [SubtaskRef; 5]) {
+    let sys = release::periodic_named(&[("V", 1, 2), ("W", 1, 2), ("L", 1, 6)], 4);
+    let find = |task, index| {
+        sys.find(SubtaskId {
+            task: TaskId(task),
+            index,
+        })
+        .unwrap()
+    };
+    let refs = [find(0, 1), find(0, 2), find(1, 1), find(1, 2), find(2, 1)];
+    assert_eq!(sys.num_subtasks(), 5);
+    (sys, refs)
+}
+
+/// One edge case of the report's inversion sweep: a DVQ schedule of
+/// [`two_victim_system`] on three processors. `V_1` and `W_1` run from
+/// `first` for `first_cost`, `L_1` from `l_start` for `l_cost`; `V_2`
+/// starts at `v2_start` and `W_2` at 3. `want` is the PD² count
+/// `(eligibility, predecessor)`.
+struct Edge {
+    what: &'static str,
+    first: Rat,
+    first_cost: Rat,
+    l_start: Rat,
+    l_cost: Rat,
+    v2_start: Rat,
+    want: (usize, usize),
+}
+
+/// The edges of the report's inversion sweep, where `V_2` and `W_2`
+/// become ready at the same time and `W_2` waits until 3. Every schedule
+/// is held to the oracles under all five orders as well.
+#[test]
+fn sweep_edges_match_the_oracles() {
+    let (sys, [v1, v2, w1, w2, l1]) = two_victim_system();
+    let three = Rat::int(3);
+    let edges = [
+        Edge {
+            what: "a blocker that starts exactly at the shared ready time",
+            first: Rat::ZERO,
+            first_cost: Rat::ONE,
+            l_start: Rat::int(2),
+            l_cost: Rat::ONE,
+            v2_start: three,
+            want: (2, 0),
+        },
+        Edge {
+            what: "a quantum that ends exactly at the ready time blocks no one",
+            first: Rat::ZERO,
+            first_cost: Rat::ONE,
+            l_start: Rat::ONE,
+            l_cost: Rat::ONE,
+            v2_start: three,
+            want: (0, 0),
+        },
+        Edge {
+            what: "a charged quantum longer than 1 reaches past the ready time",
+            first: Rat::ZERO,
+            first_cost: Rat::ONE,
+            l_start: Rat::new(3, 4),
+            l_cost: Rat::new(3, 2),
+            v2_start: three,
+            want: (2, 0),
+        },
+        Edge {
+            what: "a running quantum of equal strict priority blocks no one",
+            first: Rat::ZERO,
+            first_cost: Rat::ONE,
+            l_start: Rat::ZERO,
+            l_cost: Rat::ONE,
+            v2_start: Rat::int(2),
+            want: (0, 0),
+        },
+        Edge {
+            what: "an equal-priority quantum starting inside the wait blocks no one",
+            first: Rat::ZERO,
+            first_cost: Rat::ONE,
+            l_start: Rat::ZERO,
+            l_cost: Rat::ONE,
+            v2_start: Rat::new(5, 2),
+            want: (0, 0),
+        },
+        Edge {
+            what: "both ready at a predecessor's completion, blocked by one quantum",
+            first: Rat::ONE,
+            first_cost: Rat::new(3, 2),
+            l_start: Rat::new(9, 4),
+            l_cost: Rat::ONE,
+            v2_start: three,
+            want: (0, 2),
+        },
+    ];
+    for e in edges {
+        let sched = Schedule::new(
+            &sys,
+            QuantumModel::Dvq,
+            3,
+            vec![
+                dvq(v1, 0, e.first, e.first_cost),
+                dvq(w1, 1, e.first, e.first_cost),
+                dvq(l1, 2, e.l_start, e.l_cost),
+                dvq(v2, 0, e.v2_start, Rat::ONE),
+                dvq(w2, 1, three, Rat::ONE),
+            ],
+        );
+        let report = schedule_report(&sys, &sched, &Pd2);
+        assert_eq!(
+            (report.eligibility_blocking, report.predecessor_blocking),
+            e.want,
+            "{}",
+            e.what
+        );
+        for order in orders() {
+            if let Err(err) = assert_matches_oracles(&sys, &sched, order, e.what) {
+                panic!("{order:?}: {err:?}");
+            }
+        }
+    }
 }
 
 #[test]
