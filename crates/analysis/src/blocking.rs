@@ -23,8 +23,9 @@
 //! A blocker `p` of the wait `(r, s]` satisfies `p.start < s` and
 //! `p.start + p.cost > r`, and has strictly lower priority than the
 //! victim. Under PD², EPDF and PD, whose strict order a key type
-//! reproduces, the search first decides *whether* a wait is an
-//! inversion, with no walk over its window:
+//! reproduces, on a schedule of at least `RANK_FROM` (512) placements,
+//! the search first decides *whether* a wait is an inversion, with no
+//! walk over its window:
 //!
 //! * every placement gets a dense `u32` rank under the strict order
 //!   ([`StrictKeys::ranks`], one sort; equal priority, equal rank), kept
@@ -51,10 +52,14 @@
 //! need their completion tested. `c_max` is read from the data, never
 //! assumed to be 1, so the window is exact for any [`Schedule`].
 //!
-//! Orders with no key type (PF, ablations, custom comparators and
-//! [`ComparatorOnly`](pfair_core::ComparatorOnly) wrappers) have no ranks:
-//! both callers walk every wait's window, about `m·(s − r + c_max)`
-//! candidates, and test each through `order.precedes`. Times are `i64`
+//! Smaller schedules, such as the fuzz bank's cases of about 20
+//! placements, and orders with no key type (PF, ablations, custom
+//! comparators and [`ComparatorOnly`](pfair_core::ComparatorOnly)
+//! wrappers) skip the sweep: both callers walk every wait's window, about
+//! `m·(s − r + c_max)` candidates, and test each through the order's
+//! [`StrictKeys`] column (one packed-prefix compare under PD² and EPDF,
+//! `order.precedes` without a key type). On a small schedule the walk's
+//! few candidates cost less than the sweep's sorts, tree and heap. Times are `i64`
 //! ticks on the schedule's grid (exact `Rat`s only when no `i64` grid
 //! fits; see the crate docs).
 //!
@@ -120,11 +125,12 @@ pub fn detect_blocking(
 ) -> Vec<BlockingEvent> {
     let placements = sched.placements();
     let mut events = Vec::new();
+    let priority = Priority::of(sys, sched, order);
     on_tier!(&times(Some(sys), sched), |tm| inversions_in(
         sys,
         sched,
         tm,
-        order,
+        &priority,
         |victim, ready_at, scheduled_at, kind, blockers| {
             events.push(BlockingEvent {
                 victim,
@@ -142,13 +148,13 @@ pub fn detect_blocking(
 /// ready_at, scheduled_at, kind, blockers)` for each inversion, in subtask
 /// order, with the blockers' placement indices in placement order.
 ///
-/// Under a ranked order the sweep picks out the inversions, and only
-/// their windows are walked.
+/// Under [`Priority::Ranked`] the sweep picks out the inversions, and
+/// only their windows are walked.
 pub(crate) fn inversions_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
     tm: &Grid<K>,
-    order: &dyn PriorityOrder,
+    priority: &Priority<'_>,
     mut found: impl FnMut(SubtaskRef, K::T, K::T, BlockingKind, &[usize]),
 ) {
     let placements = sched.placements();
@@ -156,10 +162,10 @@ pub(crate) fn inversions_in<K: Tier>(
         let victim = placements[w.at()].st;
         found(victim, w.ready_at, tm.start(w.at()), w.kind, blockers);
     };
-    match Priority::of(sys, sched, order) {
+    match priority {
         Priority::Ranked(ranks) => {
             let mut inverted = Vec::new();
-            sweep(tm, &ranks, &mut waits(sys, tm).collect::<Vec<_>>(), |w| {
+            sweep(tm, ranks, &mut waits(sys, tm).collect::<Vec<_>>(), |w| {
                 inverted.push(*w);
             });
             inverted.sort_unstable_by_key(|w| placements[w.at()].st);
@@ -172,29 +178,29 @@ pub(crate) fn inversions_in<K: Tier>(
                 emit(w, &blockers);
             }
         }
-        Priority::Compared(keys) => walk(sys, sched, tm, &keys, emit),
+        Priority::Compared(keys) => walk(sys, sched, tm, keys, emit),
     }
 }
 
 /// How many inversions of each kind the schedule has, `(eligibility,
 /// predecessor)`, in the arithmetic of `tm`: the sweep's test alone under
-/// a ranked order, the window walk otherwise.
+/// [`Priority::Ranked`], the window walk otherwise.
 pub(crate) fn inversion_counts_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
     tm: &Grid<K>,
-    order: &dyn PriorityOrder,
+    priority: &Priority<'_>,
 ) -> (usize, usize) {
     let mut counts = (0, 0);
     let mut count = |w: &Wait<K::T>| match w.kind {
         BlockingKind::Eligibility => counts.0 += 1,
         BlockingKind::Predecessor => counts.1 += 1,
     };
-    match Priority::of(sys, sched, order) {
+    match priority {
         Priority::Ranked(ranks) => {
-            sweep(tm, &ranks, &mut waits(sys, tm).collect::<Vec<_>>(), count);
+            sweep(tm, ranks, &mut waits(sys, tm).collect::<Vec<_>>(), count);
         }
-        Priority::Compared(keys) => walk(sys, sched, tm, &keys, |w, _| count(w)),
+        Priority::Compared(keys) => walk(sys, sched, tm, keys, |w, _| count(w)),
     }
     counts
 }
@@ -341,33 +347,64 @@ fn sweep<K: Tier>(
     }
 }
 
-/// How the search tests strict priority: by rank when the order has a
-/// key type, else through its [`StrictKeys`] comparator column.
-enum Priority<'a> {
+/// How the search tests strict priority: by rank (the sweep), or through
+/// the order's [`StrictKeys`] column (the window walk).
+pub(crate) enum Priority<'a> {
     Ranked(RankTree),
     Compared(StrictKeys<'a>),
 }
 
+/// The fewest placements a schedule needs before the sweep pays for its
+/// fixed cost (a sort of the ranks, the tree, the sorted waits, the
+/// heap). The walk's cost grows with the processor count as well, so no
+/// size is right for every schedule: timed under PD²-DVQ, the walk was
+/// faster on every fuzz-bank case of up to 4 000 placements (m ≤ 16), and
+/// the sweep from about 400–850 placements on the bench's cycle systems
+/// (m = P/24), 3–8× faster at P = 4 250 and 8 500.
+const RANK_FROM: usize = 512;
+
 impl<'a> Priority<'a> {
-    /// The priority test over `sched`'s placements, in placement order.
-    /// The key column is dropped once the ranks exist.
-    fn of(sys: &'a TaskSystem, sched: &Schedule, order: &'a dyn PriorityOrder) -> Priority<'a> {
-        let keys = StrictKeys::of_subtasks(sys, order, sched.placements().iter().map(|p| p.st));
+    /// The search `sched` calls for under `order`: the sweep when the
+    /// order has a key type and the schedule has at least [`RANK_FROM`]
+    /// placements, the walk otherwise.
+    pub(crate) fn of(
+        sys: &'a TaskSystem,
+        sched: &Schedule,
+        order: &'a dyn PriorityOrder,
+    ) -> Priority<'a> {
+        let keys = column(sys, sched, order);
+        if sched.placements().len() >= RANK_FROM {
+            Priority::ranked(keys)
+        } else {
+            Priority::Compared(keys)
+        }
+    }
+
+    /// The sweep over `keys`' ranks, dropping the column, when it has
+    /// ranks; the walk otherwise.
+    fn ranked(keys: StrictKeys<'a>) -> Priority<'a> {
         match keys.ranks() {
-            Some(ranks) => {
-                drop(keys);
-                Priority::Ranked(RankTree::new(&ranks))
-            }
+            Some(ranks) => Priority::Ranked(RankTree::new(&ranks)),
             None => Priority::Compared(keys),
         }
     }
+}
+
+/// The strict-priority column of `sched`'s placements, in placement
+/// order.
+fn column<'a>(
+    sys: &'a TaskSystem,
+    sched: &Schedule,
+    order: &'a dyn PriorityOrder,
+) -> StrictKeys<'a> {
+    StrictKeys::of_subtasks(sys, order, sched.placements().iter().map(|p| p.st))
 }
 
 /// The placements' strict-priority ranks in a max segment tree: node
 /// `n + i` holds placement `i`'s rank and every node `j < n` the larger
 /// of nodes `2j` and `2j + 1`, so the largest rank of a placement range
 /// costs O(log P).
-struct RankTree {
+pub(crate) struct RankTree {
     node: Vec<u32>,
 }
 
@@ -508,7 +545,10 @@ mod tests {
     use crate::schedule_report;
     use pfair_conformance::{generate_case, Case, GenConfig};
     use pfair_core::{ComparatorOnly, Epdf, Pd, Pd2, Pf};
-    use pfair_sim::{simulate_dvq, simulate_sfq, simulate_sfq_pdb, FixedCosts, FullQuantum};
+    use pfair_sim::{
+        simulate_dvq, simulate_sfq, simulate_sfq_pdb, simulate_staggered, FixedCosts, FullQuantum,
+        Placement,
+    };
     use pfair_taskmodel::{release, SubtaskId, TaskId, TaskSystem};
 
     fn fig2_system() -> TaskSystem {
@@ -630,6 +670,116 @@ mod tests {
             }
         }
         assert!(inversions > 0, "the runs must contain inversions");
+    }
+
+    /// Asserts that the sweep and the window walk find the same
+    /// inversions, blockers and counts on `sched` under every keyed order,
+    /// whatever its size; returns how many inversions they found.
+    fn assert_sweep_is_walk(sys: &TaskSystem, sched: &Schedule) -> usize {
+        let orders: [&dyn PriorityOrder; 3] = [&Pd2, &Epdf, &Pd];
+        let mut inversions = 0;
+        for order in orders {
+            let searches = [
+                Priority::ranked(column(sys, sched, order)),
+                Priority::Compared(column(sys, sched, order)),
+            ];
+            assert!(matches!(searches[0], Priority::Ranked(_)));
+            let [sweep, walk] = searches.map(|priority| {
+                on_tier!(&times(Some(sys), sched), |tm| {
+                    let mut found = Vec::new();
+                    inversions_in(sys, sched, tm, &priority, |victim, r, s, kind, by| {
+                        found.push((victim, tm.to_rat(r), tm.to_rat(s), kind, by.to_vec()));
+                    });
+                    (found, inversion_counts_in(sys, sched, tm, &priority))
+                })
+            });
+            assert_eq!(sweep, walk, "{}", order.name());
+            inversions += walk.0.len();
+        }
+        inversions
+    }
+
+    /// The sweep, which only schedules of `RANK_FROM` placements reach in
+    /// production, against the walk on small ones: the Fig. 2(b) run,
+    /// the DVQ runs of default fuzz cases, and hand-built schedules at
+    /// the sweep's edges — a blocker starting exactly at a shared ready
+    /// time, a quantum ending exactly there, a charged quantum longer
+    /// than 1, equal-priority quanta running and starting inside the
+    /// wait, and two victims ready at one predecessor completion.
+    #[test]
+    fn sweep_and_walk_agree_on_small_schedules() {
+        let fig2 = fig2_system();
+        let delta = Rat::new(1, 4);
+        let mut costs = FixedCosts::new(Rat::ONE)
+            .with(TaskId(0), 1, Rat::ONE - delta)
+            .with(TaskId(5), 1, Rat::ONE - delta);
+        let mut inversions = assert_sweep_is_walk(&fig2, &simulate_dvq(&fig2, 2, &Pd2, &mut costs));
+        for seed in 0..24 {
+            let case = Case::build(generate_case(&GenConfig::default(), seed))
+                .expect("generated cases build");
+            let sched = simulate_dvq(&case.sys, case.spec.m, &Pd2, &mut case.cost_model());
+            assert!(sched.placements().len() < RANK_FROM);
+            inversions += assert_sweep_is_walk(&case.sys, &sched);
+        }
+        assert!(inversions > 0, "the runs must contain inversions");
+
+        // V and W (weight 1/2) and L (weight 1/6) on three processors:
+        // V_1 and W_1 from `first` for `first_cost`, L_1 from `l_start`
+        // for `l_cost`, V_2 from `v2_start`, W_2 from 3.
+        let sys = release::periodic_named(&[("V", 1, 2), ("W", 1, 2), ("L", 1, 6)], 4);
+        let [v1, v2, w1, w2, l1] =
+            [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)].map(|(t, i)| find(&sys, t, i));
+        let r = |n, d| Rat::new(n, d);
+        let edges = [
+            (r(0, 1), r(1, 1), r(2, 1), r(1, 1), r(3, 1)),
+            (r(0, 1), r(1, 1), r(1, 1), r(1, 1), r(3, 1)),
+            (r(0, 1), r(1, 1), r(3, 4), r(3, 2), r(3, 1)),
+            (r(0, 1), r(1, 1), r(0, 1), r(1, 1), r(2, 1)),
+            (r(0, 1), r(1, 1), r(0, 1), r(1, 1), r(5, 2)),
+            (r(1, 1), r(3, 2), r(9, 4), r(1, 1), r(3, 1)),
+        ];
+        let mut inversions = 0;
+        for (first, first_cost, l_start, l_cost, v2_start) in edges {
+            let place = |st, proc, start: Rat, cost: Rat| Placement {
+                st,
+                proc,
+                start,
+                cost,
+                holds_until: start + cost,
+            };
+            let sched = Schedule::new(
+                &sys,
+                QuantumModel::Dvq,
+                3,
+                vec![
+                    place(v1, 0, first, first_cost),
+                    place(w1, 1, first, first_cost),
+                    place(l1, 2, l_start, l_cost),
+                    place(v2, 0, v2_start, Rat::ONE),
+                    place(w2, 1, Rat::int(3), Rat::ONE),
+                ],
+            );
+            inversions += assert_sweep_is_walk(&sys, &sched);
+        }
+        assert!(inversions > 0, "the edges must contain inversions");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The sweep against the walk on the DVQ, SFQ and staggered runs
+        /// of fuzz cases up to 24 processors and horizon 14 — the sizes
+        /// the root oracle tests hold the walk to.
+        #[test]
+        fn prop_sweep_is_walk(seed in 0u64..1_000_000) {
+            let cfg = GenConfig { max_m: 24, max_period: 10, max_horizon: 14 };
+            let case = Case::build(generate_case(&cfg, seed)).expect("generated cases build");
+            let (sys, m) = (&case.sys, case.spec.m);
+            assert_sweep_is_walk(sys, &simulate_dvq(sys, m, &Pd2, &mut case.cost_model()));
+            assert_sweep_is_walk(sys, &simulate_sfq(sys, m, &Pd2, &mut case.cost_model()));
+            let stag = simulate_staggered(sys, m, &Pd2, &mut case.cost_model());
+            assert_sweep_is_walk(sys, &stag);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use core::ops::Deref;
 
-use pfair_numeric::{Exact, Rat, Ticks, Tier, Tiered};
+use pfair_numeric::{checked_lcm, Exact, Rat, Ticks, Tier, Tiered};
 use pfair_sim::Schedule;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
@@ -59,7 +59,7 @@ impl Grid<Ticks> {
             for t in [p.start, p.cost, p.holds_until] {
                 let den = i64::try_from(t.den()).ok()?;
                 if scale % den != 0 {
-                    scale = Ticks::lcm_of([scale, den])?.per_quantum();
+                    scale = checked_lcm(scale, den)?;
                 }
             }
         }
@@ -174,7 +174,7 @@ pub(crate) fn or_exact(sched: &Schedule, ticks: Option<Grid<Ticks>>) -> Times {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::inversions_in;
+    use crate::blocking::{inversions_in, Priority};
     use crate::lag::lag_series_in;
     use crate::report::report_in;
     use crate::response::response_in;
@@ -214,7 +214,8 @@ mod tests {
     /// `Rat`s, by its `Debug` rendering.
     fn outputs<K: Tier>(sys: &TaskSystem, sched: &Schedule, tm: &Grid<K>) -> String {
         let mut inversions = Vec::new();
-        inversions_in(sys, sched, tm, &Pd2, |victim, ready, at, kind, by| {
+        let priority = Priority::of(sys, sched, &Pd2);
+        inversions_in(sys, sched, tm, &priority, |victim, ready, at, kind, by| {
             inversions.push((victim, tm.to_rat(ready), tm.to_rat(at), kind, by.to_vec()));
         });
         let horizon = sched.makespan().ceil();
@@ -228,7 +229,7 @@ mod tests {
                 structural_in(sys, sched, tm),
                 window_containment_in(sys, tm),
                 lag_series_in(sys, tm, horizon),
-                report_in(sys, sched, tm, &Pd2),
+                report_in(sys, sched, tm, &priority),
                 inversions,
             )
         )

@@ -13,7 +13,7 @@ use pfair_numeric::{on_tier, Rat, Tier};
 use pfair_sim::Schedule;
 use pfair_taskmodel::TaskSystem;
 
-use crate::blocking::inversion_counts_in;
+use crate::blocking::{inversion_counts_in, Priority};
 use crate::grid::{times, Grid};
 use crate::overhead::{migration_stats, MigrationStats};
 use crate::response::{response_in, ResponseStats};
@@ -56,16 +56,18 @@ pub fn schedule_report(
     order: &dyn PriorityOrder,
 ) -> ScheduleReport {
     let grid = times(Some(sys), sched);
-    on_tier!(&grid, |tm| report_in(sys, sched, tm, order))
+    let priority = Priority::of(sys, sched, order);
+    on_tier!(&grid, |tm| report_in(sys, sched, tm, &priority))
 }
 
 pub(crate) fn report_in<K: Tier>(
     sys: &TaskSystem,
     sched: &Schedule,
     tm: &Grid<K>,
-    order: &dyn PriorityOrder,
+    priority: &Priority<'_>,
 ) -> ScheduleReport {
-    let (eligibility_blocking, predecessor_blocking) = inversion_counts_in(sys, sched, tm, order);
+    let (eligibility_blocking, predecessor_blocking) =
+        inversion_counts_in(sys, sched, tm, priority);
     ScheduleReport {
         tardiness: tardiness_in(sys, tm),
         waste: waste_in(sched, tm),

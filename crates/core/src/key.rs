@@ -19,14 +19,30 @@
 //! a [`KeyCache`] built once (O(n)) serves every subsequent comparison in
 //! O(1) with no pointer chasing.
 //!
-//! # Why the conditional group deadline needs a custom `Ord`
+//! # The packed image
 //!
 //! PD²'s third rule compares group deadlines **only when both b-bits are
-//! 1**. A naive lexicographic tuple `(d, ¬b, −D, …)` cannot express that:
-//! for a b = 0 pair it would still let `D` discriminate, inverting ties the
-//! comparator leaves to the weight/id stages. [`Pd2Key`]'s manual `Ord`
-//! gates the `D` stage on `self.bbit && other.bbit`, exactly mirroring
-//! [`Pd2::cmp_strict`](crate::PriorityOrder::cmp_strict).
+//! 1**, so the typed keys spell their orders out stage by stage:
+//! [`Pd2Key`]'s `cmp_strict` gates the `D` stage on `self.bbit &&
+//! other.bbit`, exactly mirroring
+//! [`Pd2::cmp_strict`](crate::PriorityOrder::cmp_strict). A lexicographic
+//! tuple can express the same rule once `D` is zeroed when b = 0: the
+//! strict prefix `(d, ¬b, b ? i64::MAX − D : 0)` ties every b = 0 pair
+//! through the `D` stage, lets b decide a mixed pair, and orders a b = 1
+//! pair by `D` descending. Group deadlines are non-negative (0 for light
+//! tasks), so `i64::MAX − D` fits 63 bits and the prefix packs into one
+//! `u128` ([`SubtaskKey::prefix_of`]). Its order *is* PD²'s `cmp_strict`;
+//! with `b` and `D` dropped, EPDF's.
+//!
+//! The total orders refine the strict ones by heavier weight first, then
+//! `(task, index)`. A [`Packer`] ranks a system's tasks once under
+//! (weight desc, id asc), so the refinement is the task's rank, then the
+//! subtask's dense ref (which ascends with the index within a task). The
+//! [`Packed`] image `(prefix, rank, ref)` compares as two integers and
+//! reproduces `Ord` of [`Pd2Key`], [`EpdfKey`] and [`PdKey`]: PD's
+//! heavy-before-light stage adds nothing, because heaviness is monotone
+//! in weight. The simulators' ready sets store and compare images; the
+//! typed keys remain the definitions the images are proven against.
 //!
 //! # Equivalence obligation
 //!
@@ -41,10 +57,11 @@
 //! comparator must be mirrored here and re-proven.
 
 use core::cmp::Ordering;
+use core::marker::PhantomData;
 use core::ops::ControlFlow;
 
 use pfair_taskmodel::window;
-use pfair_taskmodel::{SubtaskId, SubtaskRef, TaskSystem, Weight};
+use pfair_taskmodel::{Subtask, SubtaskId, SubtaskRef, TaskSystem, Weight};
 
 /// A precomputed priority key: a `Copy` value whose `Ord` reproduces one
 /// [`PriorityOrder`](crate::PriorityOrder)'s total order (smaller = higher
@@ -53,20 +70,41 @@ pub trait SubtaskKey: Copy + Ord + core::fmt::Debug {
     /// Builds the key of `st` from its precomputed (θ-adjusted) parameters.
     fn of_subtask(sys: &TaskSystem, st: SubtaskRef) -> Self;
 
-    /// The key's leading comparison stage: the θ-adjusted pseudo-deadline.
-    ///
-    /// Every order in this module compares deadlines first, so a ready
-    /// queue may bucket subtasks by this integer and run the remaining
-    /// stages (b-bit, group deadline, weight, id) only on bucket
-    /// collisions — see the simulators' bucketed ready sets.
-    fn deadline(&self) -> i64;
-
     /// The order's own comparison without the deterministic weight/id
     /// tie-breaks, mirroring
     /// [`PriorityOrder::cmp_strict`](crate::PriorityOrder::cmp_strict):
     /// `Less` is the paper's `≺`, and `Equal` means the algorithm regards
     /// the two subtasks as equal priority. `Ord::cmp` refines it.
     fn cmp_strict(&self, other: &Self) -> Ordering;
+
+    /// The leading stages of the order over `s`, packed into one integer
+    /// (see the module docs): `(d, ¬b, b ? i64::MAX − D : 0)` for PD² and
+    /// PD, `d` for EPDF. Its order is `cmp_strict` for PD² and EPDF; PD's
+    /// strict order goes on to compare weights.
+    fn prefix_of(s: &Subtask) -> u128;
+}
+
+/// Order-preserving lift of an `i64` into the high half of a `u128`
+/// (flip the sign bit).
+fn high(x: i64) -> u128 {
+    u128::from(x.cast_unsigned() ^ (1 << 63)) << 64
+}
+
+/// PD²'s strict prefix `(d, ¬b, b ? i64::MAX − D : 0)`.
+fn pd2_prefix(s: &Subtask) -> u128 {
+    // The `b ? i64::MAX − D` stage stays below bit 63 only for D ≥ 0.
+    debug_assert!(
+        s.group_deadline >= 0,
+        "negative group deadline {} of {:?}",
+        s.group_deadline,
+        s.id
+    );
+    let low = if s.bbit {
+        (i64::MAX - s.group_deadline).cast_unsigned()
+    } else {
+        1 << 63
+    };
+    high(s.deadline) | u128::from(low)
 }
 
 /// The PD² total order as a key. Smaller = higher priority, matching
@@ -130,10 +168,6 @@ impl SubtaskKey for Pd2Key {
         }
     }
 
-    fn deadline(&self) -> i64 {
-        self.deadline
-    }
-
     #[inline]
     fn cmp_strict(&self, other: &Pd2Key) -> Ordering {
         self.deadline
@@ -148,6 +182,10 @@ impl SubtaskKey for Pd2Key {
                     Ordering::Equal
                 }
             })
+    }
+
+    fn prefix_of(s: &Subtask) -> u128 {
+        pd2_prefix(s)
     }
 }
 
@@ -188,13 +226,13 @@ impl SubtaskKey for EpdfKey {
         }
     }
 
-    fn deadline(&self) -> i64 {
-        self.deadline
-    }
-
     #[inline]
     fn cmp_strict(&self, other: &EpdfKey) -> Ordering {
         self.deadline.cmp(&other.deadline)
+    }
+
+    fn prefix_of(s: &Subtask) -> u128 {
+        high(s.deadline)
     }
 }
 
@@ -234,10 +272,6 @@ impl SubtaskKey for PdKey {
         }
     }
 
-    fn deadline(&self) -> i64 {
-        self.pd2.deadline
-    }
-
     #[inline]
     fn cmp_strict(&self, other: &PdKey) -> Ordering {
         self.pd2
@@ -245,6 +279,87 @@ impl SubtaskKey for PdKey {
             // PD's refinements: heavy first, then heavier weight.
             .then_with(|| other.heavy.cmp(&self.heavy))
             .then_with(|| other.pd2.weight.cmp(&self.pd2.weight))
+    }
+
+    fn prefix_of(s: &Subtask) -> u128 {
+        pd2_prefix(s)
+    }
+}
+
+/// The packed image of a keyed order: the strict prefix
+/// ([`SubtaskKey::prefix_of`]), then the task's rank under (weight desc,
+/// id asc) and the subtask's dense ref. Built by a [`Packer`]; its
+/// derived order is the key type's `Ord` on subtasks of one system.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Packed {
+    /// The strict prefix.
+    pub strict: u128,
+    /// The task's rank in the high half, the subtask's ref in the low
+    /// half.
+    pub tie: u64,
+}
+
+impl Packed {
+    /// The subtask the image is of.
+    #[must_use]
+    pub fn subtask(self) -> SubtaskRef {
+        SubtaskRef(self.tie as u32)
+    }
+
+    /// The θ-adjusted pseudo-deadline, the prefix's leading stage: every
+    /// keyed order compares deadlines first, so a ready queue may bucket
+    /// images by it and compare whole images only on bucket collisions.
+    #[must_use]
+    pub fn deadline(self) -> i64 {
+        (((self.strict >> 64) as u64) ^ (1 << 63)).cast_signed()
+    }
+}
+
+/// Packs one system's subtasks into the [`Packed`] images of `K`'s order.
+/// Holds the system's task ranks, one sort of its task table.
+#[derive(Clone, Debug)]
+pub struct Packer<'a, K> {
+    sys: &'a TaskSystem,
+    /// Per task: its place under (weight desc, id asc).
+    ranks: Vec<u32>,
+    key: PhantomData<K>,
+}
+
+impl<'a, K: SubtaskKey> Packer<'a, K> {
+    /// Ranks the tasks of `sys`.
+    #[must_use]
+    pub fn new(sys: &'a TaskSystem) -> Packer<'a, K> {
+        let tasks = sys.tasks();
+        let n = u32::try_from(tasks.len()).expect("task ids fit u32");
+        let mut by_priority: Vec<u32> = (0..n).collect();
+        // Stable, so equal weights stay in id order.
+        by_priority.sort_by(|&a, &b| tasks[b as usize].weight.cmp(&tasks[a as usize].weight));
+        let mut ranks = vec![0; tasks.len()];
+        for (rank, &task) in (0..).zip(&by_priority) {
+            ranks[task as usize] = rank;
+        }
+        Packer {
+            sys,
+            ranks,
+            key: PhantomData,
+        }
+    }
+
+    /// The system the images are of.
+    #[must_use]
+    pub fn sys(&self) -> &'a TaskSystem {
+        self.sys
+    }
+
+    /// The image of `st`.
+    #[inline]
+    #[must_use]
+    pub fn pack(&self, st: SubtaskRef) -> Packed {
+        let s = self.sys.subtask(st);
+        Packed {
+            strict: K::prefix_of(s),
+            tie: u64::from(self.ranks[s.id.task.idx()]) << 32 | u64::from(st.0),
+        }
     }
 }
 
@@ -314,8 +429,9 @@ pub enum KeyDispatch {
 /// The column is laid out in whatever order its owner scans it — the
 /// post-hoc inversion search uses placement order, the streaming detector
 /// dispatch order — so a scan over a range of entries reads its keys
-/// contiguously. Under [`KeyDispatch::Pd2`], [`KeyDispatch::Epdf`] and
-/// [`KeyDispatch::Pd`] a test is one [`SubtaskKey::cmp_strict`]; under
+/// contiguously. Under [`KeyDispatch::Pd2`] and [`KeyDispatch::Epdf`] a
+/// test is one compare of packed prefixes ([`SubtaskKey::prefix_of`]),
+/// under [`KeyDispatch::Pd`] one [`SubtaskKey::cmp_strict`]; under
 /// [`KeyDispatch::Comparator`] (PF, ablations, custom orders, and
 /// [`ComparatorOnly`](crate::ComparatorOnly) wrappers) it is
 /// [`PriorityOrder::precedes`](crate::PriorityOrder::precedes), so the
@@ -329,8 +445,10 @@ pub struct StrictKeys<'a> {
 
 #[derive(Clone, Debug)]
 enum Column {
-    Pd2(Vec<Pd2Key>),
-    Epdf(Vec<EpdfKey>),
+    /// PD² and EPDF: each entry's packed prefix, whose order is the
+    /// strict order, and the function that packs it.
+    Prefix(fn(&Subtask) -> u128, Vec<u128>),
+    /// PD, whose strict order goes on to weights: the typed keys.
     Pd(Vec<PdKey>),
     /// No key type: the entries themselves, for the comparator.
     Comparator(Vec<SubtaskRef>),
@@ -341,8 +459,8 @@ impl<'a> StrictKeys<'a> {
     #[must_use]
     pub fn new(sys: &'a TaskSystem, order: &'a dyn crate::PriorityOrder) -> StrictKeys<'a> {
         let column = match order.key_dispatch() {
-            KeyDispatch::Pd2 => Column::Pd2(Vec::new()),
-            KeyDispatch::Epdf => Column::Epdf(Vec::new()),
+            KeyDispatch::Pd2 => Column::Prefix(Pd2Key::prefix_of, Vec::new()),
+            KeyDispatch::Epdf => Column::Prefix(EpdfKey::prefix_of, Vec::new()),
             KeyDispatch::Pd => Column::Pd(Vec::new()),
             KeyDispatch::Comparator => Column::Comparator(Vec::new()),
         };
@@ -368,8 +486,7 @@ impl<'a> StrictKeys<'a> {
     /// Makes room for at least `additional` more entries.
     fn reserve(&mut self, additional: usize) {
         match &mut self.column {
-            Column::Pd2(keys) => keys.reserve(additional),
-            Column::Epdf(keys) => keys.reserve(additional),
+            Column::Prefix(_, prefixes) => prefixes.reserve(additional),
             Column::Pd(keys) => keys.reserve(additional),
             Column::Comparator(refs) => refs.reserve(additional),
         }
@@ -379,8 +496,7 @@ impl<'a> StrictKeys<'a> {
     pub fn push(&mut self, st: SubtaskRef) {
         let sys = self.sys;
         match &mut self.column {
-            Column::Pd2(keys) => keys.push(Pd2Key::of_subtask(sys, st)),
-            Column::Epdf(keys) => keys.push(EpdfKey::of_subtask(sys, st)),
+            Column::Prefix(prefix, prefixes) => prefixes.push(prefix(sys.subtask(st))),
             Column::Pd(keys) => keys.push(PdKey::of_subtask(sys, st)),
             Column::Comparator(refs) => refs.push(st),
         }
@@ -391,14 +507,15 @@ impl<'a> StrictKeys<'a> {
     /// priority gets an equal rank. `None` for the comparator column,
     /// which has no key to sort by.
     ///
-    /// One sort of the column. A rank is 4 bytes where a key is 24 to 56,
-    /// so a caller that needs only the order can drop the column after.
+    /// One sort of the column: by the prefix for PD² and EPDF, one `u128`
+    /// compare, and by [`SubtaskKey::cmp_strict`] for PD. A rank is 4
+    /// bytes where an entry is 16 to 56, so a caller that needs only the
+    /// order can drop the column after.
     #[must_use]
     pub fn ranks(&self) -> Option<Vec<u32>> {
         match &self.column {
-            Column::Pd2(keys) => Some(dense_ranks(keys)),
-            Column::Epdf(keys) => Some(dense_ranks(keys)),
-            Column::Pd(keys) => Some(dense_ranks(keys)),
+            Column::Prefix(_, prefixes) => Some(dense_ranks(prefixes, Ord::cmp)),
+            Column::Pd(keys) => Some(dense_ranks(keys, PdKey::cmp_strict)),
             Column::Comparator(_) => None,
         }
     }
@@ -414,9 +531,18 @@ impl<'a> StrictKeys<'a> {
     ) {
         let sys = self.sys;
         match &self.column {
-            Column::Pd2(keys) => lower_keys(keys, sys, victim, candidates, visit),
-            Column::Epdf(keys) => lower_keys(keys, sys, victim, candidates, visit),
-            Column::Pd(keys) => lower_keys(keys, sys, victim, candidates, visit),
+            Column::Prefix(prefix, prefixes) => {
+                let v = prefix(sys.subtask(victim));
+                lower_by(candidates, |i| v < prefixes[i], visit);
+            }
+            Column::Pd(keys) => {
+                let v = PdKey::of_subtask(sys, victim);
+                lower_by(
+                    candidates,
+                    |i| v.cmp_strict(&keys[i]) == Ordering::Less,
+                    visit,
+                );
+            }
             Column::Comparator(refs) => lower_by(
                 candidates,
                 |i| self.order.precedes(sys, victim, refs[i]),
@@ -426,35 +552,21 @@ impl<'a> StrictKeys<'a> {
     }
 }
 
-fn dense_ranks<K: SubtaskKey>(keys: &[K]) -> Vec<u32> {
-    let n = u32::try_from(keys.len()).expect("a column's length fits u32");
+/// Each entry's dense rank under `cmp`: one sort of the entries' indices.
+fn dense_ranks<T>(entries: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> Vec<u32> {
+    let n = u32::try_from(entries.len()).expect("a column's length fits u32");
     let mut by_priority: Vec<u32> = (0..n).collect();
-    by_priority.sort_unstable_by(|&a, &b| keys[a as usize].cmp_strict(&keys[b as usize]));
-    let mut ranks = vec![0; keys.len()];
+    by_priority.sort_unstable_by(|&a, &b| cmp(&entries[a as usize], &entries[b as usize]));
+    let mut ranks = vec![0; entries.len()];
     let mut rank = 0;
     for pair in by_priority.windows(2) {
         let [a, b] = [pair[0] as usize, pair[1] as usize];
-        if keys[a].cmp_strict(&keys[b]) == Ordering::Less {
+        if cmp(&entries[a], &entries[b]) == Ordering::Less {
             rank += 1;
         }
         ranks[b] = rank;
     }
     ranks
-}
-
-fn lower_keys<K: SubtaskKey>(
-    keys: &[K],
-    sys: &TaskSystem,
-    victim: SubtaskRef,
-    candidates: impl Iterator<Item = usize>,
-    visit: impl FnMut(usize) -> ControlFlow<()>,
-) {
-    let v = K::of_subtask(sys, victim);
-    lower_by(
-        candidates,
-        |i| v.cmp_strict(&keys[i]) == Ordering::Less,
-        visit,
-    );
 }
 
 fn lower_by(
@@ -647,18 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_accessor_is_the_leading_stage() {
-        // `SubtaskKey::deadline` must expose exactly the field the first
-        // comparison stage reads — the bucketing contract.
-        let sys = release::periodic(&[(3, 4), (1, 2), (5, 6)], 12);
-        for (st, s) in sys.iter_refs() {
-            assert_eq!(Pd2Key::of_subtask(&sys, st).deadline(), s.deadline);
-            assert_eq!(EpdfKey::of_subtask(&sys, st).deadline(), s.deadline);
-            assert_eq!(PdKey::of_subtask(&sys, st).deadline(), s.deadline);
-        }
-    }
-
-    #[test]
     fn cache_reports_size() {
         let sys = release::periodic(&[(1, 2), (1, 3)], 6);
         let cache = KeyCache::<Pd2Key>::build(&sys);
@@ -666,7 +766,90 @@ mod tests {
         assert!(!cache.is_empty());
     }
 
+    /// The prefix encodes `i64::MAX − D` in 63 bits, so a negative group
+    /// deadline must be refused, not silently misordered.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "negative group deadline")]
+    fn negative_group_deadline_is_refused() {
+        let sys = release::periodic(&[(3, 4)], 4);
+        let mut s = sys.subtasks()[0].clone();
+        s.group_deadline = -1;
+        let _ = Pd2Key::prefix_of(&s);
+    }
+
+    /// A random system for the packed-order proof: the tasks of `raw`
+    /// plus a copy of the first one's weight, a heavy task and a light
+    /// task with b = 1 subtasks; each task releases up to six subtasks,
+    /// `shape` dropping some (GIS) and raising θ before others (IS).
+    fn packing_system(raw: &[(i64, i64)], shape: &[u8]) -> TaskSystem {
+        let mut weights: Vec<Weight> = raw.iter().map(|&(e, p)| Weight::new(e.min(p), p)).collect();
+        weights.extend([weights[0], Weight::new(5, 7), Weight::new(3, 8)]);
+        let mut b = pfair_taskmodel::TaskSystemBuilder::new();
+        let mut draws = shape.iter().cycle();
+        for w in weights {
+            let task = b.add_task(w);
+            let mut theta = 0;
+            for index in 1..=6 {
+                match draws.next() {
+                    Some(0) => continue,
+                    Some(1) => theta += 1,
+                    _ => {}
+                }
+                b.push(task, index, theta, None)
+                    .expect("indices rise and θ never falls");
+            }
+        }
+        b.build()
+    }
+
     proptest! {
+        /// The packed image is the typed keys' total order on every pair
+        /// of a random system — heavy and light tasks, b = 1 light
+        /// subtasks, IS offsets, GIS drops, equal weights, and several
+        /// subtasks of one task — and its prefix is PD²'s and EPDF's
+        /// strict order.
+        #[test]
+        fn prop_packed_order_is_the_key_order(
+            raw in proptest::collection::vec((1i64..=12, 1i64..=12), 1..5),
+            shape in proptest::collection::vec(0u8..6, 1..40),
+        ) {
+            let sys = packing_system(&raw, &shape);
+            let (pd2, epdf, pd) = (
+                Packer::<Pd2Key>::new(&sys),
+                Packer::<EpdfKey>::new(&sys),
+                Packer::<PdKey>::new(&sys),
+            );
+            for (a, sa) in sys.iter_refs() {
+                prop_assert_eq!(pd2.pack(a).subtask(), a);
+                prop_assert_eq!(pd2.pack(a).deadline(), sa.deadline);
+                let (ka, ea, pa) = (
+                    Pd2Key::of_subtask(&sys, a),
+                    EpdfKey::of_subtask(&sys, a),
+                    PdKey::of_subtask(&sys, a),
+                );
+                for (b, sb) in sys.iter_refs() {
+                    let (kb, eb, pb) = (
+                        Pd2Key::of_subtask(&sys, b),
+                        EpdfKey::of_subtask(&sys, b),
+                        PdKey::of_subtask(&sys, b),
+                    );
+                    prop_assert_eq!(pd2.pack(a).cmp(&pd2.pack(b)), ka.cmp(&kb));
+                    prop_assert_eq!(epdf.pack(a).cmp(&epdf.pack(b)), ea.cmp(&eb));
+                    prop_assert_eq!(pd.pack(a).cmp(&pd.pack(b)), pa.cmp(&pb));
+                    prop_assert_eq!(ka.cmp(&kb), Pd2.cmp(&sys, a, b));
+                    prop_assert_eq!(
+                        Pd2Key::prefix_of(sa).cmp(&Pd2Key::prefix_of(sb)),
+                        ka.cmp_strict(&kb)
+                    );
+                    prop_assert_eq!(
+                        EpdfKey::prefix_of(sa).cmp(&EpdfKey::prefix_of(sb)),
+                        ea.cmp_strict(&eb)
+                    );
+                }
+            }
+        }
+
         /// Key equivalence over random weights/indices/offsets — all three
         /// key types, both comparison directions.
         #[test]

@@ -81,6 +81,21 @@ impl Rat {
         }
     }
 
+    /// `num / den` from a fraction already in lowest terms with
+    /// `den > 0`, with no reduction: for callers that cancelled the
+    /// common factors themselves (the tick tier's division-free
+    /// reduction).
+    pub(crate) fn from_reduced(num: i64, den: i64) -> Rat {
+        debug_assert!(
+            den > 0 && crate::int::gcd(num, den) == 1,
+            "{num}/{den} is not in lowest terms"
+        );
+        Rat {
+            num: i128::from(num),
+            den: i128::from(den),
+        }
+    }
+
     /// Creates `num / den` from full-width components, reduced to lowest
     /// terms.
     ///

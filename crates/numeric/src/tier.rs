@@ -37,6 +37,20 @@
 //! [`GRID`] is the one scale shared by everything that cannot read a scale
 //! off its data in advance: the online schedulers' clocks and the
 //! streaming observers.
+//!
+//! # Leaving ticks without dividing
+//!
+//! [`Tier::to_rat`] on ticks sits under every completion, batch instant
+//! and cost draw of the simulators, and a reduction by gcd is a loop of
+//! data-dependent steps. So [`Ticks::new`] factors its scale once over 2
+//! and a fixed table of small odd primes (3 to 31). When nothing else
+//! divides the scale — [`GRID`] = 2⁴·3²·5·7·11·13 is such a scale — a
+//! positive tick count `t` is reduced by cancelling common factors only:
+//! `trailing_zeros` and a shift for the twos, then, for each odd prime of
+//! the scale, a multiply by its inverse modulo 2⁶⁴ both tests whether it
+//! divides `t` and divides it exactly. No gcd loop, no divide
+//! instruction. Any other scale, and any zero or negative count, falls
+//! back to [`Rat::new`]. Both give the same `Rat`.
 
 use core::fmt::Debug;
 use core::ops::{Add, Sub};
@@ -100,6 +114,89 @@ pub trait Tier {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ticks {
     per_quantum: i64,
+    /// The scale's prime factors, when they all lie in `{2} ∪
+    /// ODD_PRIMES`: what lets [`Tier::to_rat`] reduce without dividing.
+    smooth: Option<Smooth>,
+}
+
+/// The odd primes a scale may be built from for the division-free
+/// reduction. `GRID` = 2⁴·3²·5·7·11·13 needs the first five.
+const ODD_PRIMES: [u64; 10] = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31];
+
+/// Per entry of [`ODD_PRIMES`]: the prime's inverse modulo 2⁶⁴ and
+/// `u64::MAX / p`. `n` is a multiple of `p` iff `n · p⁻¹ mod 2⁶⁴` is at
+/// most the bound, and then that product *is* `n / p` (Granlund &
+/// Montgomery, "Division by invariant integers using multiplication",
+/// 1994).
+const ODD_INVERSES: [(u64, u64); 10] = {
+    let mut table = [(0, 0); 10];
+    let mut k = 0;
+    while k < ODD_PRIMES.len() {
+        let p = ODD_PRIMES[k];
+        // Newton's iteration x ← x·(2 − p·x) doubles the correct low
+        // bits; p·p ≡ 1 (mod 8) gives the first 3, five steps give 96.
+        let mut inv = p;
+        let mut step = 0;
+        while step < 5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(p.wrapping_mul(inv)));
+            step += 1;
+        }
+        table[k] = (inv, u64::MAX / p);
+        k += 1;
+    }
+    table
+};
+
+/// A scale `2^twos · Π ODD_PRIMES[k]^odd[k]`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Smooth {
+    twos: u32,
+    odd: [u8; ODD_PRIMES.len()],
+}
+
+impl Smooth {
+    /// The factorization of `scale > 0`, or `None` if a prime outside
+    /// the table divides it.
+    const fn of(scale: i64) -> Option<Smooth> {
+        let mut rest = scale.unsigned_abs();
+        let twos = rest.trailing_zeros();
+        rest >>= twos;
+        let mut odd = [0; ODD_PRIMES.len()];
+        let mut k = 0;
+        while k < ODD_PRIMES.len() {
+            while rest.is_multiple_of(ODD_PRIMES[k]) {
+                rest /= ODD_PRIMES[k];
+                odd[k] += 1;
+            }
+            k += 1;
+        }
+        if rest == 1 {
+            Some(Smooth { twos, odd })
+        } else {
+            None
+        }
+    }
+
+    /// `t / scale` in lowest terms for `t > 0`, with no gcd loop and no
+    /// divide instruction: a shift cancels the common twos, and each odd
+    /// prime of the scale is cancelled by exact division (a multiply by
+    /// its inverse) while it divides the numerator.
+    fn reduce(self, t: u64, scale: u64) -> Rat {
+        let twos = t.trailing_zeros().min(self.twos);
+        let (mut num, mut den) = (t >> twos, scale >> twos);
+        for (&(inv, bound), &e) in ODD_INVERSES.iter().zip(&self.odd) {
+            for _ in 0..e {
+                let q = num.wrapping_mul(inv);
+                if q > bound {
+                    break;
+                }
+                num = q;
+                den = den.wrapping_mul(inv);
+            }
+        }
+        // Both shrank from a positive `i64` each.
+        Rat::from_reduced(num as i64, den as i64)
+    }
 }
 
 /// Order-preserving lift of an `i64` into `u64` (flip the sign bit).
@@ -116,7 +213,10 @@ impl Ticks {
             per_quantum > 0,
             "Ticks requires a positive ticks-per-quantum"
         );
-        Ticks { per_quantum }
+        Ticks {
+            per_quantum,
+            smooth: Smooth::of(per_quantum),
+        }
     }
 
     /// The smallest scale representing every denominator in `dens` exactly:
@@ -158,8 +258,13 @@ impl Tier for Ticks {
             .checked_mul(self.per_quantum / den)
     }
 
+    /// Division-free on a scale of small primes for `t > 0` (see the
+    /// module docs); `Rat::new`'s gcd otherwise.
     fn to_rat(&self, t: i64) -> Rat {
-        Rat::new(t, self.per_quantum)
+        match self.smooth {
+            Some(smooth) if t > 0 => smooth.reduce(t as u64, self.per_quantum as u64),
+            _ => Rat::new(t, self.per_quantum),
+        }
     }
 
     fn add(&self, a: i64, b: i64) -> Option<i64> {
@@ -446,5 +551,80 @@ mod tests {
     #[should_panic(expected = "positive ticks-per-quantum")]
     fn zero_scale_rejected() {
         let _ = Ticks::new(0);
+    }
+
+    #[test]
+    fn scales_factor_over_the_table() {
+        assert_eq!(
+            GRID.smooth,
+            Some(Smooth {
+                twos: 4,
+                odd: [2, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+            })
+        );
+        assert!(Ticks::new(1).smooth.is_some());
+        assert!(Ticks::new(31 << 40).smooth.is_some());
+        assert_eq!(Ticks::new(37).smooth, None);
+        assert_eq!(Ticks::new(4_194_301).smooth, None);
+        assert_eq!(Ticks::new(720_720 * 41).smooth, None);
+        for (k, &(inv, bound)) in ODD_INVERSES.iter().enumerate() {
+            assert_eq!(ODD_PRIMES[k].wrapping_mul(inv), 1);
+            assert_eq!(bound, u64::MAX / ODD_PRIMES[k]);
+        }
+    }
+
+    /// Every tick count of four quanta around zero at GRID: far too many
+    /// for a debug build, a fraction of a second in release.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "exhaustive; run with --release")]
+    fn to_rat_matches_rat_new_across_four_grid_quanta() {
+        let q = GRID.per_quantum();
+        for t in -2 * q..=2 * q {
+            assert_eq!(GRID.to_rat(t), Rat::new(t, q), "{t}");
+        }
+    }
+
+    /// A scale `2^twos · Π ODD_PRIMES[k]^exps[k]`, skipping any factor
+    /// that would leave `i64`, times `foreign` (1 for a smooth scale).
+    fn scale_of(twos: u32, exps: &[u32], foreign: i64) -> i64 {
+        let mut scale = 1i64 << twos;
+        for (&p, &e) in ODD_PRIMES.iter().zip(exps) {
+            for _ in 0..e {
+                scale = scale.checked_mul(p as i64).unwrap_or(scale);
+            }
+        }
+        scale.checked_mul(foreign).unwrap_or(foreign)
+    }
+
+    proptest::proptest! {
+        /// The division-free reduction and its fallback agree with
+        /// `Rat::new` on smooth scales, on scales with a prime outside
+        /// the table, and on every kind of tick count.
+        #[test]
+        fn prop_to_rat_matches_rat_new(
+            twos in 0u32..=20,
+            exps in proptest::collection::vec(0u32..=2, 10),
+            foreign in 0usize..4,
+            kind in 0usize..5,
+            edge in 0usize..7,
+            raw in i64::MIN..=i64::MAX,
+            small in -100_000i64..=100_000,
+            mult in -64i64..=64,
+        ) {
+            let foreign = [1, 1, 4_194_301, 37][foreign];
+            let scale = scale_of(twos, &exps, foreign);
+            let s = Ticks::new(scale);
+            proptest::prop_assert_eq!(s.smooth.is_some(), foreign == 1);
+            let edges = [0, 1, -1, i64::MAX, -i64::MAX, i64::MIN, scale];
+            let t = match kind {
+                0 => raw,
+                1 => small,
+                2 => edges[edge],
+                // Multiples of the scale cancel every factor.
+                3 => scale.checked_mul(mult).unwrap_or(raw),
+                _ => small.checked_mul(1 << twos).unwrap_or(raw),
+            };
+            proptest::prop_assert_eq!(s.to_rat(t), Rat::new(t, scale), "{}/{}", t, scale);
+        }
     }
 }

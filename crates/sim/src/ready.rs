@@ -12,7 +12,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use pfair_core::key::{Pd2Key, SubtaskKey};
+use pfair_core::key::{Packer, Pd2Key, SubtaskKey};
 use pfair_core::priority::PriorityOrder;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 
@@ -64,25 +64,47 @@ impl ReadySet for KeyHeap {
 /// bucket just degrades toward a plain binary heap).
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// Ready set over precomputed keys, bucketed by the keys' leading
-/// comparison stage (the integer θ-adjusted pseudo-deadline).
+/// Ready set over packed keys, bucketed by their leading comparison
+/// stage (the integer θ-adjusted pseudo-deadline).
 ///
 /// Every priority order in `pfair-core` compares deadlines first
-/// ([`SubtaskKey::deadline`]), so the bucket index alone decides most pops;
+/// ([`Packed::deadline`]), so the bucket index alone decides most pops;
 /// the remaining stages (b-bit, group deadline, weight, id) are evaluated
-/// only on bucket collisions, via a per-bucket binary heap. Each key is
-/// built from the system when its subtask is pushed and stored inline in
-/// the bucket entry, so sift comparisons read contiguous bucket memory and
-/// a run allocates no key slab.
+/// only on bucket collisions, via a per-bucket binary heap. Each entry is
+/// the subtask's [`Packed`] image, built when it is pushed and stored
+/// inline with its tag in 32 bytes, so a sift comparison is two integer
+/// compares over contiguous bucket memory and a run allocates no
+/// per-subtask key table.
+///
+/// [`Packed`]: pfair_core::key::Packed
+/// [`Packed::deadline`]: pfair_core::key::Packed::deadline
 pub(crate) struct BucketReady<'a, K: SubtaskKey> {
-    sys: &'a TaskSystem,
-    buckets: Vec<Vec<(K, u32)>>,
+    packer: Packer<'a, K>,
+    buckets: Vec<Vec<Entry>>,
     /// Deadline of bucket 0.
     base: i64,
     /// First bucket that may be nonempty (monotone within a pop run;
     /// rewound by pushes of earlier deadlines).
     cursor: usize,
     len: usize,
+}
+
+/// A bucket entry: a [`Packed`] image flattened, so that the tag fills
+/// its padding.
+///
+/// [`Packed`]: pfair_core::key::Packed
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    strict: u128,
+    tie: u64,
+    tag: u32,
+}
+
+impl Entry {
+    /// Whether `self`'s image orders before `other`'s.
+    fn before(&self, other: &Entry) -> bool {
+        (self.strict, self.tie) < (other.strict, other.tie)
+    }
 }
 
 impl<'a, K: SubtaskKey> BucketReady<'a, K> {
@@ -101,7 +123,7 @@ impl<'a, K: SubtaskKey> BucketReady<'a, K> {
                 .min(MAX_BUCKETS)
         };
         BucketReady {
-            sys,
+            packer: Packer::new(sys),
             buckets: vec![Vec::new(); width],
             base: if lo > hi { 0 } else { lo },
             cursor: 0,
@@ -121,12 +143,13 @@ impl<K: SubtaskKey> ReadySet for BucketReady<'_, K> {
     type Key = SubtaskRef;
 
     fn push(&mut self, st: SubtaskRef, tag: u32) {
-        let key = K::of_subtask(self.sys, st);
+        let key = self.packer.pack(st);
         let idx = self.bucket_index(key.deadline());
         if idx < self.cursor {
             self.cursor = idx;
         }
-        heap_push(&mut self.buckets[idx], key, tag);
+        let (strict, tie) = (key.strict, key.tie);
+        heap_push(&mut self.buckets[idx], Entry { strict, tie, tag });
         self.len += 1;
     }
 
@@ -146,17 +169,18 @@ impl<K: SubtaskKey> ReadySet for BucketReady<'_, K> {
     }
 
     fn successor(&self, st: SubtaskRef) -> Option<SubSpec<SubtaskRef>> {
-        Some(SubSpec::of(self.sys, self.sys.subtask(st).succ?))
+        let sys = self.packer.sys();
+        Some(SubSpec::of(sys, sys.subtask(st).succ?))
     }
 }
 
-/// Sift-up push into a min-heap of inline-keyed entries.
-fn heap_push<K: SubtaskKey>(bucket: &mut Vec<(K, u32)>, key: K, tag: u32) {
-    bucket.push((key, tag));
+/// Sift-up push into a min-heap of entries.
+fn heap_push(bucket: &mut Vec<Entry>, entry: Entry) {
+    bucket.push(entry);
     let mut i = bucket.len() - 1;
     while i > 0 {
         let parent = (i - 1) / 2;
-        if bucket[i].0 < bucket[parent].0 {
+        if bucket[i].before(&bucket[parent]) {
             bucket.swap(i, parent);
             i = parent;
         } else {
@@ -165,23 +189,24 @@ fn heap_push<K: SubtaskKey>(bucket: &mut Vec<(K, u32)>, key: K, tag: u32) {
     }
 }
 
-/// Sift-down pop of the key-minimal entry; callers guarantee nonempty.
-fn heap_pop<K: SubtaskKey>(bucket: &mut Vec<(K, u32)>) -> u32 {
+/// Sift-down pop of the image-minimal entry's tag; callers guarantee
+/// nonempty.
+fn heap_pop(bucket: &mut Vec<Entry>) -> u32 {
     let last = bucket.len() - 1;
     bucket.swap(0, last);
-    let (_, best) = bucket.pop().expect("heap_pop on an empty bucket");
+    let best = bucket.pop().expect("heap_pop on an empty bucket").tag;
     let mut i = 0;
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         if l >= bucket.len() {
             break;
         }
-        let child = if r < bucket.len() && bucket[r].0 < bucket[l].0 {
+        let child = if r < bucket.len() && bucket[r].before(&bucket[l]) {
             r
         } else {
             l
         };
-        if bucket[child].0 < bucket[i].0 {
+        if bucket[child].before(&bucket[i]) {
             bucket.swap(i, child);
             i = child;
         } else {

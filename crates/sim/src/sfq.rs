@@ -29,7 +29,7 @@
 //! rationals. The hot loop iterates a retained list of tasks
 //! with unfinished chains rather than rescanning every cursor each slot.
 
-use pfair_core::key::{EpdfKey, KeyCache, KeyDispatch, Pd2Key, PdKey, SubtaskKey};
+use pfair_core::key::{EpdfKey, KeyDispatch, Packed, Packer, Pd2Key, PdKey, SubtaskKey};
 use pfair_core::pdb;
 use pfair_core::priority::{sort_by_priority, PriorityOrder};
 use pfair_numeric::Rat;
@@ -124,25 +124,26 @@ pub enum AffinityMode {
 
 /// Per-slot top-`M` selection for [`SfqPolicy::Priority`] runs.
 ///
-/// The keyed variants map the slot's ready refs to precomputed keys once,
-/// then select/sort by plain key comparisons; the comparator variant is the
-/// fallback for orders with no registered key type. Selection is
-/// select-then-sort either way: the priority order is strict (unique ids
-/// break every tie), so the partial selection yields exactly the full
-/// sort's prefix, and keyed and comparator runs pick identical slots.
+/// The keyed variants map the slot's ready refs to packed keys
+/// ([`Packed`]), then select/sort by plain integer comparisons; the
+/// comparator variant is the fallback for orders with no registered key
+/// type. Selection is select-then-sort either way: the priority order is
+/// strict (unique ids break every tie), so the partial selection yields
+/// exactly the full sort's prefix, and keyed and comparator runs pick
+/// identical slots.
 enum SlotSelector<'a> {
     Comparator(&'a dyn PriorityOrder),
-    Pd2(KeyCache<Pd2Key>, Vec<(Pd2Key, SubtaskRef)>),
-    Epdf(KeyCache<EpdfKey>, Vec<(EpdfKey, SubtaskRef)>),
-    Pd(KeyCache<PdKey>, Vec<(PdKey, SubtaskRef)>),
+    Pd2(Packer<'a, Pd2Key>, Vec<Packed>),
+    Epdf(Packer<'a, EpdfKey>, Vec<Packed>),
+    Pd(Packer<'a, PdKey>, Vec<Packed>),
 }
 
 impl<'a> SlotSelector<'a> {
-    fn new(sys: &TaskSystem, order: &'a dyn PriorityOrder) -> SlotSelector<'a> {
+    fn new(sys: &'a TaskSystem, order: &'a dyn PriorityOrder) -> SlotSelector<'a> {
         match order.key_dispatch() {
-            KeyDispatch::Pd2 => SlotSelector::Pd2(KeyCache::build(sys), Vec::new()),
-            KeyDispatch::Epdf => SlotSelector::Epdf(KeyCache::build(sys), Vec::new()),
-            KeyDispatch::Pd => SlotSelector::Pd(KeyCache::build(sys), Vec::new()),
+            KeyDispatch::Pd2 => SlotSelector::Pd2(Packer::new(sys), Vec::new()),
+            KeyDispatch::Epdf => SlotSelector::Epdf(Packer::new(sys), Vec::new()),
+            KeyDispatch::Pd => SlotSelector::Pd(Packer::new(sys), Vec::new()),
             KeyDispatch::Comparator => SlotSelector::Comparator(order),
         }
     }
@@ -157,30 +158,30 @@ impl<'a> SlotSelector<'a> {
                 }
                 sort_by_priority(*order, sys, ready);
             }
-            SlotSelector::Pd2(cache, scratch) => select_keyed(cache, scratch, ready, mcap),
-            SlotSelector::Epdf(cache, scratch) => select_keyed(cache, scratch, ready, mcap),
-            SlotSelector::Pd(cache, scratch) => select_keyed(cache, scratch, ready, mcap),
+            SlotSelector::Pd2(packer, scratch) => select_keyed(packer, scratch, ready, mcap),
+            SlotSelector::Epdf(packer, scratch) => select_keyed(packer, scratch, ready, mcap),
+            SlotSelector::Pd(packer, scratch) => select_keyed(packer, scratch, ready, mcap),
         }
     }
 }
 
-/// Keyed top-`mcap` selection: pair each ready ref with its cached key,
-/// partial-select, sort, write the refs back.
+/// Keyed top-`mcap` selection: pack each ready ref, partial-select,
+/// sort, write the refs back out of the images.
 fn select_keyed<K: SubtaskKey>(
-    cache: &KeyCache<K>,
-    scratch: &mut Vec<(K, SubtaskRef)>,
+    packer: &Packer<'_, K>,
+    scratch: &mut Vec<Packed>,
     ready: &mut Vec<SubtaskRef>,
     mcap: usize,
 ) {
     scratch.clear();
-    scratch.extend(ready.iter().map(|&st| (cache.key(st), st)));
+    scratch.extend(ready.iter().map(|&st| packer.pack(st)));
     if scratch.len() > mcap {
-        scratch.select_nth_unstable_by(mcap - 1, |a, b| a.0.cmp(&b.0));
+        scratch.select_nth_unstable(mcap - 1);
         scratch.truncate(mcap);
     }
-    scratch.sort_unstable_by_key(|a| a.0);
+    scratch.sort_unstable();
     ready.clear();
-    ready.extend(scratch.iter().map(|&(_, st)| st));
+    ready.extend(scratch.iter().map(|key| key.subtask()));
 }
 
 /// The SFQ driver every entry point runs: `policy` picks each slot's

@@ -5,7 +5,7 @@
 //! [`GRID`] = 720720 = lcm(1..13)), so boundary comparisons stay exact and
 //! schedules remain reproducible.
 
-use pfair_numeric::Rat;
+use pfair_numeric::{Rat, Tier};
 use pfair_sim::CostModel;
 use pfair_taskmodel::{SubtaskRef, TaskSystem};
 use rand::rngs::StdRng;
@@ -48,7 +48,9 @@ impl UniformCost {
 impl CostModel for UniformCost {
     fn cost(&mut self, _sys: &TaskSystem, _st: SubtaskRef) -> Rat {
         let num = self.rng.gen_range(self.min_num..=GRID);
-        Rat::new(num, GRID)
+        // A tick count at `GRID`: reduced without a gcd (see
+        // `pfair_numeric::tier`).
+        pfair_numeric::GRID.to_rat(num)
     }
 
     fn denominator_hint(&self) -> Option<i64> {
