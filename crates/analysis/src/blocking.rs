@@ -382,7 +382,7 @@ impl<'a> Priority<'a> {
 
     /// The sweep over `keys`' ranks, dropping the column, when it has
     /// ranks; the walk otherwise.
-    fn ranked(keys: StrictKeys<'a>) -> Priority<'a> {
+    pub(crate) fn ranked(keys: StrictKeys<'a>) -> Priority<'a> {
         match keys.ranks() {
             Some(ranks) => Priority::Ranked(RankTree::new(&ranks)),
             None => Priority::Compared(keys),
@@ -392,7 +392,7 @@ impl<'a> Priority<'a> {
 
 /// The strict-priority column of `sched`'s placements, in placement
 /// order.
-fn column<'a>(
+pub(crate) fn column<'a>(
     sys: &'a TaskSystem,
     sched: &Schedule,
     order: &'a dyn PriorityOrder,
@@ -672,11 +672,34 @@ mod tests {
         assert!(inversions > 0, "the runs must contain inversions");
     }
 
+    /// Every inversion a search finds, times as `Rat`s, and its counts.
+    type Found = (
+        Vec<(SubtaskRef, Rat, Rat, BlockingKind, Vec<usize>)>,
+        (usize, usize),
+    );
+
+    /// What `priority` finds on `sched` in the arithmetic of `tm`.
+    fn search<K: Tier>(
+        sys: &TaskSystem,
+        sched: &Schedule,
+        tm: &Grid<K>,
+        priority: &Priority<'_>,
+    ) -> Found {
+        let mut found = Vec::new();
+        inversions_in(sys, sched, tm, priority, |victim, r, s, kind, by| {
+            found.push((victim, tm.to_rat(r), tm.to_rat(s), kind, by.to_vec()));
+        });
+        (found, inversion_counts_in(sys, sched, tm, priority))
+    }
+
     /// Asserts that the sweep and the window walk find the same
     /// inversions, blockers and counts on `sched` under every keyed order,
-    /// whatever its size; returns how many inversions they found.
+    /// whatever its size, on its exact times and on its tick grid when one
+    /// fits; returns how many inversions they found.
     fn assert_sweep_is_walk(sys: &TaskSystem, sched: &Schedule) -> usize {
         let orders: [&dyn PriorityOrder; 3] = [&Pd2, &Epdf, &Pd];
+        let ticks = Grid::ticks(Some(sys), sched);
+        let exact = Grid::exact(sched);
         let mut inversions = 0;
         for order in orders {
             let searches = [
@@ -685,13 +708,16 @@ mod tests {
             ];
             assert!(matches!(searches[0], Priority::Ranked(_)));
             let [sweep, walk] = searches.map(|priority| {
-                on_tier!(&times(Some(sys), sched), |tm| {
-                    let mut found = Vec::new();
-                    inversions_in(sys, sched, tm, &priority, |victim, r, s, kind, by| {
-                        found.push((victim, tm.to_rat(r), tm.to_rat(s), kind, by.to_vec()));
-                    });
-                    (found, inversion_counts_in(sys, sched, tm, &priority))
-                })
+                let found = search(sys, sched, &exact, &priority);
+                if let Some(ticks) = &ticks {
+                    assert_eq!(
+                        search(sys, sched, ticks, &priority),
+                        found,
+                        "{}",
+                        order.name()
+                    );
+                }
+                found
             });
             assert_eq!(sweep, walk, "{}", order.name());
             inversions += walk.0.len();

@@ -174,7 +174,7 @@ pub(crate) fn or_exact(sched: &Schedule, ticks: Option<Grid<Ticks>>) -> Times {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocking::{inversions_in, Priority};
+    use crate::blocking::{column, inversions_in, Priority};
     use crate::lag::lag_series_in;
     use crate::report::report_in;
     use crate::response::response_in;
@@ -211,13 +211,21 @@ mod tests {
     }
 
     /// Every `_in` analysis of `sched` in the arithmetic of `tm`, times as
-    /// `Rat`s, by its `Debug` rendering.
+    /// `Rat`s, by its `Debug` rendering. The inversion searches run both
+    /// ways, the sweep and the window walk, whatever the schedule's size.
     fn outputs<K: Tier>(sys: &TaskSystem, sched: &Schedule, tm: &Grid<K>) -> String {
+        let searches = [
+            Priority::ranked(column(sys, sched, &Pd2)),
+            Priority::Compared(column(sys, sched, &Pd2)),
+        ];
         let mut inversions = Vec::new();
-        let priority = Priority::of(sys, sched, &Pd2);
-        inversions_in(sys, sched, tm, &priority, |victim, ready, at, kind, by| {
-            inversions.push((victim, tm.to_rat(ready), tm.to_rat(at), kind, by.to_vec()));
-        });
+        let mut reports = Vec::new();
+        for priority in &searches {
+            inversions_in(sys, sched, tm, priority, |victim, ready, at, kind, by| {
+                inversions.push((victim, tm.to_rat(ready), tm.to_rat(at), kind, by.to_vec()));
+            });
+            reports.push(report_in(sys, sched, tm, priority));
+        }
         let horizon = sched.makespan().ceil();
         format!(
             "{:?}",
@@ -229,7 +237,7 @@ mod tests {
                 structural_in(sys, sched, tm),
                 window_containment_in(sys, tm),
                 lag_series_in(sys, tm, horizon),
-                report_in(sys, sched, tm, &priority),
+                reports,
                 inversions,
             )
         )

@@ -35,14 +35,15 @@
 //! with `b` and `D` dropped, EPDF's.
 //!
 //! The total orders refine the strict ones by heavier weight first, then
-//! `(task, index)`. A [`Packer`] ranks a system's tasks once under
-//! (weight desc, id asc), so the refinement is the task's rank, then the
-//! subtask's dense ref (which ascends with the index within a task). The
-//! [`Packed`] image `(prefix, rank, ref)` compares as two integers and
-//! reproduces `Ord` of [`Pd2Key`], [`EpdfKey`] and [`PdKey`]: PD's
-//! heavy-before-light stage adds nothing, because heaviness is monotone
-//! in weight. The simulators' ready sets store and compare images; the
-//! typed keys remain the definitions the images are proven against.
+//! `(task, index)`. A system ranks its tasks once under (weight desc, id
+//! asc) ([`TaskSystem::weight_ranks`]), so the refinement is the task's
+//! rank, then the subtask's dense ref (which ascends with the index within
+//! a task). The [`Packed`] image `(prefix, rank, ref)` compares as two
+//! integers and reproduces `Ord` of [`Pd2Key`], [`EpdfKey`] and
+//! [`PdKey`]: PD's heavy-before-light stage adds nothing, because
+//! heaviness is monotone in weight. The simulators' ready sets store and
+//! compare images; the typed keys remain the definitions the images are
+//! proven against.
 //!
 //! # Equivalence obligation
 //!
@@ -316,31 +317,23 @@ impl Packed {
 }
 
 /// Packs one system's subtasks into the [`Packed`] images of `K`'s order.
-/// Holds the system's task ranks, one sort of its task table.
+/// Borrows the system's [`TaskSystem::weight_ranks`], so building one
+/// neither sorts nor allocates after the system's first.
 #[derive(Clone, Debug)]
 pub struct Packer<'a, K> {
     sys: &'a TaskSystem,
     /// Per task: its place under (weight desc, id asc).
-    ranks: Vec<u32>,
+    ranks: &'a [u32],
     key: PhantomData<K>,
 }
 
 impl<'a, K: SubtaskKey> Packer<'a, K> {
-    /// Ranks the tasks of `sys`.
+    /// The packer of `sys`'s subtasks.
     #[must_use]
     pub fn new(sys: &'a TaskSystem) -> Packer<'a, K> {
-        let tasks = sys.tasks();
-        let n = u32::try_from(tasks.len()).expect("task ids fit u32");
-        let mut by_priority: Vec<u32> = (0..n).collect();
-        // Stable, so equal weights stay in id order.
-        by_priority.sort_by(|&a, &b| tasks[b as usize].weight.cmp(&tasks[a as usize].weight));
-        let mut ranks = vec![0; tasks.len()];
-        for (rank, &task) in (0..).zip(&by_priority) {
-            ranks[task as usize] = rank;
-        }
         Packer {
             sys,
-            ranks,
+            ranks: sys.weight_ranks(),
             key: PhantomData,
         }
     }
@@ -759,6 +752,25 @@ mod tests {
     }
 
     #[test]
+    fn deadline_accessor_is_the_leading_stage() {
+        // `Packed::deadline` must expose exactly the field the first
+        // comparison stage reads — the bucketing contract — and
+        // `Packed::subtask` the packed subtask, under every keyed order.
+        let sys = release::periodic(&[(3, 4), (1, 2), (5, 6)], 12);
+        let (pd2, epdf, pd) = (
+            Packer::<Pd2Key>::new(&sys),
+            Packer::<EpdfKey>::new(&sys),
+            Packer::<PdKey>::new(&sys),
+        );
+        for (st, s) in sys.iter_refs() {
+            for image in [pd2.pack(st), epdf.pack(st), pd.pack(st)] {
+                assert_eq!(image.deadline(), s.deadline);
+                assert_eq!(image.subtask(), st);
+            }
+        }
+    }
+
+    #[test]
     fn cache_reports_size() {
         let sys = release::periodic(&[(1, 2), (1, 3)], 6);
         let cache = KeyCache::<Pd2Key>::build(&sys);
@@ -821,8 +833,10 @@ mod tests {
                 Packer::<PdKey>::new(&sys),
             );
             for (a, sa) in sys.iter_refs() {
-                prop_assert_eq!(pd2.pack(a).subtask(), a);
-                prop_assert_eq!(pd2.pack(a).deadline(), sa.deadline);
+                for image in [pd2.pack(a), epdf.pack(a), pd.pack(a)] {
+                    prop_assert_eq!(image.subtask(), a);
+                    prop_assert_eq!(image.deadline(), sa.deadline);
+                }
                 let (ka, ea, pa) = (
                     Pd2Key::of_subtask(&sys, a),
                     EpdfKey::of_subtask(&sys, a),

@@ -43,12 +43,12 @@
 //! [`Tier::to_rat`] on ticks sits under every completion, batch instant
 //! and cost draw of the simulators, and a reduction by gcd is a loop of
 //! data-dependent steps. So [`Ticks::new`] factors its scale once over 2
-//! and a fixed table of small odd primes (3 to 31). When nothing else
-//! divides the scale — [`GRID`] = 2⁴·3²·5·7·11·13 is such a scale — a
-//! positive tick count `t` is reduced by cancelling common factors only:
-//! `trailing_zeros` and a shift for the twos, then, for each odd prime of
-//! the scale, a multiply by its inverse modulo 2⁶⁴ both tests whether it
-//! divides `t` and divides it exactly. No gcd loop, no divide
+//! and the odd primes of [`GRID`] = 2⁴·3²·5·7·11·13 (3 to 13), which
+//! every scale the workloads use divides. When nothing else divides the
+//! scale, a positive tick count `t` is reduced by cancelling common
+//! factors only: `trailing_zeros` and a shift for the twos, then, for
+//! each odd prime of the scale, a multiply by its inverse modulo 2⁶⁴
+//! both tests whether it divides `t` and divides it exactly. No gcd loop, no divide
 //! instruction. Any other scale, and any zero or negative count, falls
 //! back to [`Rat::new`]. Both give the same `Rat`.
 
@@ -120,16 +120,17 @@ pub struct Ticks {
 }
 
 /// The odd primes a scale may be built from for the division-free
-/// reduction. `GRID` = 2⁴·3²·5·7·11·13 needs the first five.
-const ODD_PRIMES: [u64; 10] = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31];
+/// reduction: those of `GRID` = 2⁴·3²·5·7·11·13, which every measured
+/// scale divides.
+const ODD_PRIMES: [u64; 5] = [3, 5, 7, 11, 13];
 
 /// Per entry of [`ODD_PRIMES`]: the prime's inverse modulo 2⁶⁴ and
 /// `u64::MAX / p`. `n` is a multiple of `p` iff `n · p⁻¹ mod 2⁶⁴` is at
 /// most the bound, and then that product *is* `n / p` (Granlund &
 /// Montgomery, "Division by invariant integers using multiplication",
 /// 1994).
-const ODD_INVERSES: [(u64, u64); 10] = {
-    let mut table = [(0, 0); 10];
+const ODD_INVERSES: [(u64, u64); ODD_PRIMES.len()] = {
+    let mut table = [(0, 0); ODD_PRIMES.len()];
     let mut k = 0;
     while k < ODD_PRIMES.len() {
         let p = ODD_PRIMES[k];
@@ -559,12 +560,12 @@ mod tests {
             GRID.smooth,
             Some(Smooth {
                 twos: 4,
-                odd: [2, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+                odd: [2, 1, 1, 1, 1]
             })
         );
         assert!(Ticks::new(1).smooth.is_some());
-        assert!(Ticks::new(31 << 40).smooth.is_some());
-        assert_eq!(Ticks::new(37).smooth, None);
+        assert!(Ticks::new(13 << 40).smooth.is_some());
+        assert_eq!(Ticks::new(17).smooth, None);
         assert_eq!(Ticks::new(4_194_301).smooth, None);
         assert_eq!(Ticks::new(720_720 * 41).smooth, None);
         for (k, &(inv, bound)) in ODD_INVERSES.iter().enumerate() {
@@ -603,7 +604,7 @@ mod tests {
         #[test]
         fn prop_to_rat_matches_rat_new(
             twos in 0u32..=20,
-            exps in proptest::collection::vec(0u32..=2, 10),
+            exps in proptest::collection::vec(0u32..=2, ODD_PRIMES.len()),
             foreign in 0usize..4,
             kind in 0usize..5,
             edge in 0usize..7,
@@ -611,7 +612,7 @@ mod tests {
             small in -100_000i64..=100_000,
             mult in -64i64..=64,
         ) {
-            let foreign = [1, 1, 4_194_301, 37][foreign];
+            let foreign = [1, 1, 4_194_301, 17][foreign];
             let scale = scale_of(twos, &exps, foreign);
             let s = Ticks::new(scale);
             proptest::prop_assert_eq!(s.smooth.is_some(), foreign == 1);

@@ -1,5 +1,7 @@
 //! Incremental, validated construction of GIS task systems.
 
+use std::sync::OnceLock;
+
 use crate::error::ModelError;
 use crate::subtask::{Subtask, SubtaskId, SubtaskRef};
 use crate::system::{Task, TaskId, TaskSystem};
@@ -192,6 +194,7 @@ impl TaskSystemBuilder {
             tasks: self.tasks,
             subtasks,
             spans,
+            weight_ranks: OnceLock::new(),
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The immutable task system: tasks plus their released subtasks.
 
 use core::fmt;
+use std::sync::OnceLock;
 
 use pfair_numeric::Rat;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::subtask::{Subtask, SubtaskId, SubtaskRef};
 use crate::weight::Weight;
@@ -45,7 +46,7 @@ pub struct Task {
 /// [`crate::TaskSystemBuilder`] or the [`crate::release`] helpers; all model
 /// constraints (Eqns (5), (6), GIS separation) are enforced at build time,
 /// so holders of a `TaskSystem` may assume they hold.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct TaskSystem {
     pub(crate) tasks: Vec<Task>,
     /// All released subtasks, grouped by task and ordered by index within
@@ -53,6 +54,48 @@ pub struct TaskSystem {
     pub(crate) subtasks: Vec<Subtask>,
     /// For each task, the range of its subtasks in `subtasks`.
     pub(crate) spans: Vec<(u32, u32)>,
+    /// [`TaskSystem::weight_ranks`], sorted on first use. A function of
+    /// `tasks`, so equality, `Debug` and serialization leave it out.
+    pub(crate) weight_ranks: OnceLock<Box<[u32]>>,
+}
+
+impl PartialEq for TaskSystem {
+    fn eq(&self, other: &TaskSystem) -> bool {
+        (&self.tasks, &self.subtasks, &self.spans) == (&other.tasks, &other.subtasks, &other.spans)
+    }
+}
+
+impl Eq for TaskSystem {}
+
+impl fmt::Debug for TaskSystem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaskSystem")
+            .field("tasks", &self.tasks)
+            .field("subtasks", &self.subtasks)
+            .field("spans", &self.spans)
+            .finish()
+    }
+}
+
+impl Serialize for TaskSystem {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("tasks".to_owned(), self.tasks.to_value()),
+            ("subtasks".to_owned(), self.subtasks.to_value()),
+            ("spans".to_owned(), self.spans.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for TaskSystem {
+    fn from_value(v: &Value) -> Result<TaskSystem, serde::de::Error> {
+        Ok(TaskSystem {
+            tasks: Deserialize::from_value(v.field("tasks")?)?,
+            subtasks: Deserialize::from_value(v.field("subtasks")?)?,
+            spans: Deserialize::from_value(v.field("spans")?)?,
+            weight_ranks: OnceLock::new(),
+        })
+    }
 }
 
 impl TaskSystem {
@@ -72,6 +115,30 @@ impl TaskSystem {
     #[must_use]
     pub fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.idx()]
+    }
+
+    /// Each task's place, indexed by task id, when the tasks are sorted
+    /// by weight descending, then id ascending: the weight and id
+    /// tie-breaks that end the PD², EPDF and PD orders, as one integer.
+    /// Sorted on the first call and kept, so every engine run on the
+    /// system shares one sort.
+    #[must_use]
+    pub fn weight_ranks(&self) -> &[u32] {
+        self.weight_ranks.get_or_init(|| {
+            let n = u32::try_from(self.tasks.len()).expect("task ids fit u32");
+            let mut by_priority: Vec<u32> = (0..n).collect();
+            // Stable, so equal weights stay in id order.
+            by_priority.sort_by(|&a, &b| {
+                self.tasks[b as usize]
+                    .weight
+                    .cmp(&self.tasks[a as usize].weight)
+            });
+            let mut ranks = vec![0; by_priority.len()].into_boxed_slice();
+            for (rank, &task) in (0..).zip(&by_priority) {
+                ranks[task as usize] = rank;
+            }
+            ranks
+        })
     }
 
     /// All released subtasks (task-major order).
@@ -249,6 +316,29 @@ mod tests {
                 index: 99
             })
             .is_none());
+    }
+
+    #[test]
+    fn weight_ranks_put_heavier_then_lower_ids_first() {
+        let sys = release::periodic(&[(1, 6), (1, 2), (1, 6), (2, 3), (1, 2)], 6);
+        assert_eq!(sys.weight_ranks(), [3, 1, 4, 0, 2]);
+    }
+
+    /// The ranks are left out of the serialized form and rebuilt from
+    /// the tasks.
+    #[test]
+    fn serialization_leaves_the_ranks_out() {
+        let sys = fig2_system();
+        let _ = sys.weight_ranks();
+        let value = sys.to_value();
+        let Value::Map(fields) = &value else {
+            panic!("a system serializes to a map");
+        };
+        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["tasks", "subtasks", "spans"]);
+        let back = TaskSystem::from_value(&value).expect("round trip");
+        assert_eq!(back, sys);
+        assert_eq!(back.weight_ranks(), sys.weight_ranks());
     }
 
     #[test]
